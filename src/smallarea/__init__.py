@@ -13,7 +13,6 @@ from .schema import (
     VariableDef,
     ConstraintTable,
     SurveyDataset,
-    SurveyRecord,
     ConsistencyReport,
     SchemaError,
     check_consistency,

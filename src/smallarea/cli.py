@@ -125,7 +125,7 @@ class Runtime:
         if not path.exists():
             raise IngestError(f"{path}: population file not found (run synthesize)")
         zone_index = {z: i for i, z in enumerate(self.tables[0].zones)}
-        record_index = {r.record_id: i for i, r in enumerate(self.survey.records)}
+        record_index = dict(zip(self.survey.record_ids, range(self.survey.n)))
         counts = np.zeros((self.survey.n, len(zone_index)), dtype=np.int64)
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -142,7 +142,7 @@ class Runtime:
         return SyntheticPopulation(
             counts=counts,
             zone_ids=self.tables[0].zones,
-            record_ids=tuple(r.record_id for r in self.survey.records),
+            record_ids=self.survey.record_ids,
         )
 
 
@@ -344,7 +344,7 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
         abs_rates, _, excluded = arop_absolute(counts, incomes, cfg.arop_fraction)
         rel_rates, _ = arop_relative(counts, incomes, cfg.arop_fraction)
         if rt.schema.deprivation_fields:
-            md = md_rate(counts, rt.survey.deprivation_matrix(), cfg.md_threshold)
+            md = md_rate(counts, rt.survey.deprivations, cfg.md_threshold)
         else:
             md = np.full(len(population.zone_ids), math.nan)
         if cfg.mpi_spec is not None:
@@ -373,7 +373,7 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
         metro_abs, _, metro_excl = arop_absolute(pooled, incomes, cfg.arop_fraction)
         metro_rel, _ = arop_relative(pooled, incomes, cfg.arop_fraction)
         if rt.schema.deprivation_fields:
-            metro_md = md_rate(pooled, rt.survey.deprivation_matrix(), cfg.md_threshold)
+            metro_md = md_rate(pooled, rt.survey.deprivations, cfg.md_threshold)
         else:
             metro_md = [math.nan]
         rows.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import Schema, SchemaError, SurveyDataset
+from .schema import SchemaError, SurveyDataset
 
 
 # --------------------------------------------------------------------------
@@ -100,14 +100,15 @@ class MpiResult:
 # Elementary operations
 # --------------------------------------------------------------------------
 
-def equivalize(household_income: float, n_adults: int, n_children: int = 0) -> float:
+def equivalize(household_income, n_adults, n_children=0):
     """Equivalized income on the modified-OECD scale:
-    income / (1 + 0.5*(n_adults - 1) + 0.3*n_children)."""
-    if n_adults < 1:
+    income / (1 + 0.5*(n_adults - 1) + 0.3*n_children). Scalars or arrays,
+    elementwise."""
+    if np.any(np.less(n_adults, 1)):
         raise ValueError("household needs at least one adult")
-    if n_children < 0:
+    if np.any(np.less(n_children, 0)):
         raise ValueError("negative child count")
-    if not math.isfinite(household_income):
+    if not np.all(np.isfinite(household_income)):
         raise ValueError("income must be finite")
     return household_income / (1.0 + 0.5 * (n_adults - 1) + 0.3 * n_children)
 
@@ -149,26 +150,27 @@ def equivalized_incomes(survey: SurveyDataset, do_equivalize: bool) -> np.ndarra
 
     When `do_equivalize`, the survey's income field is read as household
     income and divided by the modified-OECD scale built from the `n_adults`
-    and `n_children` extra columns; otherwise the field is used verbatim as
+    and `n_children` columns, truncated to integers (no `n_children` column
+    means no children); otherwise the field is used verbatim as
     already-equivalized income.
     """
-    raw = survey.incomes()
+    raw = survey.incomes
     if not do_equivalize:
         return raw
-    out = np.empty_like(raw)
-    for i, rec in enumerate(survey.records):
-        if math.isnan(raw[i]):
-            out[i] = math.nan
-            continue
-        try:
-            n_adults = int(rec.extras["n_adults"])
-            n_children = int(rec.extras.get("n_children", 0))
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(
-                f"record {rec.record_id!r}: equivalization needs integer "
-                "'n_adults'/'n_children' columns"
-            ) from None
-        out[i] = equivalize(raw[i], n_adults, n_children)
+    valid = np.flatnonzero(~np.isnan(raw))
+    n_adults = np.trunc(survey.column("n_adults")[valid])
+    n_children = 0.0
+    if "n_children" in survey.numeric:
+        n_children = np.trunc(survey.column("n_children")[valid])
+    blank = np.isnan(n_adults) | np.isnan(n_children)
+    if blank.any():
+        rid = survey.record_ids[valid[np.argmax(blank)]]
+        raise SchemaError(
+            f"record {rid!r}: equivalization needs integer 'n_adults'/'n_children' "
+            "values"
+        )
+    out = np.full(survey.n, math.nan)
+    out[valid] = equivalize(raw[valid], n_adults, n_children)
     return out
 
 
@@ -235,10 +237,10 @@ def md_rate(counts: np.ndarray, deprivations: np.ndarray, threshold: int = 3):
 
 
 def deprivation_scores(survey: SurveyDataset, spec: MpiSpec) -> np.ndarray:
-    """Per-record weighted deprivation score c in [0, 1]."""
+    """Per-record weighted deprivation score c in [0, 1]. A `flag` or `below`
+    indicator reads a deprivation field, the income field or a numeric survey
+    column (SurveyDataset.column); a blank value is never deprived."""
     score = np.zeros(survey.n)
-    dep_fields = {f: i for i, f in enumerate(survey.schema.deprivation_fields)}
-    dep_matrix = survey.deprivation_matrix() if dep_fields else None
     for dim in spec.dimensions:
         for ind, w in zip(dim.indicators, dim.indicator_weights()):
             if ind.kind == "in":
@@ -247,32 +249,12 @@ def deprivation_scores(survey: SurveyDataset, spec: MpiSpec) -> np.ndarray:
                 sel = np.array([c in ind.values for c in vardef.categories])
                 deprived = sel[codes]
             elif ind.kind == "below":
-                vals = np.array(
-                    [
-                        _numeric_field(r, ind.field, survey.schema)
-                        for r in survey.records
-                    ]
-                )
-                # missing treated as not deprived
-                deprived = np.nan_to_num(vals, nan=math.inf) < ind.threshold
+                deprived = survey.column(ind.field) < ind.threshold
             else:  # flag
-                if ind.field in dep_fields:
-                    deprived = dep_matrix[:, dep_fields[ind.field]]
-                else:
-                    deprived = np.array(
-                        [bool(r.extras.get(ind.field, False)) for r in survey.records]
-                    )
+                values = survey.column(ind.field)
+                deprived = (values != 0) & ~np.isnan(values)
             score += w * deprived
     return score
-
-
-def _numeric_field(rec, name, schema: Schema):
-    if name == schema.income_field:
-        return math.nan if rec.income is None else rec.income
-    v = rec.extras.get(name)
-    if v is None:
-        return math.nan
-    return float(v)
 
 
 def mpi(counts: np.ndarray, survey: SurveyDataset, spec: MpiSpec):

@@ -18,14 +18,7 @@ import numpy as np
 import yaml
 
 from .indicators import MpiDimension, MpiIndicator, MpiSpec
-from .schema import (
-    ConstraintTable,
-    Schema,
-    SchemaError,
-    SurveyDataset,
-    SurveyRecord,
-    VariableDef,
-)
+from .schema import ConstraintTable, Schema, SchemaError, SurveyDataset, VariableDef
 
 log = logging.getLogger(__name__)
 
@@ -115,16 +108,24 @@ class PipelineConfig:
 # Constraint tables
 # --------------------------------------------------------------------------
 
-def load_constraints(path, schema: Schema):
-    """Read long-format `zone_id,variable,category,count` into one
-    ConstraintTable per constraint variable. Zones are ordered by first
-    appearance in the file; absent (zone, category) cells become 0."""
-    path = Path(path)
-    vardefs = {v.name: v for v in schema.constraint_vars}
-    zones: list[str] = []
-    zone_index: dict[str, int] = {}
-    cells: dict[str, dict] = {name: {} for name in vardefs}
+def _nonnegative(raw: str, what: str, path, lineno: int) -> float:
+    """`raw` as a finite number >= 0; IngestError naming the line otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise IngestError(f"{path}: line {lineno}: invalid {what} {raw!r}")
+    return value
 
+
+def _read_long(path):
+    """Rows of a long-format `zone_id,variable,category,count` table as
+    (line, zone, variable, category, count). Checks the header, the row
+    width and the count (finite, >= 0), and rejects a repeated
+    (zone, variable, category) cell."""
+    rows = []
+    seen = set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -133,41 +134,46 @@ def load_constraints(path, schema: Schema):
                 f"{path}: expected header 'zone_id,variable,category,count', "
                 f"got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != 4:
                 raise IngestError(f"{path}: line {lineno}: expected 4 fields")
             zone, var, cat, raw = row
-            if var not in vardefs:
+            count = _nonnegative(raw, "count", path, lineno)
+            if (zone, var, cat) in seen:
                 raise IngestError(
-                    f"{path}: unknown variable {var!r} at line {lineno}"
+                    f"{path}: line {lineno}: duplicate cell ({zone}, {var}, {cat})"
                 )
-            if cat not in vardefs[var].categories:
-                raise IngestError(
-                    f"{path}: unknown category {cat!r} at line {lineno}"
-                )
-            try:
-                count = float(raw)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: non-numeric count {raw!r} at line {lineno}"
-                ) from None
-            if not math.isfinite(count) or count < 0:
-                raise IngestError(
-                    f"{path}: invalid count {raw!r} at line {lineno}"
-                )
-            if zone not in zone_index:
-                zone_index[zone] = len(zones)
-                zones.append(zone)
-            cells[var][(zone, cat)] = count
+            seen.add((zone, var, cat))
+            rows.append((lineno, zone, var, cat, count))
+    return rows
 
+
+def load_constraints(path, schema: Schema):
+    """Read long-format `zone_id,variable,category,count` into one
+    ConstraintTable per constraint variable. Zones are ordered by first
+    appearance in the file; absent (zone, category) cells become 0."""
+    path = Path(path)
+    vardefs = {v.name: v for v in schema.constraint_vars}
+    zone_index: dict[str, int] = {}
+    cells: dict[str, list] = {name: [] for name in vardefs}
+    for lineno, zone, var, cat, count in _read_long(path):
+        if var not in vardefs:
+            raise IngestError(f"{path}: unknown variable {var!r} at line {lineno}")
+        if cat not in vardefs[var].categories:
+            raise IngestError(f"{path}: unknown category {cat!r} at line {lineno}")
+        zi = zone_index.setdefault(zone, len(zone_index))
+        cells[var].append((zi, vardefs[var].index(cat), count))
+
+    zones = tuple(zone_index)
     tables = []
     for var in schema.constraint_vars:
         counts = np.zeros((len(zones), len(var.categories)))
-        for (zone, cat), value in cells[var.name].items():
-            counts[zone_index[zone], var.index(cat)] = value
-        tables.append(ConstraintTable(var.name, tuple(zones), var.categories, counts))
+        for zi, ci, value in cells[var.name]:
+            counts[zi, ci] = value
+        tables.append(ConstraintTable(var.name, zones, var.categories, counts))
     return tables
 
 
@@ -190,82 +196,77 @@ def save_constraints(tables, path):
 # --------------------------------------------------------------------------
 
 def load_survey(path, schema: Schema) -> SurveyDataset:
-    """Read wide per-individual CSV. Mandatory columns: record_id, the
-    household field, one column per constraint/external variable, the income
-    field (blank = missing) and every deprivation field (0/1). Remaining
-    columns land in SurveyRecord.extras (numeric when they parse)."""
+    """Read a wide CSV, one row per individual, into a columnar SurveyDataset.
+
+    Mandatory columns: record_id, the household field, one column per
+    constraint and external variable, the income field (blank = missing) and
+    every deprivation field (0/1). Every other column is read as numbers
+    (blank = NaN), or kept as None when a value does not parse as a number.
+    Errors name the file and line of the first bad row."""
     path = Path(path)
-    var_names = [v.name for v in schema.constraint_vars + schema.external_vars]
+    variables = schema.constraint_vars + schema.external_vars
     mandatory = (
         ["record_id", schema.household_field]
-        + var_names
+        + [v.name for v in variables]
         + [schema.income_field]
         + list(schema.deprivation_fields)
     )
 
-    records = []
+    rows, lines, incomes = [], [], []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in mandatory if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        missing = [c for c in mandatory if c not in header]
         if missing:
             raise IngestError(f"{path}: missing mandatory columns {missing}")
-        known = set(mandatory)
-        extra_cols = [c for c in reader.fieldnames if c not in known]
-        for lineno, row in enumerate(reader, start=2):
-            cats = {}
-            for name in var_names:
-                cats[name] = row[name]
-            vardefs = {v.name: v for v in schema.constraint_vars}
-            for name, cat in cats.items():
-                if name in vardefs and cat not in vardefs[name].categories:
-                    raise IngestError(
-                        f"{path}: line {lineno}: category {cat!r} not in "
-                        f"schema for {name!r}"
-                    )
-            raw_income = row[schema.income_field].strip()
-            if raw_income == "":
-                income = None
-            else:
-                try:
-                    income = float(raw_income)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}: line {lineno}: bad income {raw_income!r}"
-                    ) from None
-                if income < 0 or not math.isfinite(income):
-                    raise IngestError(
-                        f"{path}: line {lineno}: income must be >= 0 and finite"
-                    )
-            deps = []
-            for f in schema.deprivation_fields:
-                v = row[f].strip()
-                if v not in ("0", "1"):
-                    raise IngestError(
-                        f"{path}: line {lineno}: deprivation field {f!r} "
-                        "must be 0/1"
-                    )
-                deps.append(v == "1")
-            extras = {}
-            for c in extra_cols:
-                v = row[c]
-                if v is None or v.strip() == "":
-                    extras[c] = None
-                    continue
-                try:
-                    extras[c] = float(v)
-                except ValueError:
-                    extras[c] = v
-            records.append(
-                SurveyRecord(
-                    record_id=row["record_id"],
-                    household_id=row[schema.household_field],
-                    categories=cats,
-                    income=income,
-                    deprivations=tuple(deps),
-                    extras=extras,
+        income_col = header.index(schema.income_field)
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}"
                 )
-            )
-    return SurveyDataset(records, schema)
+            raw = row[income_col].strip()
+            income = _nonnegative(raw, "income", path, lineno) if raw else math.nan
+            incomes.append(income)
+            rows.append(row)
+            lines.append(lineno)
+
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    fields = schema.deprivation_fields
+    flags = np.asarray([columns[f] for f in fields], dtype=str)
+    flags = np.char.strip(flags.reshape(len(fields), len(rows)))
+    bad = np.argwhere(~np.isin(flags, ("0", "1")).T)
+    if bad.size:
+        i, f = bad[0]
+        raise IngestError(
+            f"{path}: line {lines[i]}: deprivation field {fields[f]!r} must be 0/1"
+        )
+    numeric = {}
+    for name in header:
+        if name not in mandatory:
+            text = np.char.strip(np.asarray(columns[name], dtype=str))
+            try:
+                numeric[name] = np.where(text == "", "nan", text).astype(float)
+            except ValueError:
+                numeric[name] = None
+    try:
+        return SurveyDataset(
+            schema,
+            record_ids=columns["record_id"],
+            household_ids=columns[schema.household_field],
+            categories={v.name: columns[v.name] for v in variables},
+            incomes=incomes,
+            deprivations=(flags == "1").T,
+            numeric=numeric,
+        )
+    except SchemaError as exc:
+        if exc.row is None:
+            raise
+        raise IngestError(f"{path}: line {lines[exc.row]}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -303,47 +304,25 @@ def load_crosswalks(path):
 def load_external_actual(path):
     """Read a long-format actual table for one external variable into
     (variable, zones, categories, counts ndarray). Layout as constraints.csv;
-    exactly one variable per file."""
+    exactly one variable per file. Zones and categories are ordered by first
+    appearance."""
     path = Path(path)
-    zones: list[str] = []
-    cats: list[str] = []
-    cells = {}
-    variable = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["zone_id", "variable", "category", "count"]:
-            raise IngestError(
-                f"{path}: expected header 'zone_id,variable,category,count'"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            zone, var, cat, raw = row
-            if variable is None:
-                variable = var
-            elif var != variable:
-                raise IngestError(
-                    f"{path}: line {lineno}: mixed variables {variable!r}/{var!r}"
-                )
-            try:
-                count = float(raw)
-            except ValueError:
-                raise IngestError(
-                    f"{path}: non-numeric count at line {lineno}"
-                ) from None
-            if count < 0 or not math.isfinite(count):
-                raise IngestError(f"{path}: invalid count at line {lineno}")
-            if zone not in zones:
-                zones.append(zone)
-            if cat not in cats:
-                cats.append(cat)
-            cells[(zone, cat)] = count
-    if variable is None:
+    rows = _read_long(path)
+    if not rows:
         raise IngestError(f"{path}: empty external table")
+    variable = rows[0][2]
+    zones: dict[str, int] = {}
+    cats: dict[str, int] = {}
+    for lineno, zone, var, cat, _ in rows:
+        if var != variable:
+            raise IngestError(
+                f"{path}: line {lineno}: mixed variables {variable!r}/{var!r}"
+            )
+        zones.setdefault(zone, len(zones))
+        cats.setdefault(cat, len(cats))
     counts = np.zeros((len(zones), len(cats)))
-    for (zone, cat), v in cells.items():
-        counts[zones.index(zone), cats.index(cat)] = v
+    for _, zone, _, cat, count in rows:
+        counts[zones[zone], cats[cat]] = count
     return variable, tuple(zones), tuple(cats), counts
 
 

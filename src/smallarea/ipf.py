@@ -161,6 +161,6 @@ def ipf_all(
     matrix = WeightMatrix(
         weights=weights,
         zone_ids=zones,
-        record_ids=tuple(r.record_id for r in survey.records),
+        record_ids=survey.record_ids,
     )
     return matrix, ConvergenceInfo(tuple(diags))

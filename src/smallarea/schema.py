@@ -7,13 +7,18 @@ threads. Zone ids and category labels are case-sensitive exact strings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class SchemaError(ValueError):
-    """Structural problem in the data model (unknown variable, bad counts, ...)."""
+    """Structural problem in the data model (unknown variable, bad counts, ...).
+    `row` is the 0-based index of the survey record at fault, when there is one."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -107,74 +112,95 @@ class ConstraintTable:
         return self.counts[zone_index]
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
-    """One survey individual: categorical attributes plus income and
-    deprivation items. `extras` holds any additional numeric/string columns
-    (e.g. household composition counts used for equivalization)."""
-
-    record_id: str
-    household_id: str
-    categories: dict
-    income: float | None = None
-    deprivations: tuple[bool, ...] = ()
-    extras: dict = field(default_factory=dict)
-
-
 class SurveyDataset:
-    """Survey microdata plus cached per-variable category code arrays."""
+    """Survey microdata as read-only columns with one entry per record,
+    checked at construction.
 
-    def __init__(self, records, schema: Schema):
-        self.records = tuple(records)
+    `categories` maps every schema variable, constraint and external, to the
+    records' category labels; they are encoded as intp codes in schema
+    category order. `incomes` holds NaN for a missing income (default: all
+    missing), `deprivations` is a records x deprivation-fields bool matrix
+    (default: no items) and `numeric` maps every further survey column to
+    floats, NaN where blank, or to None when its values are not all numbers.
+    A SchemaError about one record carries its 0-based index in `row`.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        record_ids,
+        household_ids,
+        categories,
+        incomes=None,
+        deprivations=None,
+        numeric=None,
+    ):
         self.schema = schema
-        self.n = len(self.records)
-        self._codes: dict[str, np.ndarray] = {}
-        for rec in self.records:
-            if not rec.household_id:
-                raise SchemaError(f"record {rec.record_id!r} has empty household id")
-            for var in schema.constraint_vars:
-                cat = rec.categories.get(var.name)
-                if cat not in var.categories:
-                    raise SchemaError(
-                        f"record {rec.record_id!r}: invalid category {cat!r} "
-                        f"for constraint variable {var.name!r}"
-                    )
+        self.record_ids = tuple(record_ids)
+        self.household_ids = tuple(household_ids)
+        self.n = n = len(self.record_ids)
+        _, first = np.unique(np.asarray(self.record_ids, dtype=str), return_index=True)
+        if first.size < n:
+            i = int(np.flatnonzero(np.bincount(first, minlength=n) == 0)[0])
+            raise SchemaError(f"duplicate record id {self.record_ids[i]!r}", i)
+        if len(self.household_ids) != n:
+            raise SchemaError(f"{len(self.household_ids)} household ids, {n} records")
+        if "" in self.household_ids:
+            i = self.household_ids.index("")
+            raise SchemaError(f"record {self.record_ids[i]!r}: empty household id", i)
+
+        self._codes = {}
+        for var in schema.constraint_vars + schema.external_vars:
+            labels = _column(categories[var.name], str, (n,), f"{var.name!r} labels")
+            match = labels[:, None] == np.asarray(var.categories)
+            bad = np.flatnonzero(~match.any(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                raise SchemaError(
+                    f"record {self.record_ids[i]!r}: invalid category "
+                    f"{str(labels[i])!r} for variable {var.name!r}",
+                    i,
+                )
+            self._codes[var.name] = _column(match.argmax(axis=1), None, (n,), "codes")
+
+        k = len(schema.deprivation_fields)
+        if incomes is None:
+            incomes = np.full(n, math.nan)
+        if deprivations is None:
+            deprivations = np.zeros((n, 0))
+        self.incomes = _column(incomes, float, (n,), "incomes")
+        self.deprivations = _column(deprivations, bool, (n, k), "deprivations")
+        self.numeric = {
+            name: None if v is None else _column(v, float, (n,), f"column {name!r}")
+            for name, v in (numeric or {}).items()
+        }
 
     def category_codes(self, variable: str) -> np.ndarray:
-        """Integer category index per record for `variable` (cached)."""
+        """Integer category index per record for `variable`."""
         if variable not in self._codes:
-            vardef = self.schema.variable(variable)
-            lut = {c: i for i, c in enumerate(vardef.categories)}
-            try:
-                codes = np.array(
-                    [lut[r.categories[variable]] for r in self.records], dtype=np.intp
-                )
-            except KeyError as exc:
-                raise SchemaError(
-                    f"category {exc.args[0]!r} not declared for variable {variable!r}"
-                ) from None
-            self._codes[variable] = codes
+            raise SchemaError(f"unknown variable {variable!r}")
         return self._codes[variable]
 
-    def incomes(self) -> np.ndarray:
-        """Income per record, NaN where missing."""
-        return np.array(
-            [math.nan if r.income is None else r.income for r in self.records],
-            dtype=float,
-        )
+    def column(self, name: str) -> np.ndarray:
+        """Value per record of a deprivation field (0/1), the income field or
+        another numeric survey column; NaN where missing."""
+        fields = self.schema.deprivation_fields
+        if name in fields:
+            return self.deprivations[:, fields.index(name)].astype(float)
+        if name == self.schema.income_field:
+            return self.incomes
+        if self.numeric.get(name) is None:
+            raise SchemaError(f"no numeric survey column {name!r}")
+        return self.numeric[name]
 
-    def deprivation_matrix(self) -> np.ndarray:
-        """Boolean matrix, records x deprivation items."""
-        k = len(self.schema.deprivation_fields)
-        out = np.zeros((self.n, k), dtype=bool)
-        for i, r in enumerate(self.records):
-            if len(r.deprivations) != k:
-                raise SchemaError(
-                    f"record {r.record_id!r} has {len(r.deprivations)} deprivation "
-                    f"items, schema declares {k}"
-                )
-            out[i] = r.deprivations
-        return out
+
+def _column(values, dtype, shape, what) -> np.ndarray:
+    """Read-only array copy of `values`; SchemaError unless it has `shape`."""
+    out = np.array(values, dtype=dtype)
+    if out.shape != shape:
+        raise SchemaError(f"{what} have shape {out.shape}, expected {shape}")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

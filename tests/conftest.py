@@ -5,7 +5,6 @@ from smallarea.schema import (
     ConstraintTable,
     Schema,
     SurveyDataset,
-    SurveyRecord,
     VariableDef,
 )
 
@@ -26,18 +25,18 @@ def make_schema(**kwargs):
 
 def make_survey(schema, cats_per_record, incomes=None, deprivations=None):
     """cats_per_record: list of dicts variable -> category."""
-    records = []
-    for i, cats in enumerate(cats_per_record):
-        records.append(
-            SurveyRecord(
-                record_id=f"r{i}",
-                household_id=f"h{i}",
-                categories=dict(cats),
-                income=None if incomes is None else incomes[i],
-                deprivations=() if deprivations is None else tuple(deprivations[i]),
-            )
-        )
-    return SurveyDataset(records, schema)
+    n = len(cats_per_record)
+    variables = schema.constraint_vars + schema.external_vars
+    return SurveyDataset(
+        schema,
+        record_ids=[f"r{i}" for i in range(n)],
+        household_ids=[f"h{i}" for i in range(n)],
+        categories={
+            v.name: [cats[v.name] for cats in cats_per_record] for v in variables
+        },
+        incomes=incomes,
+        deprivations=deprivations,
+    )
 
 
 def make_table(variable, zones, categories, counts):

@@ -22,7 +22,7 @@ from smallarea.indicators import (
 )
 from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
 from smallarea.ipf import ipf_zone
-from smallarea.schema import SurveyDataset, SurveyRecord, VariableDef
+from smallarea.schema import SurveyDataset, VariableDef
 from smallarea.validate import (
     AggregateTable,
     external_validation,
@@ -297,22 +297,20 @@ def _share_fixture(rows, variable):
         constraint_vars=(VariableDef("sex", ("M", "F")),),
         external_vars=(VariableDef(variable, categories),),
     )
-    records = [
-        SurveyRecord(
-            record_id=f"r{i}",
-            household_id=f"h{i}",
-            categories={"sex": "M", variable: cat},
-        )
-        for i, cat in enumerate(categories)
-    ]
-    survey = SurveyDataset(records, schema)
+    n = len(categories)
+    survey = SurveyDataset(
+        schema,
+        record_ids=[f"r{i}" for i in range(n)],
+        household_ids=[f"h{i}" for i in range(n)],
+        categories={"sex": ["M"] * n, variable: categories},
+    )
     sim_counts = np.array(
         [[int(round(sim * 100)) for _, _, sim, _ in rows]]
     ).T  # records x 1 zone
     population = SyntheticPopulation(
         counts=sim_counts,
         zone_ids=("METRO",),
-        record_ids=tuple(r.record_id for r in records),
+        record_ids=survey.record_ids,
     )
     actual = AggregateTable(
         variable,
@@ -355,16 +353,15 @@ def test_criterion_7_share_table_layout():
 
 def _flag_survey(rows):
     schema = make_schema(constraint_vars=(VariableDef("sex", ("M", "F")),))
-    records = [
-        SurveyRecord(
-            record_id=f"r{i}",
-            household_id=f"h{i}",
-            categories={"sex": "M"},
-            extras={f"d{j + 1}": float(v) for j, v in enumerate(row)},
-        )
-        for i, row in enumerate(rows)
-    ]
-    return SurveyDataset(records, schema)
+    rows = np.asarray(rows, dtype=float)
+    n = len(rows)
+    return SurveyDataset(
+        schema,
+        record_ids=[f"r{i}" for i in range(n)],
+        household_ids=[f"h{i}" for i in range(n)],
+        categories={"sex": ["M"] * n},
+        numeric={f"d{j + 1}": rows[:, j] for j in range(3)},
+    )
 
 
 def _three_flag_spec():

@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 
 import pytest
@@ -231,3 +232,21 @@ class TestExample:
         )
         assert code == 0
         assert (tmp_path / "config.yaml").exists()
+
+    def test_bundled_example_output_digests(self, tmp_path):
+        """Pins the output bits of the bundled example: a change that alters
+        them must update these digests and say why."""
+        assert main(["example", "--out", str(tmp_path)]) == 0
+        assert main(["pipeline", "--config", str(tmp_path / "config.yaml")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("population.csv", "indicators.csv")
+        }
+        assert digests == {
+            "population.csv": (
+                "11735751371a582fb54311647bd6ed49cb5f5eab00d509195778e53456582d71"
+            ),
+            "indicators.csv": (
+                "01a28dbb184516b1d625d8761598fbdd3c67e03a6ce86cecdab23b84bbf1ce56"
+            ),
+        }

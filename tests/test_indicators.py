@@ -10,15 +10,25 @@ from smallarea.indicators import (
     arop_absolute,
     arop_relative,
     equivalize,
+    equivalized_incomes,
     income_summary,
     md_rate,
     mpi,
     percent_change,
     weighted_median,
 )
-from smallarea.schema import SchemaError, SurveyDataset, SurveyRecord, VariableDef
+from smallarea.ingest import load_survey
+from smallarea.schema import SchemaError, SurveyDataset, VariableDef
 
 from conftest import make_schema
+
+
+def csv_survey(tmp_path, text):
+    """Survey with one constraint variable `sex`, read from CSV text."""
+    path = tmp_path / "survey.csv"
+    path.write_text(text)
+    schema = make_schema(constraint_vars=(VariableDef("sex", ("M", "F")),))
+    return load_survey(path, schema)
 
 
 class TestEquivalize:
@@ -34,6 +44,36 @@ class TestEquivalize:
     def test_no_adults_rejected(self):
         with pytest.raises(ValueError):
             equivalize(1000, 0, 2)
+
+    def test_survey_columns(self, tmp_path):
+        survey = csv_survey(
+            tmp_path,
+            "record_id,household_id,sex,income,n_adults,n_children\n"
+            "r1,h1,M,30000,2,2\nr2,h2,F,12345.6,1,0\nr3,h3,F,,,\nr4,h4,M,0,3,1\n",
+        )
+        out = equivalized_incomes(survey, True)
+        assert out[0] == 30000 / 2.1
+        assert out[1] == 12345.6
+        assert math.isnan(out[2])
+        assert out[3] == 0
+        np.testing.assert_array_equal(
+            equivalized_incomes(survey, False)[[0, 1, 3]], [30000, 12345.6, 0]
+        )
+
+    def test_children_column_optional(self, tmp_path):
+        survey = csv_survey(
+            tmp_path, "record_id,household_id,sex,income,n_adults\nr1,h1,M,1500,2\n"
+        )
+        assert equivalized_incomes(survey, True)[0] == 1000.0
+
+    def test_blank_adults_with_income_rejected(self, tmp_path):
+        survey = csv_survey(
+            tmp_path,
+            "record_id,household_id,sex,income,n_adults,n_children\n"
+            "r1,h1,M,30000,2,2\nr2,h2,F,1000,,0\n",
+        )
+        with pytest.raises(SchemaError, match="n_adults"):
+            equivalized_incomes(survey, True)
 
 
 class TestWeightedMedian:
@@ -166,16 +206,15 @@ def flag_survey(rows):
     schema = make_schema(
         constraint_vars=(VariableDef("sex", ("M", "F")),),
     )
-    records = [
-        SurveyRecord(
-            record_id=f"r{i}",
-            household_id=f"h{i}",
-            categories={"sex": "M"},
-            extras={f"d{j + 1}": float(v) for j, v in enumerate(row)},
-        )
-        for i, row in enumerate(rows)
-    ]
-    return SurveyDataset(records, schema)
+    rows = np.asarray(rows, dtype=float)
+    n = len(rows)
+    return SurveyDataset(
+        schema,
+        record_ids=[f"r{i}" for i in range(n)],
+        household_ids=[f"h{i}" for i in range(n)],
+        categories={"sex": ["M"] * n},
+        numeric={f"d{j + 1}": rows[:, j] for j in range(3)},
+    )
 
 
 def three_flag_spec(k=1.0 / 3.0):
@@ -249,6 +288,57 @@ class TestMpi:
             mutated[i, j] = 1
             after, _ = mpi(counts, flag_survey(mutated), three_flag_spec())
             assert after[0].adjusted >= before[0].adjusted - 1e-12
+
+    def test_below_on_extra_numeric_column(self, tmp_path):
+        survey = csv_survey(
+            tmp_path,
+            "record_id,household_id,sex,income,rooms\n"
+            "r1,h1,M,100,1\nr2,h2,F,100,3\nr3,h3,F,2000,\nr4,h4,M,,0.5\n",
+        )
+        spec = MpiSpec(
+            dimensions=(
+                MpiDimension(
+                    "housing", 0.5, (MpiIndicator("rooms", "below", threshold=2.0),)
+                ),
+                MpiDimension(
+                    "income", 0.5, (MpiIndicator("income", "below", threshold=500.0),)
+                ),
+            ),
+            cutoff=0.5,
+        )
+        # blank rooms (r3) and blank income (r4) count as not deprived
+        per_zone, _ = mpi(one_zone([1, 1, 1, 1]), survey, spec)
+        assert per_zone[0].headcount == 0.75
+        assert per_zone[0].intensity == pytest.approx(2.0 / 3.0)
+        assert per_zone[0].adjusted == pytest.approx(0.5)
+
+    def test_flag_blank_is_not_deprived(self, tmp_path):
+        survey = csv_survey(
+            tmp_path,
+            "record_id,household_id,sex,income,d1\n"
+            "r1,h1,M,1,1\nr2,h2,F,1,\nr3,h3,F,1,0\n",
+        )
+        spec = MpiSpec(dimensions=(MpiDimension("d", 1.0, (MpiIndicator("d1"),)),))
+        per_zone, _ = mpi(one_zone([1, 1, 1]), survey, spec)
+        assert per_zone[0].headcount == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "indicator",
+        [
+            MpiIndicator("d4"),
+            MpiIndicator("incme", "below", threshold=1.0),
+            MpiIndicator("sex"),
+            MpiIndicator("note"),
+        ],
+    )
+    def test_indicator_field_must_be_a_numeric_column(self, tmp_path, indicator):
+        survey = csv_survey(
+            tmp_path,
+            "record_id,household_id,sex,income,d1,note\nr1,h1,M,1,1,x\nr2,h2,F,1,0,\n",
+        )
+        spec = MpiSpec(dimensions=(MpiDimension("d", 1.0, (indicator,)),))
+        with pytest.raises(SchemaError, match=repr(indicator.field)):
+            mpi(one_zone([1, 1]), survey, spec)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(SchemaError):

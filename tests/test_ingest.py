@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from smallarea.ingest import (
     load_config,
     load_constraints,
     load_crosswalks,
+    load_external_actual,
     load_survey,
     save_constraints,
 )
@@ -76,6 +79,17 @@ class TestLoadConstraints:
         with pytest.raises(IngestError, match="line 2"):
             load_constraints(path, schema)
 
+    def test_duplicate_cell_names_line(self, tmp_path, schema):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "zone_id,variable,category,count\n"
+            "Z01,sex,M,5\nZ01,sex,F,5\nZ01,sex,M,6\n"
+        )
+        with pytest.raises(
+            IngestError, match=r"line 4: duplicate cell \(Z01, sex, M\)"
+        ):
+            load_constraints(path, schema)
+
     def test_round_trip_bit_equal(self, tmp_path, schema):
         rng = np.random.default_rng(3)
         tables = [
@@ -109,13 +123,42 @@ class TestLoadSurvey:
         )
         survey = load_survey(path, schema)
         assert survey.n == 2
-        assert [r.record_id for r in survey.records] == ["r1", "r2"]
-        assert survey.records[1].deprivations == (True,)
+        assert list(survey.record_ids) == ["r1", "r2"]
+        assert tuple(survey.deprivations[1]) == (True,)
 
     def test_missing_income_retained(self, tmp_path, schema):
         path = self.write(tmp_path, ["r1,h1,M,Married,,0\n"])
         survey = load_survey(path, schema)
-        assert survey.records[0].income is None
+        assert math.isnan(survey.incomes[0])
+
+    def test_duplicate_record_id_names_second_line(self, tmp_path, schema):
+        path = self.write(
+            tmp_path,
+            [
+                "r1,h1,M,Married,1000,0\n",
+                "r2,h2,F,Widowed,2000,1\n",
+                "r1,h3,F,Married,3000,0\n",
+            ],
+        )
+        with pytest.raises(IngestError, match="line 4: duplicate record id 'r1'"):
+            load_survey(path, schema)
+
+    def test_short_row_names_line(self, tmp_path, schema):
+        path = self.write(tmp_path, ["r1,h1,M,Married,1000,0\n", "r2,h2,F,1\n"])
+        with pytest.raises(IngestError, match="line 3: expected 6 fields, got 4"):
+            load_survey(path, schema)
+
+    def test_unknown_external_category_names_line(self, tmp_path):
+        schema = make_schema(
+            constraint_vars=(VariableDef("sex", ("M", "F")),),
+            external_vars=(VariableDef("nace", ("C", "G")),),
+        )
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "record_id,household_id,sex,nace,income\nr1,h1,M,C,10\nr2,h2,F,Q,20\n"
+        )
+        with pytest.raises(IngestError, match="line 3: .*'Q' for variable 'nace'"):
+            load_survey(path, schema)
 
     def test_bad_deprivation_value(self, tmp_path, schema):
         path = self.write(tmp_path, ["r1,h1,M,Married,1000,2\n"])
@@ -140,7 +183,42 @@ class TestLoadSurvey:
             "r1,h1,M,Married,1000,0,2\n"
         )
         survey = load_survey(path, schema)
-        assert survey.records[0].extras["n_adults"] == 2.0
+        assert survey.column("n_adults")[0] == 2.0
+
+
+class TestLoadExternalActual:
+    def write(self, tmp_path, body):
+        path = tmp_path / "actual.csv"
+        path.write_text("zone_id,variable,category,count\n" + body)
+        return path
+
+    def test_first_appearance_order(self, tmp_path):
+        path = self.write(
+            tmp_path, "Z2,nace,G,1\nZ1,nace,C,2\nZ2,nace,C,3\nZ1,nace,G,4\n"
+        )
+        variable, zones, cats, counts = load_external_actual(path)
+        assert (variable, zones, cats) == ("nace", ("Z2", "Z1"), ("G", "C"))
+        np.testing.assert_array_equal(counts, [[1, 3], [4, 2]])
+
+    def test_short_row_names_line(self, tmp_path):
+        path = self.write(tmp_path, "Z1,nace,C,2\nZ1,nace,G\n")
+        with pytest.raises(IngestError, match="line 3: expected 4 fields"):
+            load_external_actual(path)
+
+    def test_duplicate_cell_names_line(self, tmp_path):
+        path = self.write(tmp_path, "Z1,nace,C,2\nZ1,nace,G,1\nZ1,nace,C,3\n")
+        with pytest.raises(IngestError, match="line 4: duplicate cell"):
+            load_external_actual(path)
+
+    def test_invalid_count_names_line(self, tmp_path):
+        path = self.write(tmp_path, "Z1,nace,C,2\nZ1,nace,G,-1\n")
+        with pytest.raises(IngestError, match="line 3: invalid count '-1'"):
+            load_external_actual(path)
+
+    def test_mixed_variables_rejected(self, tmp_path):
+        path = self.write(tmp_path, "Z1,nace,C,2\nZ1,isco,G,1\n")
+        with pytest.raises(IngestError, match="line 3: mixed variables"):
+            load_external_actual(path)
 
 
 class TestLoadConfig:
