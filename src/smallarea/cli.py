@@ -13,9 +13,7 @@ import csv
 import hashlib
 import io
 import math
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from . import __version__
 from .indicators import (
     arop_absolute,
     arop_relative,
+    deprivation_scores,
     equivalized_incomes,
     income_summary,
     md_rate,
@@ -42,6 +41,7 @@ from .ingest import (
 )
 from .integerize import RngSpec, SyntheticPopulation, round_half_up, synthesize
 from .ipf import ipf_all
+from .popfile import atomic_write_text, read_population, write_population, write_weights
 from .schema import SchemaError, check_consistency, rescale_constraints
 from .validate import AggregateTable, external_validation, internal_validation
 
@@ -53,19 +53,6 @@ EXIT_WARNINGS = 2
 # --------------------------------------------------------------------------
 # File helpers
 # --------------------------------------------------------------------------
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def write_csv(path: Path, header, rows) -> None:
     buf = io.StringIO()
@@ -108,6 +95,10 @@ class Runtime:
         self.schema = config.schema
         self.tables = load_constraints(config.constraints_path, self.schema)
         self.survey = load_survey(config.survey_path, self.schema)
+        if config.mpi_spec is not None:
+            # Fails on an indicator the survey cannot answer before any stage
+            # writes its outputs.
+            deprivation_scores(self.survey, config.mpi_spec)
         self.timings: dict[str, float] = {}
         self.warnings: list[str] = []
 
@@ -121,28 +112,8 @@ class Runtime:
         return self.out_dir / "population.csv"
 
     def load_population(self) -> SyntheticPopulation:
-        path = self.population_path()
-        if not path.exists():
-            raise IngestError(f"{path}: population file not found (run synthesize)")
-        zone_index = {z: i for i, z in enumerate(self.tables[0].zones)}
-        record_index = dict(zip(self.survey.record_ids, range(self.survey.n)))
-        counts = np.zeros((self.survey.n, len(zone_index)), dtype=np.int64)
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["zone_id", "record_id", "count"]:
-                raise IngestError(f"{path}: unexpected header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                zone, rid, raw = row
-                if zone not in zone_index or rid not in record_index:
-                    raise IngestError(
-                        f"{path}: line {lineno}: unknown zone or record id"
-                    )
-                counts[record_index[rid], zone_index[zone]] = int(raw)
-        return SyntheticPopulation(
-            counts=counts,
-            zone_ids=self.tables[0].zones,
-            record_ids=self.survey.record_ids,
+        return read_population(
+            self.population_path(), self.tables[0].zones, self.survey.record_ids
         )
 
 
@@ -224,18 +195,11 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None
             for z in convergence.zones
         ],
     )
-    rows = []
-    for zi, zone in enumerate(population.zone_ids):
-        col = population.counts[:, zi]
-        for ri in np.flatnonzero(col):
-            rows.append((zone, population.record_ids[ri], int(col[ri])))
-    write_csv(rt.population_path(), ["zone_id", "record_id", "count"], rows)
+    rt.timed(
+        "write_population", lambda: write_population(rt.population_path(), population)
+    )
     if dump_weights:
-        wrows = []
-        for zi, zone in enumerate(matrix.zone_ids):
-            for ri, rid in enumerate(matrix.record_ids):
-                wrows.append((rid, zone, matrix.weights[ri, zi]))
-        write_csv(rt.out_dir / "weights.csv", ["record_id", "zone_id", "weight"], wrows)
+        write_weights(rt.out_dir / "weights.csv", matrix)
 
     n_bad = sum(1 for z in convergence.zones if not z.converged)
     print(

@@ -239,12 +239,19 @@ def md_rate(counts: np.ndarray, deprivations: np.ndarray, threshold: int = 3):
 def deprivation_scores(survey: SurveyDataset, spec: MpiSpec) -> np.ndarray:
     """Per-record weighted deprivation score c in [0, 1]. A `flag` or `below`
     indicator reads a deprivation field, the income field or a numeric survey
-    column (SurveyDataset.column); a blank value is never deprived."""
+    column (SurveyDataset.column); a blank value is never deprived. An `in`
+    indicator names a schema variable and some of its categories."""
     score = np.zeros(survey.n)
     for dim in spec.dimensions:
         for ind, w in zip(dim.indicators, dim.indicator_weights()):
             if ind.kind == "in":
                 vardef = survey.schema.variable(ind.field)
+                unknown = [v for v in ind.values if v not in vardef.categories]
+                if unknown:
+                    raise SchemaError(
+                        f"indicator {ind.field!r}: {unknown} are not categories "
+                        f"of {ind.field!r}"
+                    )
                 codes = survey.category_codes(ind.field)
                 sel = np.array([c in ind.values for c in vardef.categories])
                 deprived = sel[codes]

@@ -1,9 +1,10 @@
 """File loading: constraint tables, survey microdata, crosswalks, external
 reference tables and the pipeline configuration.
 
-All files are UTF-8 CSV with comma separators; zone/category labels may not
-contain commas. The configuration is YAML with the key paths documented on
-PipelineConfig.
+All files are UTF-8 CSV with comma separators. Zone ids and record ids may
+not contain a comma, a double quote or a line break, because the population
+files are written unquoted (`schema.needs_quoting`). The configuration is
+YAML with the key paths documented on PipelineConfig.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import numpy as np
 import yaml
 
 from .indicators import MpiDimension, MpiIndicator, MpiSpec
-from .schema import ConstraintTable, Schema, SchemaError, SurveyDataset, VariableDef
+from .schema import (
+    ConstraintTable,
+    Schema,
+    SchemaError,
+    SurveyDataset,
+    VariableDef,
+    needs_quoting,
+)
 
 log = logging.getLogger(__name__)
 
@@ -164,6 +172,11 @@ def load_constraints(path, schema: Schema):
             raise IngestError(f"{path}: unknown variable {var!r} at line {lineno}")
         if cat not in vardefs[var].categories:
             raise IngestError(f"{path}: unknown category {cat!r} at line {lineno}")
+        if needs_quoting(zone):
+            raise IngestError(
+                f"{path}: line {lineno}: zone id {zone!r} holds a comma, quote "
+                "or line break"
+            )
         zi = zone_index.setdefault(zone, len(zone_index))
         cells[var].append((zi, vardefs[var].index(cat), count))
 

@@ -7,6 +7,7 @@ threads. Zone ids and category labels are case-sensitive exact strings.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,13 @@ class SchemaError(ValueError):
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
+
+
+def needs_quoting(text: str) -> bool:
+    """True when `csv.writer` would quote `text`: it holds a comma, a double
+    quote, CR or LF. The population files write ids unquoted, so zone and
+    record ids must not need quoting."""
+    return re.search('[,"\r\n]', text) is not None
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,8 @@ class SurveyDataset:
     missing), `deprivations` is a records x deprivation-fields bool matrix
     (default: no items) and `numeric` maps every further survey column to
     floats, NaN where blank, or to None when its values are not all numbers.
-    A SchemaError about one record carries its 0-based index in `row`.
+    Record ids are unique and need no CSV quoting. A SchemaError about one
+    record carries its 0-based index in `row`.
     """
 
     def __init__(
@@ -145,6 +154,12 @@ class SurveyDataset:
             raise SchemaError(f"duplicate record id {self.record_ids[i]!r}", i)
         if len(self.household_ids) != n:
             raise SchemaError(f"{len(self.household_ids)} household ids, {n} records")
+        if needs_quoting("".join(self.record_ids)):
+            i = next(i for i, rid in enumerate(self.record_ids) if needs_quoting(rid))
+            raise SchemaError(
+                f"record id {self.record_ids[i]!r} holds a comma, quote or line break",
+                i,
+            )
         if "" in self.household_ids:
             i = self.household_ids.index("")
             raise SchemaError(f"record {self.record_ids[i]!r}: empty household id", i)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .ingest import Crosswalk
 from .integerize import SyntheticPopulation
@@ -104,6 +103,10 @@ def student_t_two_tailed_p(t_stat: float, df: int) -> float:
         raise ValueError("df must be >= 1")
     if math.isinf(t_stat):
         return 0.0
+    # Imported on first use: importing scipy takes about 0.3 s, which commands
+    # that compute no p-value need not pay.
+    from scipy import special
+
     x = df / (df + t_stat * t_stat)
     return float(special.betainc(df / 2.0, 0.5, x))
 

@@ -1,8 +1,13 @@
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smallarea
 from smallarea.cli import main
 from smallarea.fixture import generate_example
 
@@ -168,7 +173,26 @@ class TestPipeline:
             assert (out / name).exists(), name
         manifest = (out / "manifest.txt").read_text()
         assert "output.population.csv.sha256=" in manifest
+        assert "timing.write_population_seconds=" in manifest
         assert "seed=" in manifest
+
+    @pytest.mark.parametrize(
+        "good, bad",
+        [
+            ("      - field: lacks_item1\n", "      - field: lacks_itme1\n"),
+            ("        - Unemployed\n", "        - Unemplyed\n"),
+        ],
+    )
+    def test_bad_mpi_indicator_fails_before_any_output(
+        self, tmp_path, capsys, good, bad
+    ):
+        config = generate_example(tmp_path, n_zones=4, survey_size=200)
+        text = config.read_text()
+        assert text.count(good) == 1
+        config.write_text(text.replace(good, bad))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert bad.split()[-1] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_identical_digests(self, example_dir, tmp_path):
         d, config = example_dir
@@ -217,6 +241,23 @@ class TestPipeline:
         assert text[-1].startswith("METRO,")
 
 
+def test_import_leaves_scipy_unloaded():
+    """scipy is imported only where a p-value is computed."""
+    src = str(Path(smallarea.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, smallarea.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestExample:
     def test_example_command(self, tmp_path):
         code = main(
@@ -237,10 +278,11 @@ class TestExample:
         """Pins the output bits of the bundled example: a change that alters
         them must update these digests and say why."""
         assert main(["example", "--out", str(tmp_path)]) == 0
-        assert main(["pipeline", "--config", str(tmp_path / "config.yaml")]) == 0
+        config = str(tmp_path / "config.yaml")
+        assert main(["pipeline", "--config", config, "--dump-weights"]) == 0
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-            for name in ("population.csv", "indicators.csv")
+            for name in ("population.csv", "indicators.csv", "weights.csv")
         }
         assert digests == {
             "population.csv": (
@@ -248,5 +290,8 @@ class TestExample:
             ),
             "indicators.csv": (
                 "01a28dbb184516b1d625d8761598fbdd3c67e03a6ce86cecdab23b84bbf1ce56"
+            ),
+            "weights.csv": (
+                "9b912011cebb4ca521790f5ecae3ff53e9266a8146f98d3f270c72d597787ad1"
             ),
         }

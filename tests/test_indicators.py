@@ -340,6 +340,16 @@ class TestMpi:
         with pytest.raises(SchemaError, match=repr(indicator.field)):
             mpi(one_zone([1, 1]), survey, spec)
 
+    def test_in_values_must_be_categories(self):
+        survey = flag_survey([[0, 0, 0], [1, 1, 1]])
+        spec = MpiSpec(
+            dimensions=(
+                MpiDimension("d", 1.0, (MpiIndicator("sex", "in", values=("M", "X")),)),
+            )
+        )
+        with pytest.raises(SchemaError, match=r"\['X'\] are not categories of 'sex'"):
+            mpi(one_zone([1, 1]), survey, spec)
+
     def test_bad_weights_rejected(self):
         with pytest.raises(SchemaError):
             MpiSpec(

@@ -90,6 +90,15 @@ class TestLoadConstraints:
         ):
             load_constraints(path, schema)
 
+    @pytest.mark.parametrize("zone", ['"Z,02"', '"Z""02"'])
+    def test_zone_id_needing_quotes_names_line(self, tmp_path, schema, zone):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            f"zone_id,variable,category,count\nZ01,sex,M,5\n{zone},sex,M,6\n"
+        )
+        with pytest.raises(IngestError, match="line 3: zone id .* holds a comma"):
+            load_constraints(path, schema)
+
     def test_round_trip_bit_equal(self, tmp_path, schema):
         rng = np.random.default_rng(3)
         tables = [
@@ -141,6 +150,15 @@ class TestLoadSurvey:
             ],
         )
         with pytest.raises(IngestError, match="line 4: duplicate record id 'r1'"):
+            load_survey(path, schema)
+
+    @pytest.mark.parametrize("record_id", ['"r,2"', '"r""2"'])
+    def test_record_id_needing_quotes_names_line(self, tmp_path, schema, record_id):
+        path = self.write(
+            tmp_path,
+            ["r1,h1,M,Married,1000,0\n", f"{record_id},h2,F,Widowed,2000,1\n"],
+        )
+        with pytest.raises(IngestError, match="line 3: record id .* holds a comma"):
             load_survey(path, schema)
 
     def test_short_row_names_line(self, tmp_path, schema):
