@@ -13,8 +13,11 @@ import csv
 import hashlib
 import io
 import math
+import os
 import sys
+import tempfile
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +44,14 @@ from .ingest import (
 )
 from .integerize import RngSpec, SyntheticPopulation, round_half_up, synthesize
 from .ipf import ipf_all
-from .popfile import atomic_write_text, read_population, write_population, write_weights
+from .popfile import (
+    POPULATION_HEADER,
+    WEIGHTS_HEADER,
+    TextRows,
+    population_rows,
+    read_population,
+    weights_rows,
+)
 from .schema import SchemaError, check_consistency, rescale_constraints
 from .validate import AggregateTable, external_validation, internal_validation
 
@@ -54,10 +64,30 @@ EXIT_WARNINGS = 2
 # File helpers
 # --------------------------------------------------------------------------
 
+def atomic_write_text(path: Path, text) -> None:
+    """Write `text`, a string or an iterable of strings written in order,
+    through a temporary file and a rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path: Path, header, rows) -> None:
+    """Write a CSV table. `rows` holds rows of cells, or is a
+    `popfile.TextRows` whose ready-made text is written as it is."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
+    if isinstance(rows, TextRows):
+        atomic_write_text(path, chain([buf.getvalue()], rows.blocks()))
+        return
     for row in rows:
         writer.writerow([_cell(v) for v in row])
     atomic_write_text(path, buf.getvalue())
@@ -196,10 +226,13 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None
         ],
     )
     rt.timed(
-        "write_population", lambda: write_population(rt.population_path(), population)
+        "write_population",
+        lambda: write_csv(
+            rt.population_path(), POPULATION_HEADER, population_rows(population)
+        ),
     )
     if dump_weights:
-        write_weights(rt.out_dir / "weights.csv", matrix)
+        write_csv(rt.out_dir / "weights.csv", WEIGHTS_HEADER, weights_rows(matrix))
 
     n_bad = sum(1 for z in convergence.zones if not z.converged)
     print(

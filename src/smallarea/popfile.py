@@ -1,18 +1,18 @@
-"""The population files and atomic file writes.
+"""The population file formats.
 
 `population.csv` holds one `zone_id,record_id,count` row per nonzero count,
 zones in constraint-table order and records in survey order within a zone.
 `weights.csv` (`--dump-weights`) holds one `record_id,zone_id,weight` row per
 record and zone, in the same order, weights as `repr(float)` and NaN blank.
-Both are written as `csv.writer` would write them, with CRLF line ends. Ids
-are written and split unquoted, which is exact because ingest rejects zone
-and record ids that `csv.writer` would quote (`schema.needs_quoting`).
+`population_rows` and `weights_rows` give their data rows as the text that
+`csv.writer` would write, with CRLF line ends, made with one string join per
+zone. Ids are written and split unquoted, which is exact because ingest
+rejects zone and record ids that `csv.writer` would quote
+(`schema.needs_quoting`).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -22,36 +22,39 @@ from .ingest import IngestError
 from .integerize import SyntheticPopulation
 from .ipf import WeightMatrix
 
-POPULATION_HEADER = "zone_id,record_id,count"
-WEIGHTS_HEADER = "record_id,zone_id,weight"
+POPULATION_HEADER = ("zone_id", "record_id", "count")
+WEIGHTS_HEADER = ("record_id", "zone_id", "weight")
 # Lines parsed at a time: splitting the whole file at once holds every field
 # of it as a string, which costs more memory than the count matrix itself.
 BLOCK_LINES = 16384
 
 
-def atomic_write_text(path: Path, text) -> None:
-    """Write `text`, a string or an iterable of strings written in order, to
-    `path` through a temporary file and a rename, so that no reader ever sees
-    a half-written file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines((text,) if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class TextRows:
+    """Data rows of a CSV table held as ready-made CSV text.
+
+    `blocks()` yields the text in order, one block of whole lines at a time;
+    `len()` is the number of rows, and iterating yields each row as a list
+    of its fields, so code that takes rows as lists still reads them."""
+
+    def __init__(self, n_rows: int, blocks):
+        self.n_rows = n_rows
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __iter__(self):
+        for block in self.blocks():
+            for line in block.split("\r\n")[:-1]:  # each block ends a line
+                yield line.split(",")
 
 
-def write_population(path: Path, population: SyntheticPopulation) -> None:
-    """Write `population.csv`: one string join per zone over its nonzero
-    counts."""
+def population_rows(population: SyntheticPopulation) -> TextRows:
+    """The rows of `population.csv`: one string join per zone over its
+    nonzero counts."""
     ids = np.array([rid + "," for rid in population.record_ids], dtype=object)
 
     def blocks():
-        yield POPULATION_HEADER + "\r\n"
         for zone, col in zip(population.zone_ids, population.counts.T):
             nz = np.flatnonzero(col)
             if nz.size:
@@ -59,14 +62,13 @@ def write_population(path: Path, population: SyntheticPopulation) -> None:
                 rows = map(str.__add__, ids[nz], map(str, col[nz].tolist()))
                 yield lead + f"\r\n{lead}".join(rows) + "\r\n"
 
-    atomic_write_text(path, blocks())
+    return TextRows(int(np.count_nonzero(population.counts)), blocks)
 
 
-def write_weights(path: Path, matrix: WeightMatrix) -> None:
-    """Write `weights.csv`: one string join per zone."""
+def weights_rows(matrix: WeightMatrix) -> TextRows:
+    """The rows of `weights.csv`: one string join per zone."""
 
     def blocks():
-        yield WEIGHTS_HEADER + "\r\n"
         for zone, col in zip(matrix.zone_ids, matrix.weights.T):
             values = list(map(repr, col.tolist()))
             for i in np.flatnonzero(np.isnan(col)).tolist():
@@ -74,7 +76,7 @@ def write_weights(path: Path, matrix: WeightMatrix) -> None:
             cells = (matrix.record_ids, repeat(f",{zone},"), values, repeat("\r\n"))
             yield "".join(chain.from_iterable(zip(*cells)))
 
-    atomic_write_text(path, blocks())
+    return TextRows(matrix.weights.size, blocks)
 
 
 def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
@@ -99,7 +101,7 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
 
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if header != POPULATION_HEADER:
+        if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
         while block := list(islice(fh, BLOCK_LINES)):
             m = len(block)

@@ -156,6 +156,24 @@ class TestSynthesize:
         assert weights[0] == "record_id,zone_id,weight"
         assert len(weights) == 1 + 4 * 2
 
+    def test_population_files_go_through_write_csv(self, tmp_path, monkeypatch):
+        # Wrapping write_csv sees every output table with its row count.
+        from smallarea import cli
+
+        seen = {}
+        write_csv = cli.write_csv
+
+        def recording(path, header, rows):
+            seen[Path(path).name] = len(rows)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        config = write_mini(tmp_path)
+        main(["synthesize", "--config", str(config), "--dump-weights"])
+        for name in ("population.csv", "weights.csv"):
+            lines = (tmp_path / "out" / name).read_text().splitlines()
+            assert seen[name] == len(lines) - 1 > 0
+
 
 class TestPipeline:
     def test_outputs_and_manifest(self, example_dir):

@@ -15,7 +15,14 @@ from smallarea import popfile
 from smallarea.ingest import IngestError
 from smallarea.integerize import SyntheticPopulation
 from smallarea.ipf import WeightMatrix
-from smallarea.popfile import read_population, write_population, write_weights
+from smallarea.cli import write_csv
+from smallarea.popfile import (
+    POPULATION_HEADER,
+    WEIGHTS_HEADER,
+    population_rows,
+    read_population,
+    weights_rows,
+)
 
 # --------------------------------------------------------------------------
 # Reference implementations: the row-wise writer and csv.reader loader
@@ -68,6 +75,14 @@ def reference_load(path, zone_ids, record_ids) -> np.ndarray:
         for zone, rid, raw in reader:
             counts[record_index[rid], zone_index[zone]] = int(raw)
     return counts
+
+
+def write_population(path, population):
+    write_csv(path, POPULATION_HEADER, population_rows(population))
+
+
+def write_weights(path, matrix):
+    write_csv(path, WEIGHTS_HEADER, weights_rows(matrix))
 
 
 # --------------------------------------------------------------------------
@@ -131,6 +146,19 @@ def test_weights_bytes(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("w") / "weights.csv"
     write_weights(path, matrix)
     assert path.read_bytes() == reference_weights_csv(matrix)
+
+
+@settings(max_examples=50, deadline=None)
+@given(population=populations(), matrix=weight_matrices())
+def test_text_rows_as_lists(population, matrix):
+    # Code that takes the rows as lists of cells writes the same bytes.
+    for header, rows, reference in (
+        (POPULATION_HEADER, population_rows(population), reference_population_csv(population)),
+        (WEIGHTS_HEADER, weights_rows(matrix), reference_weights_csv(matrix)),
+    ):
+        as_lists = list(rows)
+        assert len(rows) == len(as_lists)
+        assert reference_csv(header, as_lists) == reference
 
 
 def test_single_record_and_empty_zone(tmp_path):
