@@ -131,6 +131,13 @@ class Runtime:
             deprivation_scores(self.survey, config.mpi_spec)
         self.timings: dict[str, float] = {}
         self.warnings: list[str] = []
+        self.outputs: list[str] = []  # CSV files this command wrote
+
+    def write(self, name, header, rows) -> None:
+        """Write the CSV table `name` into the output directory through
+        `write_csv` and note it for the manifest."""
+        write_csv(self.out_dir / name, header, rows)
+        self.outputs.append(name)
 
     def timed(self, stage, fn):
         t0 = time.perf_counter()
@@ -138,13 +145,9 @@ class Runtime:
         self.timings[stage] = time.perf_counter() - t0
         return result
 
-    def population_path(self) -> Path:
-        return self.out_dir / "population.csv"
-
     def load_population(self) -> SyntheticPopulation:
-        return read_population(
-            self.population_path(), self.tables[0].zones, self.survey.record_ids
-        )
+        path = self.out_dir / "population.csv"
+        return read_population(path, self.tables[0].zones, self.survey.record_ids)
 
 
 # --------------------------------------------------------------------------
@@ -162,8 +165,8 @@ def run_check(rt: Runtime, allow_inconsistent: bool = False) -> int:
         rows.append(("empty_census_cell", "", var, cat, ""))
     for var, zone, cat, value in report.bad_cells:
         rows.append(("bad_count", zone, var, cat, repr(value)))
-    write_csv(
-        rt.out_dir / "consistency_report.csv",
+    rt.write(
+        "consistency_report.csv",
         ["issue", "zone_id", "variable", "category", "value"],
         rows,
     )
@@ -217,8 +220,8 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None
         "trs", lambda: synthesize(matrix, zone_pops, rt.seed)
     )
 
-    write_csv(
-        rt.out_dir / "convergence.csv",
+    rt.write(
+        "convergence.csv",
         ["zone_id", "iterations", "tae", "rel_tae", "converged"],
         [
             (z.zone_id, z.iterations, z.tae, z.rel_tae, int(z.converged))
@@ -227,12 +230,12 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None
     )
     rt.timed(
         "write_population",
-        lambda: write_csv(
-            rt.population_path(), POPULATION_HEADER, population_rows(population)
+        lambda: rt.write(
+            "population.csv", POPULATION_HEADER, population_rows(population)
         ),
     )
     if dump_weights:
-        write_csv(rt.out_dir / "weights.csv", WEIGHTS_HEADER, weights_rows(matrix))
+        rt.write("weights.csv", WEIGHTS_HEADER, weights_rows(matrix))
 
     n_bad = sum(1 for z in convergence.zones if not z.converged)
     print(
@@ -285,19 +288,19 @@ def run_validate(rt: Runtime, population: SyntheticPopulation) -> int:
         for var, zone, cat, a, s in ext.scatter:
             scatter.setdefault(var, []).append((zone, cat, a, s))
 
-    write_csv(
-        rt.out_dir / "validation_internal.csv",
+    rt.write(
+        "validation_internal.csv",
         ["variable", "category", "r2", "sei", "t", "p"],
         metric_rows,
     )
-    write_csv(
-        rt.out_dir / "validation_shares.csv",
+    rt.write(
+        "validation_shares.csv",
         ["variable", "group", "census_pct", "simulated_pct", "diff"],
         share_rows,
     )
     for var, rows in scatter.items():
-        write_csv(
-            rt.out_dir / f"scatter_{var}.csv",
+        rt.write(
+            f"scatter_{var}.csv",
             ["zone_id", "category", "actual", "simulated"],
             rows,
         )
@@ -336,61 +339,36 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
     counts = population.counts
     incomes = equivalized_incomes(rt.survey, cfg.equivalize)
 
-    def compute():
-        means, medians, metro_mean, metro_median = income_summary(counts, incomes)
-        abs_rates, _, excluded = arop_absolute(counts, incomes, cfg.arop_fraction)
-        rel_rates, _ = arop_relative(counts, incomes, cfg.arop_fraction)
+    def zone_rows(cols, zone_ids):
+        """One indicators.csv row per column of `cols`, a records x zones
+        count matrix."""
+        means, medians = income_summary(cols, incomes)
+        abs_rates, _, excluded = arop_absolute(cols, incomes, cfg.arop_fraction)
+        rel_rates, _ = arop_relative(cols, incomes, cfg.arop_fraction)
         if rt.schema.deprivation_fields:
-            md = md_rate(counts, rt.survey.deprivations, cfg.md_threshold)
+            md = md_rate(cols, rt.survey.deprivations, cfg.md_threshold)
         else:
-            md = np.full(len(population.zone_ids), math.nan)
+            md = np.full(len(zone_ids), math.nan)
         if cfg.mpi_spec is not None:
-            per_zone, metro = mpi(counts, rt.survey, cfg.mpi_spec)
+            mpis = [
+                (r.headcount, r.intensity, r.adjusted)
+                for r in mpi(cols, rt.survey, cfg.mpi_spec)[0]
+            ]
         else:
-            nanres = [None] * len(population.zone_ids)
-            per_zone, metro = nanres, None
-        rows = []
-        for zi, zone in enumerate(population.zone_ids):
-            z = per_zone[zi]
-            rows.append(
-                (
-                    zone,
-                    means[zi],
-                    medians[zi],
-                    abs_rates[zi],
-                    rel_rates[zi],
-                    md[zi],
-                    z.headcount if z else math.nan,
-                    z.intensity if z else math.nan,
-                    z.adjusted if z else math.nan,
-                    int(excluded[zi]),
-                )
-            )
-        pooled = counts.sum(axis=1, keepdims=True)
-        metro_abs, _, metro_excl = arop_absolute(pooled, incomes, cfg.arop_fraction)
-        metro_rel, _ = arop_relative(pooled, incomes, cfg.arop_fraction)
-        if rt.schema.deprivation_fields:
-            metro_md = md_rate(pooled, rt.survey.deprivations, cfg.md_threshold)
-        else:
-            metro_md = [math.nan]
-        rows.append(
-            (
-                "METRO",
-                metro_mean,
-                metro_median,
-                metro_abs[0],
-                metro_rel[0],
-                metro_md[0],
-                metro.headcount if metro else math.nan,
-                metro.intensity if metro else math.nan,
-                metro.adjusted if metro else math.nan,
-                int(metro_excl[0]),
-            )
-        )
-        return rows
+            mpis = [(math.nan,) * 3] * len(zone_ids)
+        return [
+            (zone, means[i], medians[i], abs_rates[i], rel_rates[i], md[i])
+            + mpis[i]
+            + (int(excluded[i]),)
+            for i, zone in enumerate(zone_ids)
+        ]
+
+    def compute():
+        pooled = counts.sum(axis=1)[:, None]
+        return zone_rows(counts, population.zone_ids) + zone_rows(pooled, ("METRO",))
 
     rows = rt.timed("indicators", compute)
-    write_csv(rt.out_dir / "indicators.csv", INDICATOR_COLUMNS, rows)
+    rt.write("indicators.csv", INDICATOR_COLUMNS, rows)
 
     if compare is not None:
         earlier = _read_indicator_csv(Path(compare) / "indicators.csv")
@@ -407,8 +385,8 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
                 diff_rows.append(
                     (zone, metric, before, after, percent_change(before, after))
                 )
-        write_csv(
-            rt.out_dir / "indicators_diff.csv",
+        rt.write(
+            "indicators_diff.csv",
             ["zone_id", "metric", "earlier", "later", "pct_change"],
             diff_rows,
         )
@@ -465,7 +443,7 @@ def write_manifest(rt: Runtime, convergence=None) -> None:
         n_ok = sum(1 for z in convergence.zones if z.converged)
         lines.append(f"convergence.zones_converged={n_ok}/{len(convergence.zones)}")
         lines.append(f"convergence.max_rel_tae={convergence.max_rel_tae!r}")
-    for name in sorted(p.name for p in rt.out_dir.glob("*.csv")):
+    for name in sorted(rt.outputs):
         lines.append(f"output.{name}.sha256={sha256_file(rt.out_dir / name)}")
     for stage, seconds in rt.timings.items():
         lines.append(f"timing.{stage}_seconds={seconds:.3f}")

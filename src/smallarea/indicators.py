@@ -113,25 +113,57 @@ def equivalize(household_income, n_adults, n_children=0):
     return household_income / (1.0 + 0.5 * (n_adults - 1) + 0.3 * n_children)
 
 
+class _RankedIncomes:
+    """Observed incomes sorted once, and the weighted statistics of a count
+    column over them. Every weighted median in this package comes from here.
+
+    NaN incomes are missing: they take no part in any statistic."""
+
+    def __init__(self, incomes):
+        incomes = np.asarray(incomes, dtype=float)
+        self.valid = np.flatnonzero(~np.isnan(incomes))
+        self.observed = incomes[self.valid]
+        self.index = self.valid[np.argsort(self.observed)]
+        self.sorted = incomes[self.index]
+
+    def column(self, col):
+        """(cum, median) of one column of per-record counts. `cum[k]` is the
+        number of persons counted on the k lowest observed incomes, so
+        `cum[-1]` is the column's total. The median follows weighted_median's
+        convention and is NaN when the column counts nobody."""
+        cum = np.zeros(self.index.size + 1, dtype=col.dtype)
+        np.cumsum(col[self.index], out=cum[1:])
+        half = cum[-1] / 2.0
+        if not half > 0:
+            return cum, math.nan
+        lo = int(np.searchsorted(cum, half, side="left"))
+        median = self.sorted[lo - 1]
+        if cum[lo] == half:
+            # The next counted income; an equal one averages to itself.
+            hi = int(np.searchsorted(cum, half, side="right"))
+            median = (median + self.sorted[hi - 1]) / 2.0
+        return cum, median
+
+    def mean(self, col, total):
+        """Weighted mean income of a column counting `total` > 0 persons,
+        summed in survey record order."""
+        return self.observed @ col[self.valid].astype(float) / total
+
+    def below(self, cum, line):
+        """Persons counted in `cum` with an observed income below `line`."""
+        return cum[np.searchsorted(self.sorted, line, side="left")]
+
+
 def weighted_median(values, counts) -> float:
     """Weighted median with a fixed boundary convention: the smallest value
     whose cumulative count reaches half the total; when the half-total falls
-    exactly on the boundary between two distinct values, their mean."""
-    values = np.asarray(values, dtype=float)
+    exactly on the boundary between two distinct values, their mean.
+    Non-positive counts and NaN values take no part."""
     counts = np.asarray(counts, dtype=float)
-    keep = counts > 0
-    values, counts = values[keep], counts[keep]
-    if values.size == 0:
+    _, median = _RankedIncomes(values).column(np.where(counts > 0, counts, 0.0))
+    if math.isnan(median):
         raise ValueError("empty population")
-    uniq, inv = np.unique(values, return_inverse=True)
-    agg = np.zeros(uniq.size)
-    np.add.at(agg, inv, counts)
-    cum = np.cumsum(agg)
-    half = cum[-1] / 2.0
-    i = int(np.searchsorted(cum, half, side="left"))
-    if cum[i] == half and i + 1 < uniq.size:
-        return (uniq[i] + uniq[i + 1]) / 2.0
-    return uniq[i]
+    return median
 
 
 def percent_change(earlier: float, later: float) -> float:
@@ -150,37 +182,33 @@ def equivalized_incomes(survey: SurveyDataset, do_equivalize: bool) -> np.ndarra
 
     When `do_equivalize`, the survey's income field is read as household
     income and divided by the modified-OECD scale built from the `n_adults`
-    and `n_children` columns, truncated to integers (no `n_children` column
-    means no children); otherwise the field is used verbatim as
-    already-equivalized income.
+    and `n_children` columns (no `n_children` column means no children);
+    otherwise the field is used verbatim as already-equivalized income. A
+    record with an observed income and a household size that is blank, not
+    an integer, or out of range raises SchemaError naming the record.
     """
     raw = survey.incomes
     if not do_equivalize:
         return raw
     valid = np.flatnonzero(~np.isnan(raw))
-    n_adults = np.trunc(survey.column("n_adults")[valid])
+    n_adults = survey.column("n_adults")[valid]
     n_children = 0.0
     if "n_children" in survey.numeric:
-        n_children = np.trunc(survey.column("n_children")[valid])
-    blank = np.isnan(n_adults) | np.isnan(n_children)
-    if blank.any():
-        rid = survey.record_ids[valid[np.argmax(blank)]]
+        n_children = survey.column("n_children")[valid]
+
+    def whole(x, least):
+        return np.isfinite(x) & (np.trunc(x) == x) & (x >= least)
+
+    bad = ~(whole(n_adults, 1) & whole(n_children, 0))
+    if bad.any():
+        rid = survey.record_ids[valid[np.argmax(bad)]]
         raise SchemaError(
-            f"record {rid!r}: equivalization needs integer 'n_adults'/'n_children' "
-            "values"
+            f"record {rid!r}: equivalization needs integer 'n_adults' >= 1 and "
+            "'n_children' >= 0"
         )
     out = np.full(survey.n, math.nan)
     out[valid] = equivalize(raw[valid], n_adults, n_children)
     return out
-
-
-def _zone_rate(counts_col, below_mask, valid_mask):
-    """Weighted share of `below_mask` among valid records; NaN when the zone
-    has no counted valid person."""
-    denom = counts_col[valid_mask].sum()
-    if denom == 0:
-        return math.nan
-    return counts_col[valid_mask & below_mask].sum() / denom
 
 
 def arop_absolute(counts: np.ndarray, incomes: np.ndarray, fraction: float = 0.6):
@@ -189,17 +217,17 @@ def arop_absolute(counts: np.ndarray, incomes: np.ndarray, fraction: float = 0.6
     Records with missing income are excluded from both numerator and
     denominator. Returns (per-zone rates, poverty line, per-zone excluded
     counts)."""
-    valid = ~np.isnan(incomes)
-    pooled = counts.sum(axis=1)
-    if pooled[valid].sum() == 0:
+    ranked = _RankedIncomes(incomes)
+    _, median = ranked.column(counts.sum(axis=1))
+    if math.isnan(median):
         raise ValueError("no counted person with observed income")
-    line = fraction * weighted_median(incomes[valid], pooled[valid])
-    below = np.zeros_like(valid)
-    below[valid] = incomes[valid] < line
-    rates = np.array(
-        [_zone_rate(counts[:, z], below, valid) for z in range(counts.shape[1])]
-    )
-    excluded = counts[~valid].sum(axis=0)
+    line = fraction * median
+    rates = np.full(counts.shape[1], math.nan)
+    for z, col in enumerate(counts.T):
+        cum = ranked.column(col)[0]
+        if cum[-1] > 0:
+            rates[z] = ranked.below(cum, line) / cum[-1]
+    excluded = counts[np.isnan(incomes)].sum(axis=0)
     return rates, line, excluded
 
 
@@ -208,19 +236,14 @@ def arop_relative(counts: np.ndarray, incomes: np.ndarray, fraction: float = 0.6
 
     Returns (per-zone rates, per-zone lines); both NaN for zones with no
     counted person with observed income."""
-    valid = ~np.isnan(incomes)
-    n_zones = counts.shape[1]
-    rates = np.full(n_zones, math.nan)
-    lines = np.full(n_zones, math.nan)
-    for z in range(n_zones):
-        col = counts[:, z]
-        if col[valid].sum() == 0:
-            continue
-        line = fraction * weighted_median(incomes[valid], col[valid])
-        below = np.zeros_like(valid)
-        below[valid] = incomes[valid] < line
-        lines[z] = line
-        rates[z] = _zone_rate(col, below, valid)
+    ranked = _RankedIncomes(incomes)
+    rates = np.full(counts.shape[1], math.nan)
+    lines = np.full(counts.shape[1], math.nan)
+    for z, col in enumerate(counts.T):
+        cum, median = ranked.column(col)
+        if cum[-1] > 0:
+            lines[z] = fraction * median
+            rates[z] = ranked.below(cum, lines[z]) / cum[-1]
     return rates, lines
 
 
@@ -289,23 +312,15 @@ def mpi(counts: np.ndarray, survey: SurveyDataset, spec: MpiSpec):
 
 
 def income_summary(counts: np.ndarray, incomes: np.ndarray):
-    """Per-zone weighted mean and median of observed incomes, plus the metro
-    row over pooled counts. Returns (means, medians, metro_mean, metro_median);
-    empty zones yield NaN."""
-    valid = ~np.isnan(incomes)
-    n_zones = counts.shape[1]
-    means = np.full(n_zones, math.nan)
-    medians = np.full(n_zones, math.nan)
-    for z in range(n_zones):
-        col = counts[:, z]
-        w = col[valid].astype(float)
-        if w.sum() == 0:
-            continue
-        means[z] = incomes[valid] @ w / w.sum()
-        medians[z] = weighted_median(incomes[valid], w)
-    pooled = counts.sum(axis=1)[valid].astype(float)
-    if pooled.sum() == 0:
-        return means, medians, math.nan, math.nan
-    metro_mean = incomes[valid] @ pooled / pooled.sum()
-    metro_median = weighted_median(incomes[valid], pooled)
-    return means, medians, metro_mean, metro_median
+    """Per-zone weighted mean and median of observed incomes. Returns
+    (means, medians); NaN for zones with no counted person with observed
+    income. The metro figures are those of the pooled column
+    `counts.sum(axis=1)[:, None]`."""
+    ranked = _RankedIncomes(incomes)
+    means = np.full(counts.shape[1], math.nan)
+    medians = np.full(counts.shape[1], math.nan)
+    for z, col in enumerate(counts.T):
+        cum, medians[z] = ranked.column(col)
+        if cum[-1] > 0:
+            means[z] = ranked.mean(col, cum[-1])
+    return means, medians

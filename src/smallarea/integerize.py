@@ -36,17 +36,17 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class SyntheticPopulation:
-    """Integer replication counts, records x zones."""
+    """Integer replication counts, records x zones. `counts` is held as a
+    read-only view of the given array, not a copy."""
 
     counts: np.ndarray
     zone_ids: tuple[str, ...]
     record_ids: tuple[str, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.asarray(self.counts, dtype=np.int64).view()
         if c.shape != (len(self.record_ids), len(self.zone_ids)):
             raise ValueError("count matrix shape mismatch")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "zone_ids", tuple(self.zone_ids))

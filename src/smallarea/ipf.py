@@ -41,17 +41,17 @@ class ConvergenceInfo:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Fractional weights, records x zones."""
+    """Fractional weights, records x zones. `weights` is held as a
+    read-only view of the given array, not a copy."""
 
     weights: np.ndarray
     zone_ids: tuple[str, ...]
     record_ids: tuple[str, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.asarray(self.weights, dtype=float).view()
         if w.shape != (len(self.record_ids), len(self.zone_ids)):
             raise ValueError("weight matrix shape mismatch")
-        w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "zone_ids", tuple(self.zone_ids))

@@ -156,6 +156,24 @@ class TestSynthesize:
         assert weights[0] == "record_id,zone_id,weight"
         assert len(weights) == 1 + 4 * 2
 
+    def test_manifest_skips_files_of_earlier_runs(self, tmp_path):
+        config = write_mini(tmp_path)
+        main(["synthesize", "--config", str(config), "--dump-weights"])
+        manifest = tmp_path / "out" / "manifest.txt"
+        assert "output.weights.csv.sha256=" in manifest.read_text()
+        main(["synthesize", "--config", str(config), "--seed", "5"])
+        assert (tmp_path / "out" / "weights.csv").exists()
+        lines = manifest.read_text().splitlines()
+        assert "seed=5" in lines
+        outputs = [line.split(".sha256=")[0] for line in lines if "sha256" in line]
+        assert outputs == [
+            "input.constraints",
+            "input.survey",
+            "output.consistency_report.csv",
+            "output.convergence.csv",
+            "output.population.csv",
+        ]
+
     def test_population_files_go_through_write_csv(self, tmp_path, monkeypatch):
         # Wrapping write_csv sees every output table with its row count.
         from smallarea import cli

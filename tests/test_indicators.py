@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smallarea.indicators import (
     MpiDimension,
@@ -73,6 +75,19 @@ class TestEquivalize:
             "r1,h1,M,30000,2,2\nr2,h2,F,1000,,0\n",
         )
         with pytest.raises(SchemaError, match="n_adults"):
+            equivalized_incomes(survey, True)
+
+    @pytest.mark.parametrize(
+        "adults, children",
+        [("2.7", "0"), ("2", "0.5"), ("inf", "0"), ("0", "0"), ("2", "-1")],
+    )
+    def test_bad_household_size_names_record(self, tmp_path, adults, children):
+        survey = csv_survey(
+            tmp_path,
+            "record_id,household_id,sex,income,n_adults,n_children\n"
+            f"r1,h1,M,30000,2,2\nr2,h2,F,1000,{adults},{children}\n",
+        )
+        with pytest.raises(SchemaError, match="record 'r2'.*integer"):
             equivalized_incomes(survey, True)
 
 
@@ -363,21 +378,200 @@ class TestMpi:
 class TestIncomeSummary:
     def test_zone_mean(self):
         incomes = np.array([10.0, 20.0])
-        means, medians, metro_mean, metro_median = income_summary(
-            one_zone([1, 1]), incomes
-        )
+        means, medians = income_summary(one_zone([1, 1]), incomes)
         assert means[0] == 15
 
     def test_metro_mean_is_weighted_average_of_zone_means(self):
         rng = np.random.default_rng(4)
         incomes = rng.uniform(100, 900, size=20)
         counts = rng.integers(0, 5, size=(20, 4))
-        means, _, metro_mean, _ = income_summary(counts, incomes)
+        means, _ = income_summary(counts, incomes)
+        (metro_mean,), _ = income_summary(counts.sum(axis=1)[:, None], incomes)
         pops = counts.sum(axis=0)
         expected = sum(p * m for p, m in zip(pops, means) if p > 0) / pops.sum()
         assert metro_mean == pytest.approx(expected, rel=1e-12)
 
     def test_empty_zone_missing(self):
         incomes = np.array([10.0])
-        means, medians, _, _ = income_summary(np.array([[1, 0]]), incomes)
+        means, medians = income_summary(np.array([[1, 0]]), incomes)
         assert math.isnan(means[1]) and math.isnan(medians[1])
+
+
+# --------------------------------------------------------------------------
+# Reference implementations: the per-zone code that income_summary,
+# arop_absolute and arop_relative replaced, one np.unique per median.
+# --------------------------------------------------------------------------
+
+def ref_weighted_median(values, counts):
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    keep = counts > 0
+    values, counts = values[keep], counts[keep]
+    if values.size == 0:
+        raise ValueError("empty population")
+    uniq, inv = np.unique(values, return_inverse=True)
+    agg = np.zeros(uniq.size)
+    np.add.at(agg, inv, counts)
+    cum = np.cumsum(agg)
+    half = cum[-1] / 2.0
+    i = int(np.searchsorted(cum, half, side="left"))
+    if cum[i] == half and i + 1 < uniq.size:
+        return (uniq[i] + uniq[i + 1]) / 2.0
+    return uniq[i]
+
+
+def ref_zone_rate(counts_col, below_mask, valid_mask):
+    denom = counts_col[valid_mask].sum()
+    if denom == 0:
+        return math.nan
+    return counts_col[valid_mask & below_mask].sum() / denom
+
+
+def ref_arop_absolute(counts, incomes, fraction):
+    valid = ~np.isnan(incomes)
+    pooled = counts.sum(axis=1)
+    if pooled[valid].sum() == 0:
+        raise ValueError("no counted person with observed income")
+    line = fraction * ref_weighted_median(incomes[valid], pooled[valid])
+    below = np.zeros_like(valid)
+    below[valid] = incomes[valid] < line
+    rates = np.array(
+        [ref_zone_rate(counts[:, z], below, valid) for z in range(counts.shape[1])]
+    )
+    excluded = counts[~valid].sum(axis=0)
+    return rates, line, excluded
+
+
+def ref_arop_relative(counts, incomes, fraction):
+    valid = ~np.isnan(incomes)
+    n_zones = counts.shape[1]
+    rates = np.full(n_zones, math.nan)
+    lines = np.full(n_zones, math.nan)
+    for z in range(n_zones):
+        col = counts[:, z]
+        if col[valid].sum() == 0:
+            continue
+        line = fraction * ref_weighted_median(incomes[valid], col[valid])
+        below = np.zeros_like(valid)
+        below[valid] = incomes[valid] < line
+        lines[z] = line
+        rates[z] = ref_zone_rate(col, below, valid)
+    return rates, lines
+
+
+def ref_income_summary(counts, incomes):
+    """(means, medians, metro_mean, metro_median)."""
+    valid = ~np.isnan(incomes)
+    n_zones = counts.shape[1]
+    means = np.full(n_zones, math.nan)
+    medians = np.full(n_zones, math.nan)
+    for z in range(n_zones):
+        col = counts[:, z]
+        w = col[valid].astype(float)
+        if w.sum() == 0:
+            continue
+        means[z] = incomes[valid] @ w / w.sum()
+        medians[z] = ref_weighted_median(incomes[valid], w)
+    pooled = counts.sum(axis=1)[valid].astype(float)
+    if pooled.sum() == 0:
+        return means, medians, math.nan, math.nan
+    metro_mean = incomes[valid] @ pooled / pooled.sum()
+    metro_median = ref_weighted_median(incomes[valid], pooled)
+    return means, medians, metro_mean, metro_median
+
+
+def assert_same(actual, expected):
+    """Exact equality, NaN equal to NaN."""
+    np.testing.assert_array_equal(np.asarray(actual), np.asarray(expected), strict=True)
+
+
+# Few distinct values, so that ties and half-totals on a boundary between two
+# values are common; NaN is a missing income.
+income_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.5, 100.0, math.nan]),
+    st.floats(0.0, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def populations(draw):
+    """(counts, incomes): a records x zones int64 count matrix, some zones
+    possibly counting nobody, and incomes possibly all missing."""
+    n = draw(st.integers(1, 12))
+    n_zones = draw(st.integers(1, 4))
+    incomes = np.array(draw(st.lists(income_values, min_size=n, max_size=n)))
+    size = n * n_zones
+    cells = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    counts = np.array(cells, dtype=np.int64).reshape(n, n_zones)
+    if draw(st.booleans()):
+        counts[:, draw(st.integers(0, n_zones - 1))] = 0
+    return counts, incomes
+
+
+def col(*values):
+    return np.array(values, dtype=np.int64).reshape(-1, 1)
+
+
+# Named cases: a half-total on the boundary between two values (also across a
+# zero-count record, and with the tie continuing past it), a zone with nobody,
+# all incomes missing, and a line equal to an income.
+ORACLE_CASES = [
+    (col(1, 1, 2), np.array([1.0, 2.0, 3.0]), 0.6),
+    (col(1, 0, 1), np.array([1.0, 5.0, 2.0]), 0.6),
+    (col(1, 1, 2), np.array([1.0, 1.0, 2.0]), 1.0),
+    (col(1, 1, 2), np.array([1.0, 2.0, 2.0]), 1.0),
+    (np.array([[1, 0], [1, 0]]), np.array([50.0, 100.0]), 0.6),
+    (np.array([[1, 2], [3, 0]]), np.array([math.nan, math.nan]), 0.6),
+    (np.array([[2, 1], [1, 1], [0, 3]]), np.array([10.0, math.nan, 6.0]), 0.6),
+]
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(pop=populations(), fraction=st.sampled_from([0.5, 0.6, 1.0]))
+    def test_income_and_arop(self, pop, fraction):
+        self.check(*pop, fraction)
+
+    @pytest.mark.parametrize("counts, incomes, fraction", ORACLE_CASES)
+    def test_named_cases(self, counts, incomes, fraction):
+        self.check(counts, incomes, fraction)
+
+    @staticmethod
+    def check(counts, incomes, fraction):
+        means, medians, metro_mean, metro_median = ref_income_summary(counts, incomes)
+        assert_same(income_summary(counts, incomes), (means, medians))
+        pooled = counts.sum(axis=1)[:, None]
+        assert_same(income_summary(pooled, incomes), ([metro_mean], [metro_median]))
+        for cols in (counts, pooled):
+            rates, lines = arop_relative(cols, incomes, fraction)
+            ref_rates, ref_lines = ref_arop_relative(cols, incomes, fraction)
+            assert_same(rates, ref_rates)
+            assert_same(lines, ref_lines)
+            try:
+                expected = ref_arop_absolute(cols, incomes, fraction)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    arop_absolute(cols, incomes, fraction)
+                continue
+            rates, line, excluded = arop_absolute(cols, incomes, fraction)
+            assert_same(rates, expected[0])
+            assert line == expected[1]
+            assert_same(excluded, expected[2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 15))
+    def test_weighted_median(self, data, n):
+        observed = income_values.filter(lambda v: not math.isnan(v))
+        values = data.draw(st.lists(observed, min_size=n, max_size=n))
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        if not any(counts):
+            with pytest.raises(ValueError):
+                weighted_median(values, counts)
+        else:
+            expected = ref_weighted_median(values, counts)
+            assert weighted_median(values, counts) == expected
+
+    @pytest.mark.parametrize("counts, incomes, _", ORACLE_CASES[:4])
+    def test_weighted_median_named_cases(self, counts, incomes, _):
+        expected = ref_weighted_median(incomes, counts[:, 0])
+        assert weighted_median(incomes, counts[:, 0]) == expected

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from smallarea.integerize import RngSpec, round_half_up, synthesize, trs_zone
+from smallarea.integerize import (
+    RngSpec,
+    SyntheticPopulation,
+    round_half_up,
+    synthesize,
+    trs_zone,
+)
 from smallarea.ipf import WeightMatrix
 
 
@@ -160,3 +166,16 @@ class TestSynthesize:
         w = np.zeros((3, 1))
         with pytest.raises(ValueError, match="Z9"):
             synthesize(self.matrix(w, ["Z9"]), [4], seed=0)
+
+
+@pytest.mark.parametrize(
+    "cls, attr, dtype",
+    [(SyntheticPopulation, "counts", np.int64), (WeightMatrix, "weights", float)],
+)
+def test_matrix_held_read_only_without_copy(cls, attr, dtype):
+    given = np.arange(6, dtype=dtype).reshape(3, 2)
+    held = getattr(cls(given, ("Z1", "Z2"), ("r1", "r2", "r3")), attr)
+    assert np.shares_memory(held, given)
+    assert given.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0] = 7

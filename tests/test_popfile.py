@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ def test_single_record_and_empty_zone(tmp_path):
     assert path.read_bytes() == b"zone_id,record_id,count\r\nZ2,r1,3\r\n"
     back = read_population(path, population.zone_ids, population.record_ids)
     np.testing.assert_array_equal(back.counts, [[0, 3, 0]])
+
+
+def test_read_population_holds_one_matrix(tmp_path):
+    # A sparse file of a large matrix: reading it peaks near one count
+    # matrix, because SyntheticPopulation keeps the reader's array.
+    zones = tuple(f"Z{i}" for i in range(500))
+    records = tuple(f"r{i}" for i in range(1000))
+    path = tmp_path / "population.csv"
+    rows = "".join(f"{zone},r0,1\n" for zone in zones)
+    path.write_text("zone_id,record_id,count\n" + rows, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        population = read_population(path, zones, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert population.counts.sum() == len(zones)
+    assert peak < 1.5 * population.counts.nbytes
 
 
 # --------------------------------------------------------------------------
