@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import astuple, fields
 from itertools import chain
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .ingest import (
     load_survey,
 )
 from .integerize import RngSpec, SyntheticPopulation, round_half_up, synthesize
-from .ipf import ipf_all
+from .ipf import ZoneConvergence, ipf_all
 from .popfile import (
     POPULATION_HEADER,
     WEIGHTS_HEADER,
@@ -222,9 +223,9 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None
 
     rt.write(
         "convergence.csv",
-        ["zone_id", "iterations", "tae", "rel_tae", "converged"],
+        [f.name for f in fields(ZoneConvergence)],
         [
-            (z.zone_id, z.iterations, z.tae, z.rel_tae, int(z.converged))
+            [int(v) if isinstance(v, bool) else v for v in astuple(z)]
             for z in convergence.zones
         ],
     )

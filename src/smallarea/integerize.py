@@ -37,7 +37,8 @@ class RngSpec:
 @dataclass(frozen=True)
 class SyntheticPopulation:
     """Integer replication counts, records x zones. `counts` is held as a
-    read-only view of the given array, not a copy."""
+    read-only view of the given array, not a copy; the producers allocate it
+    column-major, so each zone's column is contiguous."""
 
     counts: np.ndarray
     zone_ids: tuple[str, ...]
@@ -124,7 +125,7 @@ def synthesize(weight_matrix, zone_populations, seed: int) -> SyntheticPopulatio
     zone execution order."""
     spec = RngSpec(seed)
     n, n_zones = weight_matrix.weights.shape
-    counts = np.zeros((n, n_zones), dtype=np.int64)
+    counts = np.zeros((n, n_zones), dtype=np.int64, order="F")  # zone columns
     for zi in range(n_zones):
         try:
             counts[:, zi] = trs_zone(

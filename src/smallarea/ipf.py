@@ -4,13 +4,23 @@ One iteration is one sweep over the constraint variables in schema order;
 each variable fit multiplies every record's weight by
 census_count / current_weighted_total for its category. Sweeps repeat until
 the total absolute error (TAE) over all variables and categories drops below
-tolerance * zone population, or the iteration cap is hit. Zones are fitted
-independently, so results do not depend on zone execution order.
+tolerance * zone population, or the iteration cap is hit.
+
+A fit factor depends only on a record's combination of constraint categories,
+its cell, so records of one cell keep the ratio of their initial weights at
+every sweep. The fit therefore runs on the cells (mass = the cell's summed
+initial weights) and expands to records once at the end: w = init * F[cell].
+All zones are fitted together as a zones x cells matrix of multipliers, each
+zone sweeping until it stops on its own test. Category totals are summed by
+`np.bincount` cell by cell in a fixed order, so a zone's result does not
+depend on zone order or on which other zones are still being fitted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +29,20 @@ from .schema import SurveyDataset
 
 @dataclass(frozen=True)
 class ZoneConvergence:
+    """One zone's fit; its fields are the columns of convergence.csv."""
+
     zone_id: str
     iterations: int
     tae: float  # absolute persons
     rel_tae: float  # tae / zone population (0 for empty zones)
     converged: bool
+    # The constraint category with the largest |fitted - census| after the
+    # last sweep ("" and 0 when the fit is exact), and whether no survey
+    # record falls in it, so that no weighting can fit it.
+    worst_variable: str
+    worst_category: str
+    worst_abs_error: float
+    unsupported: bool
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,100 @@ def tae(weights, zone_constraints, survey: SurveyDataset) -> float:
     return total
 
 
+class _Fit(NamedTuple):
+    weights: np.ndarray  # records x zones, column-major
+    iterations: np.ndarray  # per zone
+    tae: np.ndarray  # per zone
+    converged: np.ndarray  # per zone
+    errors: np.ndarray  # zones x categories of every variable: |fitted - census|
+
+
+def _cells(survey: SurveyDataset):
+    """Collapse the records to their constraint-category combinations.
+    Returns (category codes of each cell, one row per constraint variable;
+    the cell of each record)."""
+    codes = np.stack(
+        [survey.category_codes(v.name) for v in survey.schema.constraint_vars]
+    )
+    dims = [len(v.categories) for v in survey.schema.constraint_vars]
+    if math.prod(dims) < 2**62:
+        key = np.ravel_multi_index(codes, dims)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    else:  # too many combinations for one integer key
+        _, first, inverse = np.unique(
+            codes, axis=1, return_index=True, return_inverse=True
+        )
+    return codes[:, first], inverse.ravel()
+
+
+def _fit(survey: SurveyDataset, targets, init_weights, max_iterations, tolerance):
+    """Fit every zone at once. `targets` holds one zones x categories array
+    of census counts per constraint variable, in schema order; the first
+    gives the zone populations. A zone of population 0 gets zero weights, 0
+    iterations and TAE 0."""
+    init = None
+    if init_weights is not None:
+        init = np.asarray(init_weights, dtype=float)
+        if np.any(init <= 0) or not np.all(np.isfinite(init)):
+            raise ValueError("init_weights must be positive and finite")
+    cell_codes, inverse = _cells(survey)
+    n_cells = len(cell_codes[0])
+    mass = np.bincount(inverse, weights=init, minlength=n_cells).astype(float)
+    targets = [np.asarray(t, dtype=float) for t in targets]
+    n_zones = len(targets[0])
+    pop = targets[0].sum(axis=1)
+    n_cats = [t.shape[1] for t in targets]
+
+    multipliers = np.ones((n_zones, n_cells))
+    multipliers[pop == 0] = 0.0
+    iterations = np.zeros(n_zones, dtype=np.int64)
+    total_error = np.zeros(n_zones)
+    errors = np.zeros((n_zones, sum(n_cats)))
+
+    def totals(rows, index, ncat):
+        """Weighted survey totals, zones x categories, of multiplier rows."""
+        weighted = (rows * mass).ravel()
+        return np.bincount(index, weighted, len(rows) * ncat).reshape(-1, ncat)
+
+    def bins(n):
+        """Per variable, the flat (zone, category) bin of each cell of each
+        of n zones."""
+        rows = np.arange(n)[:, None]
+        return [(rows * k + codes).ravel() for codes, k in zip(cell_codes, n_cats)]
+
+    zones = np.flatnonzero(pop != 0)  # zones still sweeping
+    live = multipliers[zones]  # their multipliers
+    index = bins(zones.size)
+    while zones.size:
+        err = [
+            np.abs(totals(live, idx, k) - t[zones])
+            for idx, k, t in zip(index, n_cats, targets)
+        ]
+        current = np.zeros(zones.size)
+        for e in err:
+            current += e.sum(axis=1)
+        total_error[zones] = current
+        errors[zones] = np.concatenate(err, axis=1)
+        going = current > tolerance * pop[zones]
+        going &= iterations[zones] < max_iterations
+        if not going.all():
+            multipliers[zones[~going]] = live[~going]
+            zones, live = zones[going], live[going]
+            index = bins(zones.size)
+        for codes, idx, k, t in zip(cell_codes, index, n_cats, targets):
+            fitted = totals(live, idx, k)
+            factor = np.ones(fitted.shape)
+            np.divide(t[zones], fitted, out=factor, where=fitted > 0)
+            live *= factor[:, codes]
+        iterations[zones] += 1
+
+    weights = np.take(multipliers, inverse, axis=1)  # zones x records, C order
+    if init is not None:
+        weights *= init
+    converged = total_error <= tolerance * pop
+    return _Fit(weights.T, iterations, total_error, converged, errors)
+
+
 def ipf_zone(
     survey: SurveyDataset,
     zone_constraints,
@@ -86,36 +199,17 @@ def ipf_zone(
     untouched (factor 1); a category with census count > 0 but no weighted
     survey support cannot be fitted and shows up as non-convergence.
     """
-    n = survey.n
-    w = np.ones(n) if init_weights is None else np.asarray(init_weights, dtype=float)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("init_weights must be positive and finite")
-    w = w.copy()
-
-    ref_var = survey.schema.constraint_vars[0].name
-    zone_pop = float(np.sum(zone_constraints[ref_var]))
-    if zone_pop == 0:
-        return np.zeros(n), 0, 0.0, True
-    threshold = tolerance * zone_pop
-
-    prepared = []
-    for var in survey.schema.constraint_vars:
-        target = np.asarray(zone_constraints[var.name], dtype=float)
-        codes = survey.category_codes(var.name)
-        prepared.append((codes, target, len(var.categories)))
-
-    current = tae(w, zone_constraints, survey)
-    iterations = 0
-    while current > threshold and iterations < max_iterations:
-        for codes, target, ncat in prepared:
-            fitted = np.bincount(codes, weights=w, minlength=ncat)
-            factor = np.ones(ncat)
-            fittable = fitted > 0
-            factor[fittable] = target[fittable] / fitted[fittable]
-            w *= factor[codes]
-        iterations += 1
-        current = tae(w, zone_constraints, survey)
-    return w, iterations, current, current <= threshold
+    targets = [
+        np.asarray(zone_constraints[v.name], dtype=float)[None, :]
+        for v in survey.schema.constraint_vars
+    ]
+    fit = _fit(survey, targets, init_weights, max_iterations, tolerance)
+    return (
+        fit.weights[:, 0],
+        int(fit.iterations[0]),
+        float(fit.tae[0]),
+        bool(fit.converged[0]),
+    )
 
 
 def ipf_all(
@@ -125,41 +219,49 @@ def ipf_all(
     tolerance: float = 1e-6,
     init_weights=None,
 ):
-    """Apply ipf_zone independently per zone of the constraint tables.
+    """Fit every zone of the constraint tables, each as ipf_zone would.
 
-    Returns (WeightMatrix, ConvergenceInfo). Non-convergence is reported via
-    flags, never raised."""
+    Returns (WeightMatrix with a column-major weight matrix,
+    ConvergenceInfo). Non-convergence is reported via flags, never raised."""
     by_var = {t.variable: t for t in tables}
     zones = tables[0].zones
-    n = survey.n
-    weights = np.zeros((n, len(zones)))
+    variables = survey.schema.constraint_vars
+    fit = _fit(
+        survey,
+        [by_var[v.name].counts for v in variables],
+        init_weights,
+        max_iterations,
+        tolerance,
+    )
+    labels = [(v.name, c) for v in variables for c in v.categories]
+    supported = np.concatenate(
+        [
+            np.bincount(survey.category_codes(v.name), minlength=len(v.categories))
+            for v in variables
+        ]
+    ) > 0
+    pop = by_var[variables[0].name].counts.sum(axis=1)
+    worst = fit.errors.argmax(axis=1)
+    worst_error = fit.errors[np.arange(len(zones)), worst]
     diags = []
     for zi, zone in enumerate(zones):
-        constraints = {
-            var.name: by_var[var.name].counts[zi]
-            for var in survey.schema.constraint_vars
-        }
-        w, iters, err, ok = ipf_zone(
-            survey,
-            constraints,
-            init_weights=init_weights,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
-        weights[:, zi] = w
-        ref = survey.schema.constraint_vars[0].name
-        pop = float(np.sum(constraints[ref]))
+        k, error, err = int(worst[zi]), float(worst_error[zi]), float(fit.tae[zi])
+        variable, category = labels[k] if error > 0 else ("", "")
         diags.append(
             ZoneConvergence(
                 zone_id=zone,
-                iterations=iters,
+                iterations=int(fit.iterations[zi]),
                 tae=err,
-                rel_tae=err / pop if pop > 0 else 0.0,
-                converged=ok,
+                rel_tae=err / float(pop[zi]) if pop[zi] > 0 else 0.0,
+                converged=bool(fit.converged[zi]),
+                worst_variable=variable,
+                worst_category=category,
+                worst_abs_error=error,
+                unsupported=error > 0 and not supported[k],
             )
         )
     matrix = WeightMatrix(
-        weights=weights,
+        weights=fit.weights,
         zone_ids=zones,
         record_ids=survey.record_ids,
     )

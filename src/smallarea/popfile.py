@@ -93,7 +93,9 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     zone_index = dict(zip(zone_ids, range(len(zone_ids))))
     record_index = dict(zip(record_ids, range(len(record_ids))))
     # -1 marks a (record, zone) pair that no row has named yet.
-    counts = np.full((len(record_ids), len(zone_ids)), -1, dtype=np.int64)
+    counts = np.full(
+        (len(record_ids), len(zone_ids)), -1, dtype=np.int64, order="F"
+    )
     first_line = 2  # line number of the current block's first line
 
     def fail(i, message):

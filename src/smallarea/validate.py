@@ -103,12 +103,44 @@ def student_t_two_tailed_p(t_stat: float, df: int) -> float:
         raise ValueError("df must be >= 1")
     if math.isinf(t_stat):
         return 0.0
-    # Imported on first use: importing scipy takes about 0.3 s, which commands
-    # that compute no p-value need not pay.
-    from scipy import special
+    t2 = t_stat * t_stat
+    return _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
-    x = df / (df + t_stat * t_stat)
-    return float(special.betainc(df / 2.0, 0.5, x))
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), with y = 1 - x given
+    separately so that neither loses digits to the subtraction.
+
+    Evaluates the continued fraction (Numerical Recipes' betacf, modified
+    Lentz) where it converges quickly, x < (a + 1) / (a + b + 2), and
+    I_x(a, b) = 1 - I_y(b, a) elsewhere."""
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * log_x + b * log_y
+    )
+    tiny = 1e-300  # keeps the Lentz terms off zero
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = frac = 1.0 / (d if abs(d) > tiny else tiny)
+    for m in range(1, 100_000):
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + coef * d
+            c = 1.0 + coef / c
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = c if abs(c) > tiny else tiny
+            frac *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return front * frac / a
+    raise ArithmeticError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
 
 
 def t_test_equal_variance(actual, simulated):

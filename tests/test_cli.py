@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import os
 import shutil
@@ -149,6 +150,42 @@ class TestSynthesize:
         )
         assert strict == 1
 
+    def test_convergence_names_unsupported_category(self, tmp_path):
+        # ipf's unsupported-category case: no survey record is in B, so Z1's
+        # census count for B cannot be fitted; Z2 fits exactly from the start.
+        (tmp_path / "config.yaml").write_text(
+            MINI_CONFIG.replace(
+                "    - name: sex\n      categories: [M, F]\n"
+                "    - name: age\n      categories: [Y, O]\n",
+                "    - name: v\n      categories: [A, B]\n",
+            )
+        )
+        (tmp_path / "constraints.csv").write_text(
+            "zone_id,variable,category,count\nZ1,v,A,3\nZ1,v,B,1\nZ2,v,A,2\nZ2,v,B,0\n"
+        )
+        (tmp_path / "survey.csv").write_text(
+            "record_id,household_id,v,income\nr1,h1,A,100\nr2,h2,A,250\n"
+        )
+        assert main(["synthesize", "--config", str(tmp_path / "config.yaml")]) == 2
+        with open(tmp_path / "out" / "convergence.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [
+            {k: row[k] for k in ("zone_id", "iterations", "converged")} for row in rows
+        ] == [
+            {"zone_id": "Z1", "iterations": "100", "converged": "0"},
+            {"zone_id": "Z2", "iterations": "0", "converged": "1"},
+        ]
+        worst = [
+            (
+                row["worst_variable"],
+                row["worst_category"],
+                float(row["worst_abs_error"]),
+                row["unsupported"],
+            )
+            for row in rows
+        ]
+        assert worst == [("v", "B", 1.0, "1"), ("", "", 0.0, "0")]
+
     def test_dump_weights(self, tmp_path):
         config = write_mini(tmp_path)
         main(["synthesize", "--config", str(config), "--dump-weights"])
@@ -277,21 +314,39 @@ class TestPipeline:
         assert text[-1].startswith("METRO,")
 
 
-def test_import_leaves_scipy_unloaded():
-    """scipy is imported only where a p-value is computed."""
+def run_python(code, timeout=60):
+    """Run `code` in a fresh interpreter that imports this source tree."""
     src = str(Path(smallarea.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, smallarea.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_import_leaves_scipy_unloaded():
+    """smallarea does not import scipy."""
+    proc = run_python("import sys, smallarea.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy fail.
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from smallarea.cli import main\n"
+        f"assert main(['example', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"sys.exit(main(['pipeline', '--config', {str(tmp_path / 'config.yaml')!r}]))\n"
+    )
+    proc = run_python(code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "out" / "validation_internal.csv").read_text().splitlines()
+    assert rows[0] == "variable,category,r2,sei,t,p" and len(rows) > 1
 
 
 class TestExample:
@@ -328,6 +383,6 @@ class TestExample:
                 "01a28dbb184516b1d625d8761598fbdd3c67e03a6ce86cecdab23b84bbf1ce56"
             ),
             "weights.csv": (
-                "9b912011cebb4ca521790f5ecae3ff53e9266a8146f98d3f270c72d597787ad1"
+                "e1142b81f092e0f8fee7a21e1c42392f122b8c8b7a0389445a693dd42df2b7ab"
             ),
         }

@@ -179,3 +179,26 @@ def test_matrix_held_read_only_without_copy(cls, attr, dtype):
     assert given.flags.writeable
     with pytest.raises(ValueError):
         held[0, 0] = 7
+
+
+def test_count_and_weight_matrices_are_column_major(tmp_path, two_by_two):
+    # Every per-zone consumer reads a zone column, contiguous in this layout.
+    from smallarea.ipf import ipf_all
+    from smallarea.popfile import POPULATION_HEADER, population_rows, read_population
+    from smallarea.cli import write_csv
+
+    from conftest import make_table
+
+    _, survey = two_by_two
+    tables = [
+        make_table("sex", ["Z1", "Z2"], ("M", "F"), [[2, 2], [5, 1]]),
+        make_table("age", ["Z1", "Z2"], ("Y", "O"), [[3, 1], [3, 3]]),
+    ]
+    matrix, _ = ipf_all(survey, tables)
+    population = synthesize(matrix, [4, 6], seed=1)
+    path = tmp_path / "population.csv"
+    write_csv(path, POPULATION_HEADER, population_rows(population))
+    reread = read_population(path, population.zone_ids, population.record_ids)
+    for array in (matrix.weights, population.counts, reread.counts):
+        assert array.flags.f_contiguous
+    np.testing.assert_array_equal(reread.counts, population.counts)

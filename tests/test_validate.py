@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from smallarea.integerize import SyntheticPopulation
 from smallarea.schema import SchemaError, VariableDef
@@ -113,6 +113,31 @@ class TestTTest:
                 assert student_t_two_tailed_p(t, df) == pytest.approx(
                     2 * tail, abs=1e-8
                 )
+
+    def test_p_value_against_betainc(self):
+        # Reference: scipy's regularized incomplete beta, on I_y(1/2, df/2)
+        # = 1 - I_x(df/2, 1/2) where x = df / (df + t²) is too close to 1 to
+        # hold y = 1 - x in its digits.
+        dfs = [*range(1, 60), *range(60, 2000, 13), 1998]
+        ts = [0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0]
+        for df in dfs:
+            a = df / 2.0
+            for t in ts:
+                x, y = df / (df + t * t), t * t / (df + t * t)
+                if x < (a + 1.0) / (a + 2.5):
+                    expected = float(special.betainc(a, 0.5, x))
+                else:
+                    expected = 1.0 - float(special.betainc(0.5, a, y))
+                for signed in (t, -t):
+                    p = student_t_two_tailed_p(signed, df)
+                    assert p == pytest.approx(expected, rel=1e-10, abs=1e-300), (df, t)
+            assert student_t_two_tailed_p(0.0, df) == 1.0
+            assert student_t_two_tailed_p(math.inf, df) == 0.0
+            assert student_t_two_tailed_p(-math.inf, df) == 0.0
+
+    def test_df_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            student_t_two_tailed_p(1.0, 0)
 
     def test_direct_formula_oracle(self):
         rng = np.random.default_rng(21)
