@@ -124,13 +124,18 @@ class Runtime:
         self.out_dir = Path(out_dir) if out_dir else config.output_dir
         self.seed = config.seed if seed is None else int(seed)
         self.schema = config.schema
-        self.tables = load_constraints(config.constraints_path, self.schema)
-        self.survey = load_survey(config.survey_path, self.schema)
+        self.timings: dict[str, float] = {}
+        self.tables, self.survey = self.timed(
+            "load_inputs",
+            lambda: (
+                load_constraints(config.constraints_path, self.schema),
+                load_survey(config.survey_path, self.schema),
+            ),
+        )
         if config.mpi_spec is not None:
             # Fails on an indicator the survey cannot answer before any stage
             # writes its outputs.
             deprivation_scores(self.survey, config.mpi_spec)
-        self.timings: dict[str, float] = {}
         self.warnings: list[str] = []
         self.outputs: list[str] = []  # CSV files this command wrote
 

@@ -76,6 +76,12 @@ def _zone_probs(rng, base, concentration):
     return rng.dirichlet(np.asarray(base) * concentration)
 
 
+def zone_counts(zone_of, codes, n_zones: int, k: int) -> np.ndarray:
+    """n_zones x k table of how many persons of each zone (`zone_of`) fall in
+    each of k categories (`codes`): one bincount over (zone, category)."""
+    return np.bincount(zone_of * k + codes, minlength=n_zones * k).reshape(n_zones, k)
+
+
 def generate_example(
     out_dir,
     seed: int = 20160802,
@@ -147,11 +153,10 @@ def generate_example(
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "variable", "category", "count"])
         for var in schema.constraint_vars:
-            for zi, zone in enumerate(zones):
-                in_zone = codes[var.name][zone_of == zi]
-                counts = np.bincount(in_zone, minlength=len(var.categories))
-                for ci, cat in enumerate(var.categories):
-                    writer.writerow([zone, var.name, cat, int(counts[ci])])
+            table = zone_counts(zone_of, codes[var.name], n_zones, len(var.categories))
+            for zone, counts in zip(zones, table.tolist()):
+                for cat, count in zip(var.categories, counts):
+                    writer.writerow([zone, var.name, cat, count])
 
     # zone-level actuals for the unconstrained occupation variable
     with (
@@ -159,13 +164,12 @@ def generate_example(
     ).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "variable", "category", "count"])
-        for zi, zone in enumerate(zones):
-            in_zone = codes["occupation"][zone_of == zi]
-            counts = np.bincount(in_zone, minlength=len(OCCUPATION))
+        table = zone_counts(zone_of, codes["occupation"], n_zones, len(OCCUPATION))
+        for zone, counts in zip(zones, table.tolist()):
             grouped = {}
-            for ci, cat in enumerate(OCCUPATION):
+            for cat, count in zip(OCCUPATION, counts):
                 g = OCCUPATION_GROUPS[cat]
-                grouped[g] = grouped.get(g, 0) + int(counts[ci])
+                grouped[g] = grouped.get(g, 0) + count
             for g, c in grouped.items():
                 writer.writerow([zone, "occupation", g, c])
 

@@ -10,6 +10,7 @@ YAML with the key paths documented on PipelineConfig.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import MpiDimension, MpiIndicator, MpiSpec
 from .schema import (
@@ -215,7 +217,10 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     constraint and external variable, the income field (blank = missing) and
     every deprivation field (0/1). Every other column is read as numbers
     (blank = NaN), or kept as None when a value does not parse as a number.
-    Errors name the file and line of the first bad row."""
+    Lines end in LF or CRLF and blank lines are skipped. Fields are split by
+    the byte scanner unless the file holds a double quote, a NUL or a bare CR;
+    then `csv.reader` splits them and quoted fields are honoured. Errors name
+    the file and line of the first bad row."""
     path = Path(path)
     variables = schema.constraint_vars + schema.external_vars
     mandatory = (
@@ -225,33 +230,47 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
         + list(schema.deprivation_fields)
     )
 
-    rows, lines, incomes = [], [], []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-        missing = [c for c in mandatory if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing mandatory columns {missing}")
-        income_col = header.index(schema.income_field)
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            raw = row[income_col].strip()
-            income = _nonnegative(raw, "income", path, lineno) if raw else math.nan
-            incomes.append(income)
-            rows.append(row)
-            lines.append(lineno)
+    data = path.read_bytes()
+    text = data.decode("utf-8")
+    header = next(csv.reader(io.StringIO(text, newline="")), None) or []
+    missing = [c for c in mandatory if c not in header]
+    if missing:
+        raise IngestError(f"{path}: missing mandatory columns {missing}")
+    quoted = b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n")
+    try:
+        if quoted:
+            data, starts, ends, lines = _csv_fields(text, len(header))
+        else:
+            starts, ends, lines = _scan_fields(data, len(header), skip_blank=True)
+    except _FieldCountError as exc:
+        raise IngestError(
+            f"{path}: line {exc.line}: expected {len(header)} fields, got {exc.got}"
+        ) from None
+    # Row 0 is the header.
+    starts, ends, lines = starts[1:], ends[1:], lines[1:].tolist()
+    buf = np.frombuffer(data, np.uint8)
+    is_ascii = data.isascii()
+    column = {name: j for j, name in enumerate(header)}  # the last of a name
 
-    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    def labels(j):
+        """Column j as a numpy str array."""
+        width = max(int((ends[:, j] - starts[:, j]).max(initial=0)), 1)
+        raw = _gather(buf, starts[:, j], ends[:, j], width)
+        if is_ascii:  # each byte is its code point
+            return raw.astype(np.uint32).view(f"U{width}").ravel()
+        return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8")
+
+    def strings(j):
+        """Column j as Python strings, which keep the trailing NULs that a
+        numpy str array drops."""
+        if b"\0" not in data:
+            return labels(j).tolist()
+        return [data[s:e].decode() for s, e in zip(starts[:, j], ends[:, j])]
+
+    incomes = _incomes(strings(header.index(schema.income_field)), lines, path)
     fields = schema.deprivation_fields
-    flags = np.asarray([columns[f] for f in fields], dtype=str)
-    flags = np.char.strip(flags.reshape(len(fields), len(rows)))
+    flags = np.asarray([labels(column[f]) for f in fields], dtype=str)
+    flags = np.char.strip(flags.reshape(len(fields), len(lines)))
     bad = np.argwhere(~np.isin(flags, ("0", "1")).T)
     if bad.size:
         i, f = bad[0]
@@ -261,17 +280,17 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     numeric = {}
     for name in header:
         if name not in mandatory:
-            text = np.char.strip(np.asarray(columns[name], dtype=str))
+            values = np.char.strip(labels(column[name]))
             try:
-                numeric[name] = np.where(text == "", "nan", text).astype(float)
+                numeric[name] = np.where(values == "", "nan", values).astype(float)
             except ValueError:
                 numeric[name] = None
     try:
         return SurveyDataset(
             schema,
-            record_ids=columns["record_id"],
-            household_ids=columns[schema.household_field],
-            categories={v.name: columns[v.name] for v in variables},
+            record_ids=strings(column["record_id"]),
+            household_ids=strings(column[schema.household_field]),
+            categories={v.name: labels(column[v.name]) for v in variables},
             incomes=incomes,
             deprivations=(flags == "1").T,
             numeric=numeric,
@@ -280,6 +299,102 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
         if exc.row is None:
             raise
         raise IngestError(f"{path}: line {lines[exc.row]}: {exc}") from None
+
+
+def _incomes(texts, lines, path) -> np.ndarray:
+    """Incomes from their field texts, stripped: blank is NaN, anything else
+    must be a finite number >= 0 (IngestError naming the line otherwise)."""
+    raw = [t.strip() for t in texts]
+    try:
+        values = np.array([float(r) if r else math.nan for r in raw])
+        blank = np.array([not r for r in raw], dtype=bool)
+        if (blank | (np.isfinite(values) & (values >= 0))).all():
+            return values
+    except ValueError:
+        pass
+    # Some income is bad: check them one by one to name its line.
+    return np.array(
+        [
+            _nonnegative(r, "income", path, line) if r else math.nan
+            for r, line in zip(raw, lines)
+        ]
+    )
+
+
+# --------------------------------------------------------------------------
+# Field scanner
+# --------------------------------------------------------------------------
+
+class _FieldCountError(IngestError):
+    """A line holds `got` fields, not the expected number."""
+
+    def __init__(self, line: int, got: int):
+        super().__init__(f"line {line}: {got} fields")
+        self.line, self.got = line, got
+
+
+def _scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
+    """Field offsets of `data`: lines of `n_fields` comma-separated,
+    unquoted fields, ending in LF or CRLF (the last line may lack its end).
+
+    Returns (starts, ends, lines): rows x n_fields arrays of the byte offset
+    of each field's first byte and of the byte after its last, and each
+    row's line number, the first line of `data` being `first_line`. With
+    `skip_blank`, an empty line gives no row. Raises _FieldCountError naming
+    the first line that holds another number of fields."""
+    buf = np.frombuffer(data, np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    if buf.size and buf[-1] != ord("\n"):
+        breaks = np.append(breaks, buf.size)
+    begins = np.empty_like(breaks)
+    begins[:1] = 0
+    begins[1:] = breaks[:-1] + 1
+    stops = breaks - ((breaks > begins) & (buf[breaks - 1] == ord("\r")))
+    commas = np.flatnonzero(buf == ord(","))
+    widths = np.diff(np.searchsorted(commas, breaks), prepend=0) + 1
+    lines = np.arange(first_line, first_line + breaks.size)
+    if skip_blank:
+        keep = stops > begins
+        begins, stops, widths, lines = (a[keep] for a in (begins, stops, widths, lines))
+    bad = np.flatnonzero(widths != n_fields)
+    if bad.size:
+        raise _FieldCountError(int(lines[bad[0]]), int(widths[bad[0]]))
+    # Every row holds n_fields - 1 commas, and a skipped line none.
+    commas = commas.reshape(lines.size, n_fields - 1)
+    starts = np.empty((lines.size, n_fields), np.intp)
+    ends = np.empty_like(starts)
+    starts[:, 0], starts[:, 1:] = begins, commas + 1
+    ends[:, :-1], ends[:, -1] = commas, stops
+    return starts, ends, lines
+
+
+def _csv_fields(text: str, n_fields: int):
+    """`_scan_fields` for CSV text that `csv.reader` must split: the fields,
+    unquoted and UTF-8 encoded, joined into new bytes, with their offsets in
+    them and the line on which each row ends; blank lines give no row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            if len(row) != n_fields:
+                raise _FieldCountError(reader.line_num, len(row))
+            rows.append(row)
+            lines.append(reader.line_num)
+    fields = [f.encode() for row in rows for f in row]
+    lengths = np.fromiter(map(len, fields), np.intp, len(fields))
+    ends = np.cumsum(lengths).reshape(len(rows), n_fields)
+    starts = ends - lengths.reshape(ends.shape)
+    return b"".join(fields), starts, ends, np.array(lines, dtype=np.intp)
+
+
+def _gather(buf, starts, ends, width) -> np.ndarray:
+    """rows x width uint8 matrix of the fields buf[starts:ends], each
+    zero-padded to `width` bytes; no field may be longer."""
+    if buf.size < starts.max(initial=0) + width:
+        buf = np.concatenate((buf, np.zeros(width, np.uint8)))
+    out = sliding_window_view(buf, width)[starts]
+    out *= np.arange(width) < (ends - starts)[:, None]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -298,9 +413,10 @@ def load_crosswalks(path):
             raise IngestError(
                 f"{path}: expected header 'variable,fine_category,group_category'"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num
             if len(row) != 3:
                 raise IngestError(f"{path}: line {lineno}: expected 3 fields")
             var, fine, group = row

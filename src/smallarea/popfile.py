@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import IngestError
+from .ingest import IngestError, _FieldCountError, _gather, _scan_fields
 from .integerize import SyntheticPopulation
 from .ipf import WeightMatrix
 
@@ -81,68 +81,129 @@ def weights_rows(matrix: WeightMatrix) -> TextRows:
 
 def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     """Read `population.csv` into a SyntheticPopulation over `zone_ids` and
-    `record_ids`; absent (zone, record) pairs count 0.
+    `record_ids`; absent (zone, record) pairs count 0. Lines end in LF or
+    CRLF.
 
-    Reads BLOCK_LINES lines at a time and parses each block as columns.
-    Rejects, naming the file and line, a row that has not 3 fields, an
-    unknown zone or record id, a count that is not a non-negative integer
-    written in digits, and a repeated (zone, record) pair."""
+    Reads BLOCK_LINES lines at a time as bytes and matches each block's ids
+    as byte keys. Rejects, naming the file and line, a row that has not 3
+    fields, an unknown zone or record id, a count that is not a non-negative
+    integer written in digits, and a repeated (zone, record) pair."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
-    zone_index = dict(zip(zone_ids, range(len(zone_ids))))
-    record_index = dict(zip(record_ids, range(len(record_ids))))
+    find_zone, find_record = _id_finder(zone_ids), _id_finder(record_ids)
+    n_records = len(record_ids)
     # -1 marks a (record, zone) pair that no row has named yet.
-    counts = np.full(
-        (len(record_ids), len(zone_ids)), -1, dtype=np.int64, order="F"
-    )
+    counts = np.full((n_records, len(zone_ids)), -1, dtype=np.int64, order="F")
+    cells = counts.reshape(-1, order="F")  # a view: zone-major cell index
     first_line = 2  # line number of the current block's first line
 
     def fail(i, message):
         raise IngestError(f"{path}: line {first_line + i}: {message}")
 
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    with path.open("rb") as fh:
+        header = fh.readline().decode("utf-8").removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
-        while block := list(islice(fh, BLOCK_LINES)):
-            m = len(block)
-            text = ",".join(block)
-            fields = text.split(",")
-            zones, records, raw = fields[0::3], fields[1::3], fields[2::3]
-            # A line break ends the last field of its line, so every line has
-            # 3 fields exactly when there are 3 * m fields and every line
-            # break ends a third field.
-            if len(fields) != 3 * m or "".join(raw).count("\n") != text.count("\n"):
-                i = next(i for i, line in enumerate(block) if line.count(",") != 2)
-                fail(i, "expected 3 fields")
+        while block := b"".join(islice(fh, BLOCK_LINES)):
+            if not block.isascii():
+                block.decode("utf-8")  # rejects what a text read would
             try:
-                zi = np.fromiter(map(zone_index.__getitem__, zones), np.intp, m)
-                ri = np.fromiter(map(record_index.__getitem__, records), np.intp, m)
-            except KeyError:
-                for i, (zone, record) in enumerate(zip(zones, records)):
-                    if zone not in zone_index:
-                        fail(i, f"unknown zone id {zone!r}")
-                    if record not in record_index:
-                        fail(i, f"unknown record id {record!r}")
-            digits = "".join(raw).replace("\n", "")
-            try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError
-                values = np.array(raw, dtype=np.int64)
-            except (ValueError, OverflowError):
-                for i, field in enumerate(raw):
-                    count = field.rstrip("\n")
-                    if not (count.isascii() and count.isdigit()) or int(count) >= 2**63:
-                        fail(i, f"invalid count {count!r}")
-            key = ri * len(zone_ids) + zi
-            repeated = np.ones(m, dtype=bool)
-            repeated[np.unique(key, return_index=True)[1]] = False
-            repeated |= counts[ri, zi] >= 0
-            if repeated.any():
+                starts, ends, lines = _scan_fields(block, 3, first_line)
+            except _FieldCountError as exc:
+                fail(exc.line - first_line, "expected 3 fields")
+            buf = np.frombuffer(block, np.uint8)
+
+            def field(i, j):
+                return block[starts[i, j] : ends[i, j]].decode("utf-8")
+
+            zi, zone_known = find_zone(buf, starts[:, 0], ends[:, 0])
+            ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
+            if not (zone_known.all() and record_known.all()):
+                i = int(np.argmin(zone_known & record_known))
+                if not zone_known[i]:
+                    fail(i, f"unknown zone id {field(i, 0)!r}")
+                fail(i, f"unknown record id {field(i, 1)!r}")
+            values, valid = _digits(buf, starts[:, 2], ends[:, 2])
+            if not valid.all():
+                i = int(np.argmin(valid))
+                fail(i, f"invalid count {field(i, 2)!r}")
+            # A pair is repeated when an earlier block named it, or when
+            # another row of this block overwrites the row index written here.
+            key = zi * n_records + ri
+            rows = np.arange(key.size)
+            named = cells[key] >= 0
+            cells[key] = rows
+            if named.any() or (cells[key] != rows).any():
+                repeated = named
+                first = np.unique(key, return_index=True)[1]
+                repeated[np.setdiff1d(rows, first)] = True
                 i = int(np.argmax(repeated))
-                fail(i, f"duplicate row for zone {zones[i]!r}, record {records[i]!r}")
-            counts[ri, zi] = values
-            first_line += m
+                zone, record = field(i, 0), field(i, 1)
+                fail(i, f"duplicate row for zone {zone!r}, record {record!r}")
+            cells[key] = values
+            first_line += lines.size
     np.maximum(counts, 0, out=counts)
     return SyntheticPopulation(counts=counts, zone_ids=zone_ids, record_ids=record_ids)
+
+
+def _id_finder(ids):
+    """A function that maps fields (buf, starts, ends) to the index of each
+    in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
+    lookup of `_id_keys`."""
+    encoded = [i.encode("utf-8") for i in ids]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    ends = np.cumsum(lengths)
+    width = int(lengths.max(initial=0))
+    buf = np.frombuffer(b"".join(encoded), np.uint8)
+    keys = _id_keys(buf, ends - lengths, ends, width)
+    order = np.argsort(keys, kind="stable")
+    table = keys[order]
+
+    def find(buf, starts, ends):
+        keys = _id_keys(buf, starts, ends, width)
+        if not table.size:
+            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
+        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        return order[at], table[at] == keys
+
+    return find
+
+
+def _id_keys(buf, starts, ends, width) -> np.ndarray:
+    """Keys equal exactly when the fields buf[starts:ends] are equal, for
+    fields of up to `width` bytes: the field's length, then its bytes. A
+    longer field gets a length that no field of `width` bytes has. Keys of
+    up to 8 bytes are uint64, with a field's bytes read from its start as
+    one big-endian word, so that fields of one length sort as bytes do."""
+    lengths = np.minimum(ends - starts, width + 1)
+    n_len = ((width + 1).bit_length() + 7) // 8
+    if n_len + width <= 8:
+        padded = np.concatenate((buf, np.zeros(8, np.uint8)))
+        words = np.ndarray(buf.size + 1, ">u8", padded, strides=(1,))[starts]
+        drop = (8 * (7 - np.minimum(lengths, width))).astype(np.uint64)
+        body = (words.astype(np.uint64) >> np.uint64(8)) >> drop
+        return lengths.astype(np.uint64) << np.uint64(8 * width) | body
+    keys = np.empty((lengths.size, n_len + width), np.uint8)
+    for b in range(n_len):
+        keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
+    keys[:, n_len:] = _gather(buf, starts, starts + np.minimum(lengths, width), width)
+    return keys.view(f"S{n_len + width}").ravel()
+
+
+def _digits(buf, starts, ends):
+    """Each field buf[starts:ends] as an int64 when it is a non-negative
+    integer below 2**63 written in ASCII digits, decoded digit by digit, and
+    whether it is one."""
+    lengths = ends - starts
+    valid = (lengths > 0) & (lengths <= 19)  # 19 digits fit in uint64
+    width = int(lengths[valid].max(initial=0))
+    digits = _gather(buf, starts, starts + np.minimum(lengths, width), width)
+    digits = (digits - np.uint8(ord("0"))).astype(np.uint64)
+    value = np.zeros(lengths.size, np.uint64)
+    for j in range(width):
+        inside = j < lengths
+        valid &= ~inside | (digits[:, j] <= 9)
+        value = np.where(inside, value * np.uint64(10) + digits[:, j], value)
+    valid &= value < np.uint64(2**63)
+    return value.astype(np.int64), valid

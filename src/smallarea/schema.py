@@ -167,8 +167,11 @@ class SurveyDataset:
         self._codes = {}
         for var in schema.constraint_vars + schema.external_vars:
             labels = _column(categories[var.name], str, (n,), f"{var.name!r} labels")
-            match = labels[:, None] == np.asarray(var.categories)
-            bad = np.flatnonzero(~match.any(axis=1))
+            known = np.asarray(var.categories)
+            order = np.argsort(known, kind="stable")
+            at = np.searchsorted(known, labels, sorter=order)
+            codes = order[np.minimum(at, len(known) - 1)]
+            bad = np.flatnonzero(known[codes] != labels)
             if bad.size:
                 i = int(bad[0])
                 raise SchemaError(
@@ -176,7 +179,7 @@ class SurveyDataset:
                     f"{str(labels[i])!r} for variable {var.name!r}",
                     i,
                 )
-            self._codes[var.name] = _column(match.argmax(axis=1), None, (n,), "codes")
+            self._codes[var.name] = _column(codes, np.intp, (n,), "codes")
 
         k = len(schema.deprivation_fields)
         if incomes is None:

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smallarea
 from smallarea.cli import main
-from smallarea.fixture import generate_example
+from smallarea.fixture import generate_example, zone_counts
 
 MINI_CONFIG = """
 schema:
@@ -249,6 +250,14 @@ class TestPipeline:
         assert "timing.write_population_seconds=" in manifest
         assert "seed=" in manifest
 
+    @pytest.mark.parametrize("command", ["synthesize", "pipeline"])
+    def test_manifest_times_input_loading(self, tmp_path, command):
+        config = write_mini(tmp_path)
+        assert main([command, "--config", str(config)]) == 0
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        timings = [line.split("=")[0] for line in lines if line.startswith("timing.")]
+        assert timings[0] == "timing.load_inputs_seconds"
+
     @pytest.mark.parametrize(
         "good, bad",
         [
@@ -364,6 +373,16 @@ class TestExample:
         )
         assert code == 0
         assert (tmp_path / "config.yaml").exists()
+
+    def test_zone_counts_match_per_zone_loop(self):
+        # The census tables of `example` count each zone's persons with one
+        # bincount; the loop selects each zone's persons in turn.
+        rng = np.random.default_rng(5)
+        n_zones, k = 7, 4
+        zone_of = np.repeat(np.arange(n_zones), rng.integers(0, 30, n_zones))
+        codes = rng.integers(0, k, zone_of.size)
+        loop = [np.bincount(codes[zone_of == zi], minlength=k) for zi in range(n_zones)]
+        np.testing.assert_array_equal(zone_counts(zone_of, codes, n_zones, k), loop)
 
     def test_bundled_example_output_digests(self, tmp_path):
         """Pins the output bits of the bundled example: a change that alters

@@ -1,7 +1,12 @@
+import csv
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smallarea.ingest import (
     IngestError,
@@ -12,9 +17,85 @@ from smallarea.ingest import (
     load_survey,
     save_constraints,
 )
-from smallarea.schema import VariableDef
+from smallarea.schema import SchemaError, SurveyDataset, VariableDef
 
 from conftest import make_schema, make_table
+
+
+def reference_load_survey(path, schema):
+    """The csv.reader loader that `load_survey` replaced: one Python string
+    per field, incomes parsed row by row."""
+    path = Path(path)
+    variables = schema.constraint_vars + schema.external_vars
+    mandatory = (
+        ["record_id", schema.household_field]
+        + [v.name for v in variables]
+        + [schema.income_field]
+        + list(schema.deprivation_fields)
+    )
+    rows, lines, incomes = [], [], []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        missing = [c for c in mandatory if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing mandatory columns {missing}")
+        income_col = header.index(schema.income_field)
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            raw = row[income_col].strip()
+            if raw:
+                try:
+                    income = float(raw)
+                except ValueError:
+                    income = math.nan
+                if not (math.isfinite(income) and income >= 0):
+                    raise IngestError(f"{path}: line {lineno}: invalid income {raw!r}")
+            else:
+                income = math.nan
+            incomes.append(income)
+            rows.append(row)
+            lines.append(lineno)
+
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    fields = schema.deprivation_fields
+    flags = np.asarray([columns[f] for f in fields], dtype=str)
+    flags = np.char.strip(flags.reshape(len(fields), len(rows)))
+    bad = np.argwhere(~np.isin(flags, ("0", "1")).T)
+    if bad.size:
+        i, f = bad[0]
+        raise IngestError(
+            f"{path}: line {lines[i]}: deprivation field {fields[f]!r} must be 0/1"
+        )
+    numeric = {}
+    for name in header:
+        if name not in mandatory:
+            text = np.char.strip(np.asarray(columns[name], dtype=str))
+            try:
+                numeric[name] = np.where(text == "", "nan", text).astype(float)
+            except ValueError:
+                numeric[name] = None
+    try:
+        return SurveyDataset(
+            schema,
+            record_ids=columns["record_id"],
+            household_ids=columns[schema.household_field],
+            categories={v.name: columns[v.name] for v in variables},
+            incomes=incomes,
+            deprivations=(flags == "1").T,
+            numeric=numeric,
+        )
+    except SchemaError as exc:
+        if exc.row is None:
+            raise
+        raise IngestError(f"{path}: line {lines[exc.row]}: {exc}") from None
 
 CONFIG_MINIMAL = """
 schema:
@@ -161,6 +242,16 @@ class TestLoadSurvey:
         with pytest.raises(IngestError, match="line 3: record id .* holds a comma"):
             load_survey(path, schema)
 
+    def test_trailing_nul_kept(self, tmp_path, schema):
+        # A numpy str array would drop it.
+        path = self.write(tmp_path, ["r1\0,h1\0,M,Married,1000,0\n"])
+        survey = load_survey(path, schema)
+        assert (survey.record_ids, survey.household_ids) == (("r1\0",), ("h1\0",))
+        path = self.write(tmp_path, ["r1,h1,M,Married,1000\0,0\n"])
+        message = re.escape("line 2: invalid income '1000\\x00'")
+        with pytest.raises(IngestError, match=message):
+            load_survey(path, schema)
+
     def test_short_row_names_line(self, tmp_path, schema):
         path = self.write(tmp_path, ["r1,h1,M,Married,1000,0\n", "r2,h2,F,1\n"])
         with pytest.raises(IngestError, match="line 3: expected 6 fields, got 4"):
@@ -293,3 +384,155 @@ class TestLoadCrosswalks:
         )
         with pytest.raises(IngestError, match="mapped to both"):
             load_crosswalks(path)
+
+    def test_line_numbers_count_quoted_line_breaks(self, tmp_path):
+        # Line 2's quoted category spans two lines, so the conflict is on
+        # line 5, in the third data row.
+        path = tmp_path / "cw.csv"
+        path.write_text(
+            "variable,fine_category,group_category\n"
+            'nace,"C\nD",CD\nnace,G,G\nnace,G,H\n'
+        )
+        with pytest.raises(IngestError, match="line 5: 'G' mapped to both"):
+            load_crosswalks(path)
+
+
+# --------------------------------------------------------------------------
+# The byte reader against the csv.reader loader
+# --------------------------------------------------------------------------
+
+# Record and household ids as ingest admits them; some need more than 8 bytes.
+survey_ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+    min_size=1,
+    max_size=12,
+)
+# Category labels may need quoting: a comma, a quote or a line break.
+survey_labels = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
+)
+padding = st.sampled_from(["", " ", "\t", "  ", "\xa0"])
+numbers = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 1e9, allow_nan=False).map(repr),
+    st.sampled_from(["1e3", "0.5", "7."]),
+)
+FAULTS = [
+    None, "width", "income", "flag", "category", "duplicate", "household", "quoting"
+]
+
+
+@st.composite
+def survey_files(draw):
+    """(schema, file bytes, each row's labels per variable) of a survey file,
+    with up to one injected fault."""
+    n_vars = draw(st.integers(1, 3))
+    categories = st.lists(survey_labels, min_size=2, max_size=4, unique=True)
+    variables = tuple(
+        VariableDef(f"v{k}", tuple(draw(categories))) for k in range(n_vars)
+    )
+    n_flags, n_extra = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    schema = make_schema(
+        constraint_vars=variables[:1],
+        external_vars=variables[1:],
+        deprivation_fields=tuple(f"d{k}" for k in range(n_flags)),
+    )
+    header = (
+        ["record_id", "household_id", "income"]
+        + [v.name for v in variables]
+        + list(schema.deprivation_fields)
+        + [f"x{k}" for k in range(n_extra)]
+    )
+    header = draw(st.permutations(header))
+    n = draw(st.integers(0, 6))
+    ids = draw(st.lists(survey_ids, min_size=n, max_size=n, unique=True))
+    rows, labels = [], []
+    for rid in ids:
+        cats = {v.name: draw(st.sampled_from(v.categories)) for v in variables}
+        row = {"record_id": rid, "household_id": draw(survey_ids), **cats}
+        row["income"] = draw(padding) + draw(st.just("") | numbers) + draw(padding)
+        for f in schema.deprivation_fields:
+            row[f] = draw(padding) + draw(st.sampled_from("01")) + draw(padding)
+        for k in range(n_extra):
+            row[f"x{k}"] = draw(st.sampled_from(["", " ", "abc"]) | numbers)
+        rows.append(row)
+        labels.append(cats)
+
+    fault = draw(st.sampled_from(FAULTS))
+    if fault and rows:
+        i = draw(st.integers(0, n - 1))
+        row = rows[i]
+        if fault == "width":
+            del row[draw(st.sampled_from(header))]
+        elif fault == "income":
+            row["income"] = draw(st.sampled_from(["-1", "abc", "inf", "nan", "1,5"]))
+        elif fault == "flag":
+            assume(schema.deprivation_fields)
+            row[draw(st.sampled_from(schema.deprivation_fields))] = draw(
+                st.sampled_from(["2", "", "yes", "0 1"])
+            )
+        elif fault == "category":
+            var = draw(st.sampled_from(variables))
+            unknown = survey_labels.filter(lambda c: c not in var.categories)
+            row[var.name] = draw(unknown)
+        elif fault == "duplicate":
+            assume(n > 1)
+            row["record_id"] = rows[(i + 1) % n]["record_id"]
+        elif fault == "household":
+            row["household_id"] = ""
+        else:
+            row["record_id"] = draw(st.sampled_from(["r,1", 'r"1', "r\n1"]))
+
+    quote_all = draw(st.booleans())
+
+    def cell(text):
+        if quote_all or any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(map(cell, header))]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))  # blank lines
+        lines.append(",".join(cell(row[c]) for c in header if c in row))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return schema, text.encode("utf-8"), labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=survey_files())
+def test_load_survey_matches_csv_loader(tmp_path_factory, case):
+    schema, data, labels = case
+    path = tmp_path_factory.mktemp("survey") / "survey.csv"
+    path.write_bytes(data)
+
+    def outcome(load):
+        try:
+            return load(path, schema)
+        except IngestError as exc:
+            return str(exc)
+
+    expected, got = outcome(reference_load_survey), outcome(load_survey)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert got.record_ids == expected.record_ids
+    assert got.household_ids == expected.household_ids
+    assert all(type(i) is str for i in got.record_ids + got.household_ids)
+    for var in schema.constraint_vars + schema.external_vars:
+        codes = got.category_codes(var.name)
+        np.testing.assert_array_equal(codes, expected.category_codes(var.name))
+        # The sorted lookup gives the codes of a labels x categories compare.
+        if labels:
+            compare = np.asarray([c[var.name] for c in labels])[:, None] == np.asarray(
+                var.categories
+            )
+            np.testing.assert_array_equal(codes, compare.argmax(axis=1))
+    np.testing.assert_array_equal(got.incomes, expected.incomes)
+    np.testing.assert_array_equal(got.deprivations, expected.deprivations)
+    assert got.numeric.keys() == expected.numeric.keys()
+    for name, column in expected.numeric.items():
+        if column is None:
+            assert got.numeric[name] is None
+        else:
+            np.testing.assert_array_equal(got.numeric[name], column)

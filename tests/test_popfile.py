@@ -6,6 +6,8 @@ import io
 import math
 import re
 import tracemalloc
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from smallarea.popfile import (
 )
 
 # --------------------------------------------------------------------------
-# Reference implementations: the row-wise writer and csv.reader loader
+# Reference implementations: the row-wise writer, the csv.reader loader and
+# the text-mode reader
 # --------------------------------------------------------------------------
 
 
@@ -75,6 +78,61 @@ def reference_load(path, zone_ids, record_ids) -> np.ndarray:
         assert next(reader) == ["zone_id", "record_id", "count"]
         for zone, rid, raw in reader:
             counts[record_index[rid], zone_index[zone]] = int(raw)
+    return counts
+
+
+def reference_read_population(path, zone_ids, record_ids, block_lines=16384):
+    """The text-mode reader that `read_population` replaced: one Python
+    string per field, a dict lookup per id, `np.unique` for repeated rows."""
+    zone_index = dict(zip(zone_ids, range(len(zone_ids))))
+    record_index = dict(zip(record_ids, range(len(record_ids))))
+    counts = np.full((len(record_ids), len(zone_ids)), -1, dtype=np.int64, order="F")
+    first_line = 2
+
+    def fail(i, message):
+        raise IngestError(f"{path}: line {first_line + i}: {message}")
+
+    with path.open(encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != ",".join(POPULATION_HEADER):
+            raise IngestError(f"{path}: unexpected header {header!r}")
+        while block := list(islice(fh, block_lines)):
+            m = len(block)
+            text = ",".join(block)
+            fields = text.split(",")
+            zones, records, raw = fields[0::3], fields[1::3], fields[2::3]
+            if len(fields) != 3 * m or "".join(raw).count("\n") != text.count("\n"):
+                i = next(i for i, line in enumerate(block) if line.count(",") != 2)
+                fail(i, "expected 3 fields")
+            try:
+                zi = np.fromiter(map(zone_index.__getitem__, zones), np.intp, m)
+                ri = np.fromiter(map(record_index.__getitem__, records), np.intp, m)
+            except KeyError:
+                for i, (zone, record) in enumerate(zip(zones, records)):
+                    if zone not in zone_index:
+                        fail(i, f"unknown zone id {zone!r}")
+                    if record not in record_index:
+                        fail(i, f"unknown record id {record!r}")
+            digits = "".join(raw).replace("\n", "")
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                values = np.array(raw, dtype=np.int64)
+            except (ValueError, OverflowError):
+                for i, field in enumerate(raw):
+                    count = field.rstrip("\n")
+                    if not (count.isascii() and count.isdigit()) or int(count) >= 2**63:
+                        fail(i, f"invalid count {count!r}")
+            key = ri * len(zone_ids) + zi
+            repeated = np.ones(m, dtype=bool)
+            repeated[np.unique(key, return_index=True)[1]] = False
+            repeated |= counts[ri, zi] >= 0
+            if repeated.any():
+                i = int(np.argmax(repeated))
+                fail(i, f"duplicate row for zone {zones[i]!r}, record {records[i]!r}")
+            counts[ri, zi] = values
+            first_line += m
+    np.maximum(counts, 0, out=counts)
     return counts
 
 
@@ -259,9 +317,100 @@ class TestReadPopulation:
             read_text(tmp_path, f"Z1,r1,2\n{bad_row}\nZ2,r2,1\n")
 
     @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("Z11,r1,1", "unknown zone id 'Z11'"),
+            ("Z,r1,1", "unknown zone id 'Z'"),
+            ("Z1,r1\x00,1", "unknown record id 'r1\\x00'"),
+            ("Z1,r1r1r1r1r1,1", "unknown record id 'r1r1r1r1r1'"),
+        ],
+    )
+    def test_id_sharing_bytes_with_a_known_id_names_line(
+        self, tmp_path, bad_row, message
+    ):
+        # Ids are matched on their bytes and their length: a known id's
+        # prefix, or a known id with more bytes after it, is unknown.
+        with pytest.raises(IngestError, match=re.escape(f"line 3: {message}")):
+            read_text(tmp_path, f"Z1,r1,2\n{bad_row}\nZ2,r2,1\n")
+
+    @pytest.mark.parametrize(
         "raw", ["-1", "2.5", "", "1e3", "+2", "99999999999999999999"]
     )
     def test_invalid_count_names_line(self, tmp_path, raw):
         message = re.escape(f"line 3: invalid count '{raw}'")
         with pytest.raises(IngestError, match=message):
             read_text(tmp_path, f"Z1,r1,2\nZ2,r2,{raw}\nZ2,r1,1\n")
+
+
+# --------------------------------------------------------------------------
+# The byte reader against the text-mode reader
+# --------------------------------------------------------------------------
+
+# Ids as ingest admits them, long enough to need more than 8 bytes.
+long_ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+    min_size=1,
+    max_size=12,
+)
+BAD_COUNTS = ["-1", "2.5", "", "1e3", "+2", " 1", "1 ", "٣", "99999999999999999999"]
+
+
+@st.composite
+def population_files(draw):
+    """(zones, records, data lines, line end, final newline) of a valid
+    population file, with up to one injected fault."""
+    zones = draw(st.lists(long_ids, min_size=1, max_size=4, unique=True))
+    records = draw(st.lists(long_ids, min_size=1, max_size=7, unique=True))
+    elements = st.integers(0, 2**63 - 1) | st.integers(0, 12)
+    counts = matrix(draw, elements, records, zones)
+    rows = [
+        [zone, records[ri], str(counts[ri, zi])]
+        for zi, zone in enumerate(zones)
+        for ri in np.flatnonzero(counts[:, zi])
+    ]
+    faults = [None, "width", "zone", "record", "count", "duplicate"]
+    fault = draw(st.sampled_from(faults))
+    if fault and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if fault == "width":
+            rows[i] = draw(st.sampled_from([row[:2], row + ["1"], []]))
+        elif fault == "zone":
+            row[0] = draw(long_ids.filter(lambda z: z not in zones))
+        elif fault == "record":
+            row[1] = draw(long_ids.filter(lambda r: r not in records))
+        elif fault == "count":
+            row[2] = draw(st.sampled_from(BAD_COUNTS))
+        else:
+            rows.insert(draw(st.integers(i + 1, len(rows))), list(row))
+    lines = [",".join(row) for row in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return zones, records, lines, end, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=population_files(),
+    block_lines=st.sampled_from([1, 2, 3, popfile.BLOCK_LINES]),
+)
+def test_read_population_matches_text_reader(tmp_path_factory, case, block_lines):
+    zones, records, lines, end, final_newline = case
+    body = end.join(lines) + (end if final_newline and lines else "")
+    path = tmp_path_factory.mktemp("pop") / "population.csv"
+    path.write_bytes(f"zone_id,record_id,count{end}{body}".encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return read()
+        except IngestError as exc:
+            return str(exc)
+
+    expected = outcome(
+        lambda: reference_read_population(path, zones, records, block_lines)
+    )
+    with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
+        got = outcome(lambda: read_population(path, zones, records).counts)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        np.testing.assert_array_equal(got, expected)

@@ -117,14 +117,19 @@ class TestTTest:
     def test_p_value_against_betainc(self):
         # Reference: scipy's regularized incomplete beta, on I_y(1/2, df/2)
         # = 1 - I_x(df/2, 1/2) where x = df / (df + t²) is too close to 1 to
-        # hold y = 1 - x in its digits.
-        dfs = [*range(1, 60), *range(60, 2000, 13), 1998]
+        # hold y = 1 - x in its digits. Past df = 2000 the reference is the
+        # complement of I_y(1/2, df/2) throughout: rounding x to a double
+        # moves I_x(df/2, 1/2) by up to df/2 * 1e-16, 5e-10 at df = 1e7,
+        # while y keeps its digits.
+        dfs = [*range(1, 60), *range(60, 2000, 13), 1998, 2001, 10**5, 10**6, 10**7]
         ts = [0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0]
         for df in dfs:
             a = df / 2.0
             for t in ts:
                 x, y = df / (df + t * t), t * t / (df + t * t)
-                if x < (a + 1.0) / (a + 2.5):
+                if df > 2000:
+                    expected = float(special.betaincc(0.5, a, y))
+                elif x < (a + 1.0) / (a + 2.5):
                     expected = float(special.betainc(a, 0.5, x))
                 else:
                     expected = 1.0 - float(special.betainc(0.5, a, y))
