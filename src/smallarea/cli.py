@@ -54,7 +54,7 @@ from .popfile import (
     weights_rows,
 )
 from .schema import SchemaError, check_consistency, rescale_constraints
-from .validate import AggregateTable, external_validation, internal_validation
+from .validate import external_validation, internal_validation
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -166,11 +166,11 @@ def run_check(rt: Runtime, allow_inconsistent: bool = False) -> int:
     )
     rows = []
     for zone, var, rel in report.disagreements:
-        rows.append(("zone_total_disagreement", zone, var, "", repr(rel)))
+        rows.append(("zone_total_disagreement", zone, var, "", rel))
     for var, cat in report.empty_cells:
         rows.append(("empty_census_cell", "", var, cat, ""))
     for var, zone, cat, value in report.bad_cells:
-        rows.append(("bad_count", zone, var, cat, repr(value)))
+        rows.append(("bad_count", zone, var, cat, value))
     rt.write(
         "consistency_report.csv",
         ["issue", "zone_id", "variable", "category", "value"],
@@ -262,36 +262,33 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None
 # --------------------------------------------------------------------------
 
 def run_validate(rt: Runtime, population: SyntheticPopulation) -> int:
-    report = rt.timed(
+    internal = rt.timed(
         "validate_internal",
         lambda: internal_validation(population, rt.survey, rt.tables),
     )
-    metric_rows = [
-        (var, cat, m.r_squared, m.sei, m.t_stat, m.p_value)
-        for var, cat, m in report.metrics
-    ]
-    share_rows = list(report.shares)
-    scatter = {}
-    for var, zone, cat, actual, simulated in report.scatter:
-        scatter.setdefault(var, []).append((zone, cat, actual, simulated))
-
+    reports = [internal]
     cfg = rt.config
     if cfg.external_actual_path is not None:
-        variable, zones, cats, counts = load_external_actual(cfg.external_actual_path)
-        actual = AggregateTable(variable, zones, cats, counts)
+        actual = load_external_actual(cfg.external_actual_path)
         crosswalk = None
         if cfg.crosswalk_path is not None:
-            crosswalk = load_crosswalks(cfg.crosswalk_path).get(variable)
-        ext = rt.timed(
-            "validate_external",
-            lambda: external_validation(population, rt.survey, actual, crosswalk),
+            crosswalk = load_crosswalks(cfg.crosswalk_path).get(actual.variable)
+        reports.append(
+            rt.timed(
+                "validate_external",
+                lambda: external_validation(population, rt.survey, actual, crosswalk),
+            )
         )
+    metric_rows = []
+    share_rows = []
+    scatter = {}
+    for report in reports:
         metric_rows += [
             (var, cat, m.r_squared, m.sei, m.t_stat, m.p_value)
-            for var, cat, m in ext.metrics
+            for var, cat, m in report.metrics
         ]
-        share_rows += list(ext.shares)
-        for var, zone, cat, a, s in ext.scatter:
+        share_rows += report.shares
+        for var, zone, cat, a, s in report.scatter:
             scatter.setdefault(var, []).append((zone, cat, a, s))
 
     rt.write(
@@ -311,7 +308,7 @@ def run_validate(rt: Runtime, population: SyntheticPopulation) -> int:
             rows,
         )
 
-    defined = [m for _, _, m in report.metrics if not math.isnan(m.r_squared)]
+    defined = [m for _, _, m in internal.metrics if not math.isnan(m.r_squared)]
     if defined:
         print(
             f"internal validation over {len(defined)} categories: "

@@ -129,6 +129,27 @@ def _nonnegative(raw: str, what: str, path, lineno: int) -> float:
     return value
 
 
+def _csv_rows(path, header):
+    """Rows of the CSV file `path` as (line, row), `line` being the line on
+    which the row ends. Checks that the header is `header` and that each
+    row has as many fields; blank rows are skipped."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise IngestError(
+                f"{path}: expected header {','.join(header)!r}, got {got}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields"
+                )
+            yield reader.line_num, row
+
+
 def _read_long(path):
     """Rows of a long-format `zone_id,variable,category,count` table as
     (line, zone, variable, category, count). Checks the header, the row
@@ -136,28 +157,15 @@ def _read_long(path):
     (zone, variable, category) cell."""
     rows = []
     seen = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["zone_id", "variable", "category", "count"]:
+    header = ["zone_id", "variable", "category", "count"]
+    for lineno, (zone, var, cat, raw) in _csv_rows(path, header):
+        count = _nonnegative(raw, "count", path, lineno)
+        if (zone, var, cat) in seen:
             raise IngestError(
-                f"{path}: expected header 'zone_id,variable,category,count', "
-                f"got {header}"
+                f"{path}: line {lineno}: duplicate cell ({zone}, {var}, {cat})"
             )
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != 4:
-                raise IngestError(f"{path}: line {lineno}: expected 4 fields")
-            zone, var, cat, raw = row
-            count = _nonnegative(raw, "count", path, lineno)
-            if (zone, var, cat) in seen:
-                raise IngestError(
-                    f"{path}: line {lineno}: duplicate cell ({zone}, {var}, {cat})"
-                )
-            seen.add((zone, var, cat))
-            rows.append((lineno, zone, var, cat, count))
+        seen.add((zone, var, cat))
+        rows.append((lineno, zone, var, cat, count))
     return rows
 
 
@@ -406,35 +414,22 @@ def load_crosswalks(path):
     variable appearing in the file, keyed by variable name."""
     path = Path(path)
     maps: dict[str, dict] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["variable", "fine_category", "group_category"]:
+    header = ["variable", "fine_category", "group_category"]
+    for lineno, (var, fine, group) in _csv_rows(path, header):
+        m = maps.setdefault(var, {})
+        if fine in m and m[fine] != group:
             raise IngestError(
-                f"{path}: expected header 'variable,fine_category,group_category'"
+                f"{path}: line {lineno}: {fine!r} mapped to both "
+                f"{m[fine]!r} and {group!r}"
             )
-        for row in reader:
-            if not row:
-                continue
-            lineno = reader.line_num
-            if len(row) != 3:
-                raise IngestError(f"{path}: line {lineno}: expected 3 fields")
-            var, fine, group = row
-            m = maps.setdefault(var, {})
-            if fine in m and m[fine] != group:
-                raise IngestError(
-                    f"{path}: line {lineno}: {fine!r} mapped to both "
-                    f"{m[fine]!r} and {group!r}"
-                )
-            m[fine] = group
+        m[fine] = group
     return {var: Crosswalk(var, m) for var, m in maps.items()}
 
 
-def load_external_actual(path):
-    """Read a long-format actual table for one external variable into
-    (variable, zones, categories, counts ndarray). Layout as constraints.csv;
-    exactly one variable per file. Zones and categories are ordered by first
-    appearance."""
+def load_external_actual(path) -> ConstraintTable:
+    """Read a long-format actual table for one external variable into a
+    ConstraintTable. Layout as constraints.csv; exactly one variable per
+    file. Zones and categories are ordered by first appearance."""
     path = Path(path)
     rows = _read_long(path)
     if not rows:
@@ -452,7 +447,7 @@ def load_external_actual(path):
     counts = np.zeros((len(zones), len(cats)))
     for _, zone, _, cat, count in rows:
         counts[zones[zone], cats[cat]] = count
-    return variable, tuple(zones), tuple(cats), counts
+    return ConstraintTable(variable, tuple(zones), tuple(cats), counts)
 
 
 # --------------------------------------------------------------------------

@@ -84,8 +84,7 @@ def tae(weights, zone_constraints, survey: SurveyDataset) -> float:
     total = 0.0
     for var in survey.schema.constraint_vars:
         target = np.asarray(zone_constraints[var.name], dtype=float)
-        codes = survey.category_codes(var.name)
-        fitted = np.bincount(codes, weights=weights, minlength=len(var.categories))
+        fitted = survey.category_counts(var.name, weights)
         total += float(np.abs(fitted - target).sum())
     return total
 
@@ -234,12 +233,7 @@ def ipf_all(
         tolerance,
     )
     labels = [(v.name, c) for v in variables for c in v.categories]
-    supported = np.concatenate(
-        [
-            np.bincount(survey.category_codes(v.name), minlength=len(v.categories))
-            for v in variables
-        ]
-    ) > 0
+    supported = np.concatenate([survey.category_counts(v.name) for v in variables]) > 0
     pop = by_var[variables[0].name].counts.sum(axis=1)
     worst = fit.errors.argmax(axis=1)
     worst_error = fit.errors[np.arange(len(zones)), worst]

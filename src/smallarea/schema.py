@@ -93,7 +93,8 @@ class Schema:
 
 @dataclass(frozen=True)
 class ConstraintTable:
-    """Zone x category census counts for one constraint variable."""
+    """Zone x category counts of one variable: a census table, an external
+    reference table or the aggregate of a synthetic population."""
 
     variable: str
     zones: tuple[str, ...]
@@ -115,9 +116,6 @@ class ConstraintTable:
 
     def zone_totals(self) -> np.ndarray:
         return self.counts.sum(axis=1)
-
-    def zone_row(self, zone_index: int) -> np.ndarray:
-        return self.counts[zone_index]
 
 
 class SurveyDataset:
@@ -199,6 +197,19 @@ class SurveyDataset:
             raise SchemaError(f"unknown variable {variable!r}")
         return self._codes[variable]
 
+    def category_counts(self, variable: str, weights=None) -> np.ndarray:
+        """Records per category of `variable`, in schema category order. With
+        one weight per record, the weighted totals; with a records x zones
+        weight matrix, a zones x categories matrix of them."""
+        codes = self.category_codes(variable)
+        k = len(self.schema.variable(variable).categories)
+        if weights is None or np.ndim(weights) == 1:
+            return np.bincount(codes, weights=weights, minlength=k)
+        out = np.empty((weights.shape[1], k))
+        for zi in range(weights.shape[1]):
+            out[zi] = np.bincount(codes, weights=weights[:, zi], minlength=k)
+        return out
+
     def column(self, name: str) -> np.ndarray:
         """Value per record of a deprivation field (0/1), the income field or
         another numeric survey column; NaN where missing."""
@@ -223,7 +234,8 @@ def _column(values, dtype, shape, what) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Pre-pipeline hygiene summary for one (tables, survey) pairing."""
+    """Pre-pipeline hygiene summary for one (tables, survey) pairing. Its
+    scalars are Python floats; `zone_totals` holds numpy arrays."""
 
     zones: tuple[str, ...]
     variables: tuple[str, ...]
@@ -272,35 +284,28 @@ def check_consistency(schema, tables, survey) -> ConsistencyReport:
                 f"{tables[0].variable!r}"
             )
 
-    ref = by_var[schema.constraint_vars[0].name]
-    ref_totals = ref.zone_totals()
+    ref_totals = by_var[schema.constraint_vars[0].name].zone_totals()
     zone_totals = {}
     disagreements = []
     bad_cells = []
+    empty_cells = []
     max_rel = 0.0
     for var in schema.constraint_vars:
         t = by_var[var.name]
-        totals = t.zone_totals()
-        zone_totals[var.name] = totals
+        totals = zone_totals[var.name] = t.zone_totals()
         bad = ~np.isfinite(t.counts) | (t.counts < 0)
         for zi, ci in zip(*np.nonzero(bad)):
-            bad_cells.append((var.name, zones[zi], t.categories[ci], t.counts[zi, ci]))
-        for zi, (tot, rtot) in enumerate(zip(totals, ref_totals)):
-            if rtot > 0:
-                rel = abs(tot - rtot) / rtot
-            else:
-                rel = 0.0 if tot == 0 else math.inf
-            max_rel = max(max_rel, rel)
-            if rel > ConsistencyReport.TOLERANCE:
-                disagreements.append((zones[zi], var.name, rel))
-
-    empty_cells = []
-    for var in schema.constraint_vars:
-        t = by_var[var.name]
-        codes = survey.category_codes(var.name)
-        present = np.bincount(codes, minlength=len(var.categories)) > 0
+            value = float(t.counts[zi, ci])
+            bad_cells.append((var.name, zones[zi], t.categories[ci], value))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(totals - ref_totals) / ref_totals
+        rel = np.where(ref_totals > 0, rel, np.where(totals == 0, 0.0, math.inf))
+        max_rel = float(np.fmax.reduce(rel, initial=max_rel))  # NaN is skipped
+        for zi in np.flatnonzero(rel > ConsistencyReport.TOLERANCE):
+            disagreements.append((zones[zi], var.name, float(rel[zi])))
+        present = survey.category_counts(var.name) > 0
         census_mass = t.counts.sum(axis=0) > 0
-        for ci in np.nonzero(census_mass & ~present)[0]:
+        for ci in np.flatnonzero(census_mass & ~present):
             empty_cells.append((var.name, var.categories[ci]))
 
     return ConsistencyReport(
@@ -329,20 +334,21 @@ def rescale_constraints(tables, reference_variable: str):
             out.append(t)
             continue
         totals = t.zone_totals()
-        counts = np.array(t.counts, dtype=float)
-        for zi in range(len(t.zones)):
-            if totals[zi] == 0:
-                if ref_totals[zi] != 0:
-                    raise SchemaError(
-                        f"cannot rescale zone {t.zones[zi]!r} for variable "
-                        f"{t.variable!r}: zero total vs reference {ref_totals[zi]}"
-                    )
-                continue  # all-zero row stays all-zero
-            if ref_totals[zi] == 0:
-                raise SchemaError(
-                    f"cannot rescale zone {t.zones[zi]!r} for variable "
-                    f"{t.variable!r}: reference total 0 with nonzero total {totals[zi]}"
-                )
-            counts[zi] *= ref_totals[zi] / totals[zi]
+        zero = totals == 0
+        wrong = np.flatnonzero(zero != (ref_totals == 0))
+        if wrong.size:
+            zi = int(wrong[0])
+            problem = (
+                f"zero total vs reference {ref_totals[zi]}"
+                if zero[zi]
+                else f"reference total 0 with nonzero total {totals[zi]}"
+            )
+            raise SchemaError(
+                f"cannot rescale zone {t.zones[zi]!r} for variable "
+                f"{t.variable!r}: {problem}"
+            )
+        # A row of total 0 against a reference of 0 is kept as it is.
+        factor = np.divide(ref_totals, totals, out=np.ones_like(totals), where=~zero)
+        counts = t.counts * factor[:, None]
         out.append(ConstraintTable(t.variable, t.zones, t.categories, counts))
     return out

@@ -17,29 +17,7 @@ import numpy as np
 
 from .ingest import Crosswalk
 from .integerize import SyntheticPopulation
-from .schema import SchemaError, SurveyDataset
-
-
-@dataclass(frozen=True)
-class AggregateTable:
-    """Zone x category counts derived from a synthetic population."""
-
-    variable: str
-    zones: tuple[str, ...]
-    categories: tuple[str, ...]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "zones", tuple(self.zones))
-        object.__setattr__(self, "categories", tuple(self.categories))
-        c = np.asarray(self.counts, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    def shares(self) -> np.ndarray:
-        """Metro-level percentage share per category (sums to 100)."""
-        totals = self.counts.sum(axis=0)
-        return 100.0 * totals / totals.sum()
+from .schema import ConstraintTable, SchemaError, SurveyDataset
 
 
 @dataclass(frozen=True)
@@ -242,37 +220,46 @@ def aggregate(
     survey: SurveyDataset,
     variable: str,
     crosswalk: Crosswalk | None = None,
-) -> AggregateTable:
+) -> ConstraintTable:
     """Sum replication counts per zone per category of `variable`; with a
     crosswalk, fine categories are pooled into their groups."""
-    vardef = survey.schema.variable(variable)
-    codes = survey.category_codes(variable)
+    counts = survey.category_counts(variable, population.counts)
+    categories = survey.schema.variable(variable).categories
     if crosswalk is not None:
         groups = crosswalk.groups()
-        gindex = {g: i for i, g in enumerate(groups)}
-        cat_to_group = np.array(
-            [gindex[crosswalk.group(c)] for c in vardef.categories], dtype=np.intp
-        )
-        codes = cat_to_group[codes]
+        group_of = np.array([groups.index(crosswalk.group(c)) for c in categories])
+        member = group_of[:, None] == np.arange(len(groups))  # fine x groups
+        counts = counts @ member
         categories = groups
-    else:
-        categories = vardef.categories
-    n_cats = len(categories)
-    counts = np.zeros((len(population.zone_ids), n_cats))
-    for zi in range(len(population.zone_ids)):
-        counts[zi] = np.bincount(
-            codes, weights=population.counts[:, zi], minlength=n_cats
-        )
-    return AggregateTable(variable, population.zone_ids, categories, counts)
+    return ConstraintTable(variable, population.zone_ids, categories, counts)
 
 
-def _share_rows(variable, categories, actual_totals, simulated_totals):
+def _share_rows(actual: ConstraintTable, simulated):
+    """Metro-level percentage share rows of the actual and simulated zones x
+    categories counts."""
+    actual_totals = actual.counts.sum(axis=0)
+    simulated_totals = simulated.sum(axis=0)
     act_pct = 100.0 * actual_totals / actual_totals.sum()
     sim_pct = 100.0 * simulated_totals / simulated_totals.sum()
     return tuple(
-        (variable, cat, float(a), float(s), float(s - a))
-        for cat, a, s in zip(categories, act_pct, sim_pct)
+        (actual.variable, cat, float(a), float(s), float(s - a))
+        for cat, a, s in zip(actual.categories, act_pct, sim_pct)
     )
+
+
+def _zone_rows(actual: ConstraintTable, simulated):
+    """Zone-level comparison of the actual and the simulated zones x
+    categories counts, category by category: (metrics rows, scatter rows)."""
+    metrics = []
+    scatter = []
+    for ci, cat in enumerate(actual.categories):
+        a, s = actual.counts[:, ci], simulated[:, ci]
+        metrics.append((actual.variable, cat, metrics_for(a, s)))
+        scatter.extend(
+            (actual.variable, zone, cat, float(x), float(y))
+            for zone, x, y in zip(actual.zones, a, s)
+        )
+    return metrics, scatter
 
 
 def internal_validation(
@@ -290,73 +277,37 @@ def internal_validation(
                 f"zone mismatch between population and census table "
                 f"{table.variable!r}"
             )
-        for ci, cat in enumerate(table.categories):
-            actual = table.counts[:, ci]
-            simulated = sim.counts[:, ci]
-            metrics.append((table.variable, cat, metrics_for(actual, simulated)))
-            for zi, zone in enumerate(table.zones):
-                scatter.append(
-                    (table.variable, zone, cat, float(actual[zi]), float(simulated[zi]))
-                )
-        shares.extend(
-            _share_rows(
-                table.variable,
-                table.categories,
-                table.counts.sum(axis=0),
-                sim.counts.sum(axis=0),
-            )
-        )
+        table_metrics, table_scatter = _zone_rows(table, sim.counts)
+        metrics += table_metrics
+        scatter += table_scatter
+        shares += _share_rows(table, sim.counts)
     return ValidationReport(tuple(metrics), tuple(shares), tuple(scatter))
 
 
 def external_validation(
     population: SyntheticPopulation,
     survey: SurveyDataset,
-    external_actual: AggregateTable,
+    external_actual: ConstraintTable,
     crosswalk: Crosswalk | None = None,
 ) -> ValidationReport:
     """Validate an unconstrained variable: metro-level share comparison
     always; per-group zone-level metrics and scatter pairs when the actual
     table is supplied at zone level (zone ids matching the population)."""
     sim = aggregate(population, survey, external_actual.variable, crosswalk)
-    sim_by_cat = {c: sim.counts[:, i] for i, c in enumerate(sim.categories)}
     for cat in external_actual.categories:
-        if cat not in sim_by_cat:
+        if cat not in sim.categories:
             raise SchemaError(
                 f"external category {cat!r} not produced by the simulated "
                 f"aggregate of {external_actual.variable!r}"
             )
     order = [sim.categories.index(c) for c in external_actual.categories]
     sim_counts = sim.counts[:, order]
-
-    shares = _share_rows(
-        external_actual.variable,
-        external_actual.categories,
-        external_actual.counts.sum(axis=0),
-        sim_counts.sum(axis=0),
-    )
-
-    metrics = []
-    scatter = []
+    shares = _share_rows(external_actual, sim_counts)
+    metrics, scatter = [], []
     if len(external_actual.zones) > 1:
         if external_actual.zones != population.zone_ids:
             raise SchemaError(
                 "zone id mismatch between external actual table and population"
             )
-        for ci, cat in enumerate(external_actual.categories):
-            actual = external_actual.counts[:, ci]
-            simulated = sim_counts[:, ci]
-            metrics.append(
-                (external_actual.variable, cat, metrics_for(actual, simulated))
-            )
-            for zi, zone in enumerate(external_actual.zones):
-                scatter.append(
-                    (
-                        external_actual.variable,
-                        zone,
-                        cat,
-                        float(actual[zi]),
-                        float(simulated[zi]),
-                    )
-                )
+        metrics, scatter = _zone_rows(external_actual, sim_counts)
     return ValidationReport(tuple(metrics), tuple(shares), tuple(scatter))

@@ -22,9 +22,8 @@ from smallarea.indicators import (
 )
 from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
 from smallarea.ipf import ipf_zone
-from smallarea.schema import SurveyDataset, VariableDef
+from smallarea.schema import ConstraintTable, SurveyDataset, VariableDef
 from smallarea.validate import (
-    AggregateTable,
     external_validation,
     r_squared,
     sei,
@@ -312,7 +311,7 @@ def _share_fixture(rows, variable):
         zone_ids=("METRO",),
         record_ids=survey.record_ids,
     )
-    actual = AggregateTable(
+    actual = ConstraintTable(
         variable,
         ("METRO",),
         categories,

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import smallarea
-from smallarea.cli import main
+from smallarea.cli import Runtime, main, run_check
 from smallarea.fixture import generate_example, zone_counts
+from smallarea.ingest import load_config
+from smallarea.schema import ConstraintTable, check_consistency
 
 MINI_CONFIG = """
 schema:
@@ -72,6 +74,25 @@ class TestCheck:
         assert main(["check", "--config", str(config)]) == 2
         report = (tmp_path / "out" / "consistency_report.csv").read_text()
         assert "zone_total_disagreement" in report
+        rows = list(csv.DictReader(report.splitlines()))
+        assert [r["issue"] for r in rows] == ["zone_total_disagreement"]
+        rt = Runtime(load_config(config))
+        expected = check_consistency(rt.schema, rt.tables, rt.survey)
+        assert float(rows[0]["value"]) == expected.max_rel_disagreement
+
+    def test_bad_count_value_is_a_number(self, tmp_path):
+        # The loader rejects negative counts, so one is put in after loading.
+        rt = Runtime(load_config(write_mini(tmp_path)))
+        sex = rt.tables[0]
+        counts = sex.counts.copy()
+        counts[1, 0] = -2.5
+        rt.tables[0] = ConstraintTable("sex", sex.zones, sex.categories, counts)
+        assert run_check(rt, allow_inconsistent=True) == 2
+        with open(rt.out_dir / "consistency_report.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["issue"] == "bad_count"]
+        assert [(r["zone_id"], r["category"], float(r["value"])) for r in rows] == [
+            ("Z2", "M", -2.5)
+        ]
 
     def test_malformed_csv_exits_1(self, tmp_path, capsys):
         bad = MINI_CONSTRAINTS.replace("Z1,sex,M,60", "Z1,sex,M,sixty")

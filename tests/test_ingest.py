@@ -305,9 +305,10 @@ class TestLoadExternalActual:
         path = self.write(
             tmp_path, "Z2,nace,G,1\nZ1,nace,C,2\nZ2,nace,C,3\nZ1,nace,G,4\n"
         )
-        variable, zones, cats, counts = load_external_actual(path)
-        assert (variable, zones, cats) == ("nace", ("Z2", "Z1"), ("G", "C"))
-        np.testing.assert_array_equal(counts, [[1, 3], [4, 2]])
+        table = load_external_actual(path)
+        assert table.variable == "nace"
+        assert (table.zones, table.categories) == (("Z2", "Z1"), ("G", "C"))
+        np.testing.assert_array_equal(table.counts, [[1, 3], [4, 2]])
 
     def test_short_row_names_line(self, tmp_path):
         path = self.write(tmp_path, "Z1,nace,C,2\nZ1,nace,G\n")
@@ -384,6 +385,26 @@ class TestLoadCrosswalks:
         )
         with pytest.raises(IngestError, match="mapped to both"):
             load_crosswalks(path)
+
+    def test_wrong_header_names_file(self, tmp_path):
+        path = tmp_path / "cw.csv"
+        path.write_text("variable,fine,group\nnace,C,C\n")
+        with pytest.raises(IngestError) as info:
+            load_crosswalks(path)
+        assert str(info.value).startswith(
+            f"{path}: expected header 'variable,fine_category,group_category'"
+        )
+
+    def test_wrong_width_names_file_and_line(self, tmp_path):
+        # The short row is the third data row, after a blank line.
+        path = tmp_path / "cw.csv"
+        path.write_text(
+            "variable,fine_category,group_category\n"
+            "nace,C,C\nnace,D,C\n\nnace,G\n"
+        )
+        with pytest.raises(IngestError) as info:
+            load_crosswalks(path)
+        assert str(info.value) == f"{path}: line 5: expected 3 fields"
 
     def test_line_numbers_count_quoted_line_breaks(self, tmp_path):
         # Line 2's quoted category spans two lines, so the conflict is on

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from smallarea.schema import (
+    ConsistencyReport,
+    ConstraintTable,
     SchemaError,
     VariableDef,
     check_consistency,
@@ -28,6 +32,24 @@ def full_survey(schema):
             {"sex": "F", "age": "O"},
         ],
     )
+
+
+class TestCategoryCounts:
+    def test_vector_and_matrix(self, two_by_two):
+        _, survey = two_by_two  # records (M,Y), (M,O), (F,Y), (F,O)
+        np.testing.assert_array_equal(survey.category_counts("age"), [2, 2])
+        np.testing.assert_array_equal(
+            survey.category_counts("age", [1.0, 2.0, 3.0, 4.0]), [4.0, 6.0]
+        )
+        weights = np.array([[1, 0], [2, 0], [3, 5], [4, 0]])  # records x zones
+        np.testing.assert_array_equal(
+            survey.category_counts("age", weights), [[4, 6], [5, 0]]
+        )
+
+    def test_unknown_variable(self, two_by_two):
+        _, survey = two_by_two
+        with pytest.raises(SchemaError, match="unknown variable 'height'"):
+            survey.category_counts("height")
 
 
 class TestCheckConsistency:
@@ -128,3 +150,188 @@ class TestRescaleConstraints:
             np.testing.assert_allclose(
                 out[1].zone_totals(), tables[0].zone_totals(), rtol=1e-9
             )
+
+    def test_zero_total_nonzero_reference_is_error(self):
+        tables = two_var_tables([[60, 40]], [[0, 0]])
+        with pytest.raises(SchemaError, match="zero total vs reference 100.0"):
+            rescale_constraints(tables, "sex")
+
+    @pytest.mark.parametrize(
+        "sex, age, error",
+        [
+            (
+                [[60, 40], [10, 20], [0, 0]],
+                [[30, 70], [0, 0], [5, 5]],
+                "zone 'Z2' for variable 'age': zero total vs reference 30.0",
+            ),
+            (
+                [[60, 40], [0, 0], [10, 20]],
+                [[30, 70], [5, 5], [0, 0]],
+                "zone 'Z2' for variable 'age': reference total 0 with nonzero "
+                "total 10.0",
+            ),
+        ],
+    )
+    def test_first_zone_at_fault_is_named(self, sex, age, error):
+        # Z2 and Z3 are both at fault, each in the other way.
+        tables = two_var_tables(sex, age, zones=("Z1", "Z2", "Z3"))
+        with pytest.raises(SchemaError, match=error):
+            rescale_constraints(tables, "sex")
+
+
+# --------------------------------------------------------------------------
+# The per-zone loops that check_consistency and rescale_constraints replaced,
+# kept as oracles.
+# --------------------------------------------------------------------------
+
+def reference_check_consistency(schema, tables, survey):
+    by_var = {t.variable: t for t in tables}
+    zones = tables[0].zones
+    ref_totals = by_var[schema.constraint_vars[0].name].zone_totals()
+    zone_totals = {}
+    disagreements = []
+    bad_cells = []
+    max_rel = 0.0
+    for var in schema.constraint_vars:
+        t = by_var[var.name]
+        totals = t.zone_totals()
+        zone_totals[var.name] = totals
+        bad = ~np.isfinite(t.counts) | (t.counts < 0)
+        for zi, ci in zip(*np.nonzero(bad)):
+            bad_cells.append((var.name, zones[zi], t.categories[ci], t.counts[zi, ci]))
+        for zi, (tot, rtot) in enumerate(zip(totals, ref_totals)):
+            if rtot > 0:
+                rel = abs(tot - rtot) / rtot
+            else:
+                rel = 0.0 if tot == 0 else math.inf
+            max_rel = max(max_rel, rel)
+            if rel > ConsistencyReport.TOLERANCE:
+                disagreements.append((zones[zi], var.name, rel))
+
+    empty_cells = []
+    for var in schema.constraint_vars:
+        t = by_var[var.name]
+        codes = survey.category_codes(var.name)
+        present = np.bincount(codes, minlength=len(var.categories)) > 0
+        census_mass = t.counts.sum(axis=0) > 0
+        for ci in np.nonzero(census_mass & ~present)[0]:
+            empty_cells.append((var.name, var.categories[ci]))
+
+    return ConsistencyReport(
+        zones=zones,
+        variables=tuple(v.name for v in schema.constraint_vars),
+        zone_totals=zone_totals,
+        max_rel_disagreement=max_rel,
+        disagreements=tuple(disagreements),
+        empty_cells=tuple(empty_cells),
+        bad_cells=tuple(bad_cells),
+    )
+
+
+def reference_rescale_constraints(tables, reference_variable):
+    by_var = {t.variable: t for t in tables}
+    ref_totals = by_var[reference_variable].zone_totals()
+    out = []
+    for t in tables:
+        if t.variable == reference_variable:
+            out.append(t)
+            continue
+        totals = t.zone_totals()
+        counts = np.array(t.counts, dtype=float)
+        for zi in range(len(t.zones)):
+            if totals[zi] == 0:
+                if ref_totals[zi] != 0:
+                    raise SchemaError(
+                        f"cannot rescale zone {t.zones[zi]!r} for variable "
+                        f"{t.variable!r}: zero total vs reference {ref_totals[zi]}"
+                    )
+                continue
+            if ref_totals[zi] == 0:
+                raise SchemaError(
+                    f"cannot rescale zone {t.zones[zi]!r} for variable "
+                    f"{t.variable!r}: reference total 0 with nonzero total {totals[zi]}"
+                )
+            counts[zi] *= ref_totals[zi] / totals[zi]
+        out.append(ConstraintTable(t.variable, t.zones, t.categories, counts))
+    return out
+
+
+ORACLE_SCHEMA = make_schema(
+    constraint_vars=(
+        VariableDef("sex", ("M", "F")),
+        VariableDef("age", ("Y", "M", "O")),
+        VariableDef("edu", ("P", "S", "T", "U")),
+    )
+)
+
+
+def random_tables(rng, n_zones=12):
+    """Constraint tables of ORACLE_SCHEMA: fractional counts with some zero
+    cells, zero rows in every table for zones 0 to 2, and zone totals that
+    disagree with the reference in about half of the other zones."""
+    zones = tuple(f"Z{i:02d}" for i in range(n_zones))
+    tables = []
+    for var in ORACLE_SCHEMA.constraint_vars:
+        counts = rng.uniform(1, 50, size=(n_zones, len(var.categories)))
+        counts[:, 1:] *= rng.random((n_zones, len(var.categories) - 1)) < 0.8
+        if tables:
+            ref = tables[0].zone_totals()
+            agree = (rng.random(n_zones) < 0.5) & (np.arange(n_zones) > 2)
+            counts[agree] *= (ref / counts.sum(axis=1))[agree, None]
+        counts[:3] = 0
+        tables.append(make_table(var.name, zones, var.categories, counts))
+    return tables
+
+
+def random_survey(rng, n=40):
+    """A survey in which some categories of ORACLE_SCHEMA have no record."""
+    cats = {}
+    for var in ORACLE_SCHEMA.constraint_vars:
+        present = rng.permutation(var.categories)[: rng.integers(1, 3)]
+        cats[var.name] = rng.choice(present, size=n)
+    return make_survey(
+        ORACLE_SCHEMA,
+        [{name: str(c[i]) for name, c in cats.items()} for i in range(n)],
+    )
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_check_consistency(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = random_tables(rng)
+        if seed % 2:
+            # Negative and non-finite cells, a nonzero total against a zero
+            # reference total and a NaN zone total.
+            counts = [t.counts.copy() for t in tables]
+            counts[1][4, 0] = -3.0
+            counts[2][5, 1] = math.inf
+            counts[2][6, 2] = math.nan
+            counts[1][2, 1] = 7.0
+            tables = [
+                make_table(t.variable, t.zones, t.categories, c)
+                for t, c in zip(tables, counts)
+            ]
+        survey = random_survey(rng)
+        report = check_consistency(ORACLE_SCHEMA, tables, survey)
+        expected = reference_check_consistency(ORACLE_SCHEMA, tables, survey)
+        np.testing.assert_equal(vars(report), vars(expected))
+        assert len({zone for zone, _, _ in report.disagreements}) > 1
+        assert report.empty_cells
+        assert type(report.max_rel_disagreement) is float
+        assert all(type(rel) is float for _, _, rel in report.disagreements)
+        assert all(type(value) is float for *_, value in report.bad_cells)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rescale_constraints(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = random_tables(rng)
+        out = rescale_constraints(tables, "sex")
+        expected = reference_rescale_constraints(tables, "sex")
+        for t, e in zip(out, expected):
+            assert (t.variable, t.zones, t.categories) == (
+                e.variable,
+                e.zones,
+                e.categories,
+            )
+            assert t.counts.tobytes() == e.counts.tobytes()

@@ -5,10 +5,9 @@ import pytest
 from scipy import integrate, special
 
 from smallarea.integerize import SyntheticPopulation
-from smallarea.schema import SchemaError, VariableDef
+from smallarea.schema import ConstraintTable, SchemaError, VariableDef
 from smallarea.ingest import Crosswalk
 from smallarea.validate import (
-    AggregateTable,
     aggregate,
     external_validation,
     internal_validation,
@@ -209,6 +208,65 @@ class TestAggregate:
             aggregate(pop, survey, "nace", cw)
 
 
+def reference_aggregate(population, survey, variable, crosswalk=None):
+    """The per-zone bincount loop that `aggregate` replaced."""
+    vardef = survey.schema.variable(variable)
+    codes = survey.category_codes(variable)
+    if crosswalk is not None:
+        groups = crosswalk.groups()
+        gindex = {g: i for i, g in enumerate(groups)}
+        cat_to_group = np.array(
+            [gindex[crosswalk.group(c)] for c in vardef.categories], dtype=np.intp
+        )
+        codes = cat_to_group[codes]
+        categories = groups
+    else:
+        categories = vardef.categories
+    n_cats = len(categories)
+    counts = np.zeros((len(population.zone_ids), n_cats))
+    for zi in range(len(population.zone_ids)):
+        counts[zi] = np.bincount(
+            codes, weights=population.counts[:, zi], minlength=n_cats
+        )
+    return ConstraintTable(variable, population.zone_ids, categories, counts)
+
+
+class TestAggregateAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_populations(self, seed):
+        rng = np.random.default_rng(seed)
+        fine = tuple("ABCDEFG")
+        schema = make_schema(
+            constraint_vars=(VariableDef("sex", ("M", "F")),),
+            external_vars=(VariableDef("occ", fine),),
+        )
+        n, n_zones = 60, 9
+        survey = make_survey(
+            schema,
+            [
+                # "G" has no record.
+                {"sex": str(rng.choice(["M", "F"])), "occ": str(rng.choice(fine[:6]))}
+                for _ in range(n)
+            ],
+        )
+        counts = rng.integers(0, 4, size=(n, n_zones)) * (rng.random(n) < 0.7)[:, None]
+        counts[:, 0] = 0  # an empty zone
+        zones = tuple(f"Z{i}" for i in range(n_zones))
+        pop = SyntheticPopulation(
+            counts=counts, zone_ids=zones, record_ids=survey.record_ids
+        )
+        groups = rng.choice(["g1", "g2", "g3"], size=len(fine))
+        crosswalk = Crosswalk("occ", dict(zip(fine, map(str, groups))))
+        for variable, cw in [("sex", None), ("occ", None), ("occ", crosswalk)]:
+            table = aggregate(pop, survey, variable, cw)
+            expected = reference_aggregate(pop, survey, variable, cw)
+            assert (table.zones, table.categories) == (
+                expected.zones,
+                expected.categories,
+            )
+            assert table.counts.tobytes() == expected.counts.tobytes()
+
+
 class TestInternalValidation:
     def test_perfect_recovery_metrics(self):
         schema, survey, pop, zones = small_population()
@@ -251,7 +309,7 @@ class TestExternalValidation:
 
     def test_zone_mismatch_is_error(self):
         schema, survey, pop, zones = small_population()
-        actual = AggregateTable(
+        actual = ConstraintTable(
             "nace", ("A1", "A2", "A3", "A4"), ("C", "D", "G"), np.ones((4, 3))
         )
         with pytest.raises(SchemaError, match="zone id mismatch"):
@@ -259,7 +317,7 @@ class TestExternalValidation:
 
     def test_metro_only_actuals_skip_zone_metrics(self):
         schema, survey, pop, zones = small_population()
-        actual = AggregateTable("nace", ("ALL",), ("C", "D", "G"), [[5, 4, 3]])
+        actual = ConstraintTable("nace", ("ALL",), ("C", "D", "G"), [[5, 4, 3]])
         report = external_validation(pop, survey, actual)
         assert report.metrics == ()
         assert len(report.shares) == 3
