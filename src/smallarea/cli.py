@@ -14,6 +14,7 @@ import hashlib
 import io
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -339,23 +340,22 @@ INDICATOR_COLUMNS = [
 
 def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -> int:
     cfg = rt.config
-    counts = population.counts
     incomes = equivalized_incomes(rt.survey, cfg.equivalize)
 
-    def zone_rows(cols, zone_ids):
-        """One indicators.csv row per column of `cols`, a records x zones
-        count matrix."""
-        means, medians = income_summary(cols, incomes)
-        abs_rates, _, excluded = arop_absolute(cols, incomes, cfg.arop_fraction)
-        rel_rates, _ = arop_relative(cols, incomes, cfg.arop_fraction)
+    def zone_rows(pop):
+        """One indicators.csv row per zone of the population `pop`."""
+        zone_ids = pop.zone_ids
+        means, medians = income_summary(pop, incomes)
+        abs_rates, _, excluded = arop_absolute(pop, incomes, cfg.arop_fraction)
+        rel_rates, _ = arop_relative(pop, incomes, cfg.arop_fraction)
         if rt.schema.deprivation_fields:
-            md = md_rate(cols, rt.survey.deprivations, cfg.md_threshold)
+            md = md_rate(pop, rt.survey.deprivations, cfg.md_threshold)
         else:
             md = np.full(len(zone_ids), math.nan)
         if cfg.mpi_spec is not None:
             mpis = [
                 (r.headcount, r.intensity, r.adjusted)
-                for r in mpi(cols, rt.survey, cfg.mpi_spec)[0]
+                for r in mpi(pop, rt.survey, cfg.mpi_spec)[0]
             ]
         else:
             mpis = [(math.nan,) * 3] * len(zone_ids)
@@ -367,8 +367,11 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
         ]
 
     def compute():
-        pooled = counts.sum(axis=1)[:, None]
-        return zone_rows(counts, population.zone_ids) + zone_rows(pooled, ("METRO",))
+        n = len(population.record_ids)
+        metro = SyntheticPopulation.from_columns(
+            [population.record_totals()], ("METRO",), population.record_ids, n
+        )
+        return zone_rows(population) + zone_rows(metro)
 
     rows = rt.timed("indicators", compute)
     rt.write("indicators.csv", INDICATOR_COLUMNS, rows)
@@ -450,6 +453,9 @@ def write_manifest(rt: Runtime, convergence=None) -> None:
         lines.append(f"output.{name}.sha256={sha256_file(rt.out_dir / name)}")
     for stage, seconds in rt.timings.items():
         lines.append(f"timing.{stage}_seconds={seconds:.3f}")
+    # ru_maxrss is in KiB on Linux.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    lines.append(f"memory.peak_rss_mib={peak:.1f}")
     atomic_write_text(rt.out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 

@@ -1,10 +1,10 @@
 """Zone-level income statistics and poverty measures.
 
 Operates on a synthetic population (integer replication counts per survey
-record per zone): equivalized income summaries, at-risk-of-poverty rates
-under a metro-wide ("spatially absolute") or per-zone ("spatially relative")
-poverty line, material deprivation rates, and the adjusted headcount ratio
-M0 = H * A with its components.
+record per zone, an `integerize.SyntheticPopulation`): equivalized income
+summaries, at-risk-of-poverty rates under a metro-wide ("spatially absolute")
+or per-zone ("spatially relative") poverty line, material deprivation rates,
+and the adjusted headcount ratio M0 = H * A with its components.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .integerize import SyntheticPopulation
 from .schema import SchemaError, SurveyDataset
 
 
@@ -211,35 +212,39 @@ def equivalized_incomes(survey: SurveyDataset, do_equivalize: bool) -> np.ndarra
     return out
 
 
-def arop_absolute(counts: np.ndarray, incomes: np.ndarray, fraction: float = 0.6):
+def arop_absolute(
+    population: SyntheticPopulation, incomes: np.ndarray, fraction: float = 0.6
+):
     """AROP with a single metro-wide line: fraction * pooled weighted median.
 
     Records with missing income are excluded from both numerator and
     denominator. Returns (per-zone rates, poverty line, per-zone excluded
     counts)."""
     ranked = _RankedIncomes(incomes)
-    _, median = ranked.column(counts.sum(axis=1))
+    _, median = ranked.column(population.record_totals())
     if math.isnan(median):
         raise ValueError("no counted person with observed income")
     line = fraction * median
-    rates = np.full(counts.shape[1], math.nan)
-    for z, col in enumerate(counts.T):
+    rates = np.full(len(population.zone_ids), math.nan)
+    for z, col in enumerate(population.columns()):
         cum = ranked.column(col)[0]
         if cum[-1] > 0:
             rates[z] = ranked.below(cum, line) / cum[-1]
-    excluded = counts[np.isnan(incomes)].sum(axis=0)
+    excluded = population.zone_totals(where=np.isnan(incomes))
     return rates, line, excluded
 
 
-def arop_relative(counts: np.ndarray, incomes: np.ndarray, fraction: float = 0.6):
+def arop_relative(
+    population: SyntheticPopulation, incomes: np.ndarray, fraction: float = 0.6
+):
     """AROP with per-zone lines: fraction * each zone's weighted median.
 
     Returns (per-zone rates, per-zone lines); both NaN for zones with no
     counted person with observed income."""
     ranked = _RankedIncomes(incomes)
-    rates = np.full(counts.shape[1], math.nan)
-    lines = np.full(counts.shape[1], math.nan)
-    for z, col in enumerate(counts.T):
+    rates = np.full(len(population.zone_ids), math.nan)
+    lines = np.full(len(population.zone_ids), math.nan)
+    for z, col in enumerate(population.columns()):
         cum, median = ranked.column(col)
         if cum[-1] > 0:
             lines[z] = fraction * median
@@ -247,13 +252,15 @@ def arop_relative(counts: np.ndarray, incomes: np.ndarray, fraction: float = 0.6
     return rates, lines
 
 
-def md_rate(counts: np.ndarray, deprivations: np.ndarray, threshold: int = 3):
+def md_rate(
+    population: SyntheticPopulation, deprivations: np.ndarray, threshold: int = 3
+):
     """Material deprivation rate per zone: weighted share of persons lacking
     at least `threshold` of the listed items."""
     lacked = deprivations.sum(axis=1)
     deprived = lacked >= threshold
-    totals = counts.sum(axis=0).astype(float)
-    hit = counts[deprived].sum(axis=0)
+    totals = population.zone_totals().astype(float)
+    hit = population.zone_totals(where=deprived)
     with np.errstate(invalid="ignore"):
         rates = np.where(totals > 0, hit / np.where(totals > 0, totals, 1), math.nan)
     return rates
@@ -287,7 +294,7 @@ def deprivation_scores(survey: SurveyDataset, spec: MpiSpec) -> np.ndarray:
     return score
 
 
-def mpi(counts: np.ndarray, survey: SurveyDataset, spec: MpiSpec):
+def mpi(population: SyntheticPopulation, survey: SurveyDataset, spec: MpiSpec):
     """Per-zone Alkire-Foster measures plus the pooled (metro) result.
 
     H = weighted share of persons with score >= cutoff, A = weighted mean
@@ -306,20 +313,20 @@ def mpi(counts: np.ndarray, survey: SurveyDataset, spec: MpiSpec):
         a = float(score[poor] @ col[poor] / wp) if wp > 0 else 0.0
         return MpiResult(float(h), a, float(h * a))
 
-    per_zone = [compute(counts[:, z].astype(float)) for z in range(counts.shape[1])]
-    metro = compute(counts.sum(axis=1).astype(float))
+    per_zone = [compute(col.astype(float)) for col in population.columns()]
+    metro = compute(population.record_totals().astype(float))
     return per_zone, metro
 
 
-def income_summary(counts: np.ndarray, incomes: np.ndarray):
+def income_summary(population: SyntheticPopulation, incomes: np.ndarray):
     """Per-zone weighted mean and median of observed incomes. Returns
     (means, medians); NaN for zones with no counted person with observed
-    income. The metro figures are those of the pooled column
-    `counts.sum(axis=1)[:, None]`."""
+    income. The metro figures are those of the one-zone population of
+    `population.record_totals()`."""
     ranked = _RankedIncomes(incomes)
-    means = np.full(counts.shape[1], math.nan)
-    medians = np.full(counts.shape[1], math.nan)
-    for z, col in enumerate(counts.T):
+    means = np.full(len(population.zone_ids), math.nan)
+    medians = np.full(len(population.zone_ids), math.nan)
+    for z, col in enumerate(population.columns()):
         cum, medians[z] = ranked.column(col)
         if cum[-1] > 0:
             means[z] = ranked.mean(col, cum[-1])

@@ -239,12 +239,19 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     )
 
     data = path.read_bytes()
-    text = data.decode("utf-8")
-    header = next(csv.reader(io.StringIO(text, newline="")), None) or []
+    if not data.isascii():
+        data.decode("utf-8")  # rejects what a text read would
+    quoted = b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n")
+    if quoted:
+        text = data.decode("utf-8")
+        header = next(csv.reader(io.StringIO(text, newline="")), None) or []
+    else:  # the first line, split at its commas
+        end = data.find(b"\n")
+        first = (data if end < 0 else data[:end]).removesuffix(b"\r")
+        header = first.decode("utf-8").split(",") if first else []
     missing = [c for c in mandatory if c not in header]
     if missing:
         raise IngestError(f"{path}: missing mandatory columns {missing}")
-    quoted = b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n")
     try:
         if quoted:
             data, starts, ends, lines = _csv_fields(text, len(header))

@@ -9,8 +9,9 @@ tolerance * zone population, or the iteration cap is hit.
 A fit factor depends only on a record's combination of constraint categories,
 its cell, so records of one cell keep the ratio of their initial weights at
 every sweep. The fit therefore runs on the cells (mass = the cell's summed
-initial weights) and expands to records once at the end: w = init * F[cell].
-All zones are fitted together as a zones x cells matrix of multipliers, each
+initial weights) and is held as the zones x cells multipliers F; a record's
+weight in zone z is init * F[z, cell], expanded one zone at a time. Zones are
+fitted together, in blocks, as a zones x cells matrix of multipliers, each
 zone sweeping until it stops on its own test. Category totals are summed by
 `np.bincount` cell by cell in a fixed order, so a zone's result does not
 depend on zone order or on which other zones are still being fitted.
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import SurveyDataset
+from .schema import SurveyDataset, read_only
 
 
 @dataclass(frozen=True)
@@ -60,21 +61,44 @@ class ConvergenceInfo:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Fractional weights, records x zones. `weights` is held as a
-    read-only view of the given array, not a copy."""
+    """Fractional weights of records in zones, held as the fit: zones x cells
+    multipliers, the cell of each record and the records' initial weights
+    (None for 1). `column(z)` expands one zone. The arrays are read-only
+    views of the given ones, not copies, when their dtypes are float, intp
+    and float."""
 
-    weights: np.ndarray
+    multipliers: np.ndarray
+    cells: np.ndarray
     zone_ids: tuple[str, ...]
     record_ids: tuple[str, ...]
+    init: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).view()
-        if w.shape != (len(self.record_ids), len(self.zone_ids)):
+        multipliers = read_only(self.multipliers, float)
+        cells = read_only(self.cells, np.intp)
+        init = None if self.init is None else read_only(self.init, float)
+        n = len(self.record_ids)
+        if (
+            multipliers.ndim != 2
+            or len(multipliers) != len(self.zone_ids)
+            or cells.shape != (n,)
+            or (init is not None and init.shape != (n,))
+            or np.any(cells < 0)
+            or np.any(cells >= multipliers.shape[1])
+        ):
             raise ValueError("weight matrix shape mismatch")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "init", init)
         object.__setattr__(self, "zone_ids", tuple(self.zone_ids))
         object.__setattr__(self, "record_ids", tuple(self.record_ids))
+
+    def column(self, z: int) -> np.ndarray:
+        """The weight of each record in zone z: init * F[z, cell]."""
+        weights = self.multipliers[z][self.cells]
+        if self.init is not None:
+            weights *= self.init
+        return weights
 
 
 def tae(weights, zone_constraints, survey: SurveyDataset) -> float:
@@ -89,8 +113,14 @@ def tae(weights, zone_constraints, survey: SurveyDataset) -> float:
     return total
 
 
+# (zone, cell) pairs fitted together; see _fit.
+BLOCK_CELLS = 1 << 15
+
+
 class _Fit(NamedTuple):
-    weights: np.ndarray  # records x zones, column-major
+    multipliers: np.ndarray  # zones x cells
+    cells: np.ndarray  # the cell of each record
+    init: np.ndarray | None  # the records' initial weights
     iterations: np.ndarray  # per zone
     tae: np.ndarray  # per zone
     converged: np.ndarray  # per zone
@@ -139,48 +169,44 @@ def _fit(survey: SurveyDataset, targets, init_weights, max_iterations, tolerance
     total_error = np.zeros(n_zones)
     errors = np.zeros((n_zones, sum(n_cats)))
 
-    def totals(rows, index, ncat):
-        """Weighted survey totals, zones x categories, of multiplier rows."""
+    def totals(rows, codes, ncat):
+        """Weighted survey totals, zones x categories, of multiplier rows:
+        one bincount over the flat (zone, category) bin of each cell."""
+        index = (np.arange(len(rows))[:, None] * ncat + codes).ravel()
         weighted = (rows * mass).ravel()
         return np.bincount(index, weighted, len(rows) * ncat).reshape(-1, ncat)
 
-    def bins(n):
-        """Per variable, the flat (zone, category) bin of each cell of each
-        of n zones."""
-        rows = np.arange(n)[:, None]
-        return [(rows * k + codes).ravel() for codes, k in zip(cell_codes, n_cats)]
+    # Zones are fitted in blocks of about BLOCK_CELLS (zone, cell) pairs,
+    # which bounds the working arrays; a zone's fit does not depend on them.
+    fitted_zones = np.flatnonzero(pop != 0)
+    step = max(1, BLOCK_CELLS // max(n_cells, 1))
+    for first in range(0, fitted_zones.size, step):
+        zones = fitted_zones[first : first + step]  # zones still sweeping
+        live = multipliers[zones]  # their multipliers
+        while zones.size:
+            err = [
+                np.abs(totals(live, codes, k) - t[zones])
+                for codes, k, t in zip(cell_codes, n_cats, targets)
+            ]
+            current = np.zeros(zones.size)
+            for e in err:
+                current += e.sum(axis=1)
+            total_error[zones] = current
+            errors[zones] = np.concatenate(err, axis=1)
+            going = current > tolerance * pop[zones]
+            going &= iterations[zones] < max_iterations
+            if not going.all():
+                multipliers[zones[~going]] = live[~going]
+                zones, live = zones[going], live[going]
+            for codes, k, t in zip(cell_codes, n_cats, targets):
+                fitted = totals(live, codes, k)
+                factor = np.ones(fitted.shape)
+                np.divide(t[zones], fitted, out=factor, where=fitted > 0)
+                live *= factor[:, codes]
+            iterations[zones] += 1
 
-    zones = np.flatnonzero(pop != 0)  # zones still sweeping
-    live = multipliers[zones]  # their multipliers
-    index = bins(zones.size)
-    while zones.size:
-        err = [
-            np.abs(totals(live, idx, k) - t[zones])
-            for idx, k, t in zip(index, n_cats, targets)
-        ]
-        current = np.zeros(zones.size)
-        for e in err:
-            current += e.sum(axis=1)
-        total_error[zones] = current
-        errors[zones] = np.concatenate(err, axis=1)
-        going = current > tolerance * pop[zones]
-        going &= iterations[zones] < max_iterations
-        if not going.all():
-            multipliers[zones[~going]] = live[~going]
-            zones, live = zones[going], live[going]
-            index = bins(zones.size)
-        for codes, idx, k, t in zip(cell_codes, index, n_cats, targets):
-            fitted = totals(live, idx, k)
-            factor = np.ones(fitted.shape)
-            np.divide(t[zones], fitted, out=factor, where=fitted > 0)
-            live *= factor[:, codes]
-        iterations[zones] += 1
-
-    weights = np.take(multipliers, inverse, axis=1)  # zones x records, C order
-    if init is not None:
-        weights *= init
     converged = total_error <= tolerance * pop
-    return _Fit(weights.T, iterations, total_error, converged, errors)
+    return _Fit(multipliers, inverse, init, iterations, total_error, converged, errors)
 
 
 def ipf_zone(
@@ -203,8 +229,11 @@ def ipf_zone(
         for v in survey.schema.constraint_vars
     ]
     fit = _fit(survey, targets, init_weights, max_iterations, tolerance)
+    matrix = WeightMatrix(
+        fit.multipliers, fit.cells, ("",), survey.record_ids, fit.init
+    )
     return (
-        fit.weights[:, 0],
+        matrix.column(0),
         int(fit.iterations[0]),
         float(fit.tae[0]),
         bool(fit.converged[0]),
@@ -220,8 +249,8 @@ def ipf_all(
 ):
     """Fit every zone of the constraint tables, each as ipf_zone would.
 
-    Returns (WeightMatrix with a column-major weight matrix,
-    ConvergenceInfo). Non-convergence is reported via flags, never raised."""
+    Returns (WeightMatrix, ConvergenceInfo). Non-convergence is reported via
+    flags, never raised."""
     by_var = {t.variable: t for t in tables}
     zones = tables[0].zones
     variables = survey.schema.constraint_vars
@@ -255,8 +284,6 @@ def ipf_all(
             )
         )
     matrix = WeightMatrix(
-        weights=fit.weights,
-        zone_ids=zones,
-        record_ids=survey.record_ids,
+        fit.multipliers, fit.cells, zones, survey.record_ids, fit.init
     )
     return matrix, ConvergenceInfo(tuple(diags))

@@ -50,55 +50,77 @@ class TextRows:
 
 
 def population_rows(population: SyntheticPopulation) -> TextRows:
-    """The rows of `population.csv`: one string join per zone over its
-    nonzero counts."""
+    """The rows of `population.csv`: one string join per zone over the
+    counts it holds."""
     ids = np.array([rid + "," for rid in population.record_ids], dtype=object)
 
     def blocks():
-        for zone, col in zip(population.zone_ids, population.counts.T):
-            nz = np.flatnonzero(col)
-            if nz.size:
+        for zone, held in zip(population.zone_ids, population.slices()):
+            if held.stop > held.start:
                 lead = zone + ","
-                rows = map(str.__add__, ids[nz], map(str, col[nz].tolist()))
+                counts = map(str, population.counts[held].tolist())
+                rows = map(str.__add__, ids[population.records[held]], counts)
                 yield lead + f"\r\n{lead}".join(rows) + "\r\n"
 
-    return TextRows(int(np.count_nonzero(population.counts)), blocks)
+    return TextRows(population.counts.size, blocks)
 
 
 def weights_rows(matrix: WeightMatrix) -> TextRows:
-    """The rows of `weights.csv`: one string join per zone."""
+    """The rows of `weights.csv`: one zone's weights expanded and joined at
+    a time."""
 
     def blocks():
-        for zone, col in zip(matrix.zone_ids, matrix.weights.T):
+        for z, zone in enumerate(matrix.zone_ids):
+            col = matrix.column(z)
             values = list(map(repr, col.tolist()))
             for i in np.flatnonzero(np.isnan(col)).tolist():
                 values[i] = ""
             cells = (matrix.record_ids, repeat(f",{zone},"), values, repeat("\r\n"))
             yield "".join(chain.from_iterable(zip(*cells)))
 
-    return TextRows(matrix.weights.size, blocks)
+    return TextRows(len(matrix.zone_ids) * len(matrix.record_ids), blocks)
 
 
 def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     """Read `population.csv` into a SyntheticPopulation over `zone_ids` and
-    `record_ids`; absent (zone, record) pairs count 0. Lines end in LF or
-    CRLF.
+    `record_ids`; absent (zone, record) pairs and counts of 0 count 0. Rows
+    may come in any order. Lines end in LF or CRLF.
 
     Reads BLOCK_LINES lines at a time as bytes and matches each block's ids
     as byte keys. Rejects, naming the file and line, a row that has not 3
     fields, an unknown zone or record id, a count that is not a non-negative
-    integer written in digits, and a repeated (zone, record) pair."""
+    integer written in digits, and a repeated (zone, record) pair. When a
+    file holds several faults, the one named is that of the first block
+    with a fault, and in it a bad row before a repeated pair."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
     find_zone, find_record = _id_finder(zone_ids), _id_finder(record_ids)
     n_records = len(record_ids)
-    # -1 marks a (record, zone) pair that no row has named yet.
-    counts = np.full((n_records, len(zone_ids)), -1, dtype=np.int64, order="F")
-    cells = counts.reshape(-1, order="F")  # a view: zone-major cell index
+    # Per block read: each row's zone and record index and its count.
+    zones, records, counts = ([np.empty(0, np.int32)] for _ in range(3))
+    in_order, last_key = True, -1  # whether the keys so far rise strictly
     first_line = 2  # line number of the current block's first line
 
+    def stable_order(zi, ri):
+        """The stable (zone, record) order of rows; raises for the first
+        line that repeats the pair of an earlier line."""
+        key = zi.astype(np.int64) * n_records + ri
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        later = order[1:][key[1:] == key[:-1]]
+        if later.size:
+            i = int(later.min())
+            zone, record = zone_ids[zi[i]], record_ids[ri[i]]
+            raise IngestError(
+                f"{path}: line {2 + i}: duplicate row for zone {zone!r}, "
+                f"record {record!r}"
+            )
+        return order
+
     def fail(i, message):
+        # A pair repeated in an earlier block is the first fault.
+        stable_order(np.concatenate(zones), np.concatenate(records))
         raise IngestError(f"{path}: line {first_line + i}: {message}")
 
     with path.open("rb") as fh:
@@ -128,23 +150,34 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
             if not valid.all():
                 i = int(np.argmin(valid))
                 fail(i, f"invalid count {field(i, 2)!r}")
-            # A pair is repeated when an earlier block named it, or when
-            # another row of this block overwrites the row index written here.
             key = zi * n_records + ri
-            rows = np.arange(key.size)
-            named = cells[key] >= 0
-            cells[key] = rows
-            if named.any() or (cells[key] != rows).any():
-                repeated = named
-                first = np.unique(key, return_index=True)[1]
-                repeated[np.setdiff1d(rows, first)] = True
-                i = int(np.argmax(repeated))
-                zone, record = field(i, 0), field(i, 1)
-                fail(i, f"duplicate row for zone {zone!r}, record {record!r}")
-            cells[key] = values
+            in_order &= bool(key[0] > last_key) and bool(np.all(key[1:] > key[:-1]))
+            last_key = int(key[-1])
+            zones.append(zi.astype(np.int32))
+            records.append(ri.astype(np.int32))
+            if values.max(initial=0) < 2**31:
+                values = values.astype(np.int32)
+            counts.append(values)
             first_line += lines.size
-    np.maximum(counts, 0, out=counts)
-    return SyntheticPopulation(counts=counts, zone_ids=zone_ids, record_ids=record_ids)
+    zi, ri, counts = _joined(zones), _joined(records), _joined(counts)
+    if not in_order:  # rows with strictly rising keys name no pair twice
+        order = stable_order(zi, ri)
+        zi, ri, counts = zi[order], ri[order], counts[order]
+    if not counts.all():
+        held = counts != 0
+        zi, ri, counts = zi[held], ri[held], counts[held]
+    # zi rises: zone z's rows start where zi first reaches z.
+    bounds = np.arange(len(zone_ids) + 1, dtype=np.int32)
+    indptr = np.searchsorted(zi, bounds).astype(np.int64)
+    return SyntheticPopulation(indptr, ri, counts, zone_ids, record_ids)
+
+
+def _joined(blocks: list) -> np.ndarray:
+    """The arrays of `blocks` joined into one; empties the list, so that
+    they are not held twice."""
+    out = np.concatenate(blocks)
+    blocks.clear()
+    return out
 
 
 def _id_finder(ids):

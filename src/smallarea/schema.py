@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -198,17 +198,11 @@ class SurveyDataset:
         return self._codes[variable]
 
     def category_counts(self, variable: str, weights=None) -> np.ndarray:
-        """Records per category of `variable`, in schema category order. With
-        one weight per record, the weighted totals; with a records x zones
-        weight matrix, a zones x categories matrix of them."""
+        """Records per category of `variable`, in schema category order; with
+        one weight per record, the weighted totals."""
         codes = self.category_codes(variable)
         k = len(self.schema.variable(variable).categories)
-        if weights is None or np.ndim(weights) == 1:
-            return np.bincount(codes, weights=weights, minlength=k)
-        out = np.empty((weights.shape[1], k))
-        for zi in range(weights.shape[1]):
-            out[zi] = np.bincount(codes, weights=weights[:, zi], minlength=k)
-        return out
+        return np.bincount(codes, weights=weights, minlength=k)
 
     def column(self, name: str) -> np.ndarray:
         """Value per record of a deprivation field (0/1), the income field or
@@ -232,6 +226,14 @@ def _column(values, dtype, shape, what) -> np.ndarray:
     return out
 
 
+def read_only(values, dtype) -> np.ndarray:
+    """A read-only view of `values` as a `dtype` array: a copy only when
+    `values` is not one."""
+    out = np.asarray(values, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Pre-pipeline hygiene summary for one (tables, survey) pairing. Its
@@ -249,6 +251,22 @@ class ConsistencyReport:
     TOLERANCE = 1e-9
     # above this the pipeline refuses to proceed without an explicit override
     WARN_THRESHOLD = 0.05
+
+    def __eq__(self, other):
+        """Field by field, with the arrays of `zone_totals` compared as
+        arrays."""
+        if not isinstance(other, ConsistencyReport):
+            return NotImplemented
+        mine, theirs = self.zone_totals, other.zone_totals
+        return (
+            all(
+                getattr(self, f.name) == getattr(other, f.name)
+                for f in fields(self)
+                if f.name != "zone_totals"
+            )
+            and mine.keys() == theirs.keys()
+            and all(np.array_equal(mine[k], theirs[k]) for k in mine)
+        )
 
     @property
     def clean(self) -> bool:

@@ -1,0 +1,126 @@
+"""Dense records x zones reference code: the weight expansion, `synthesize`
+and population reader that each held a full records x zones matrix, kept as
+oracles for the compressed representations, and conversions between the two
+layouts."""
+
+from itertools import islice
+from pathlib import Path
+
+import numpy as np
+
+from smallarea import popfile
+from smallarea.ingest import IngestError, _FieldCountError, _scan_fields
+from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
+from smallarea.ipf import WeightMatrix
+
+
+def sparse(counts, zone_ids=None, record_ids=None) -> SyntheticPopulation:
+    """The SyntheticPopulation of a records x zones count matrix; ids
+    default to Z0, Z1, ... and r0, r1, ..."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n, n_zones = counts.shape
+    zone_ids = tuple(f"Z{i}" for i in range(n_zones)) if zone_ids is None else zone_ids
+    record_ids = tuple(f"r{i}" for i in range(n)) if record_ids is None else record_ids
+    capacity = np.count_nonzero(counts)
+    return SyntheticPopulation.from_columns(counts.T, zone_ids, record_ids, capacity)
+
+
+def dense_counts(population: SyntheticPopulation) -> np.ndarray:
+    """The records x zones int64 count matrix of a population."""
+    n_zones = len(population.zone_ids)
+    out = np.zeros((len(population.record_ids), n_zones), dtype=np.int64)
+    zone = np.repeat(np.arange(n_zones), np.diff(population.indptr))
+    out[population.records, zone] = population.counts
+    return out
+
+
+def weight_matrix(weights, zone_ids, record_ids) -> WeightMatrix:
+    """The WeightMatrix of a records x zones weight matrix: each record is
+    its own cell."""
+    weights = np.asarray(weights, dtype=float)
+    return WeightMatrix(weights.T, np.arange(len(weights)), zone_ids, record_ids)
+
+
+def dense_weights(matrix: WeightMatrix) -> np.ndarray:
+    """The full expansion that `ipf._fit` made before it returned the
+    multipliers: records x zones."""
+    weights = np.take(matrix.multipliers, matrix.cells, axis=1)  # zones x records
+    if matrix.init is not None:
+        weights *= matrix.init
+    return weights.T
+
+
+def dense_synthesize(matrix: WeightMatrix, zone_populations, seed) -> np.ndarray:
+    """`synthesize` into a column-major records x zones count matrix."""
+    spec = RngSpec(seed)
+    weights = dense_weights(matrix)
+    n, n_zones = weights.shape
+    counts = np.zeros((n, n_zones), dtype=np.int64, order="F")
+    for zi in range(n_zones):
+        try:
+            counts[:, zi] = trs_zone(
+                weights[:, zi], int(zone_populations[zi]), spec.stream(zi)
+            )
+        except ValueError as exc:
+            raise ValueError(f"zone {matrix.zone_ids[zi]!r}: {exc}") from exc
+    return counts
+
+
+def dense_read_population(path, zone_ids, record_ids) -> np.ndarray:
+    """`read_population` into a records x zones count matrix, finding
+    repeated rows in it with -1 as the mark of a pair no row has named."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"{path}: population file not found (run synthesize)")
+    find_zone = popfile._id_finder(zone_ids)
+    find_record = popfile._id_finder(record_ids)
+    n_records = len(record_ids)
+    counts = np.full((n_records, len(zone_ids)), -1, dtype=np.int64, order="F")
+    cells = counts.reshape(-1, order="F")  # a view: zone-major cell index
+    first_line = 2
+
+    def fail(i, message):
+        raise IngestError(f"{path}: line {first_line + i}: {message}")
+
+    with path.open("rb") as fh:
+        header = fh.readline().decode("utf-8").removesuffix("\n").removesuffix("\r")
+        if header != ",".join(popfile.POPULATION_HEADER):
+            raise IngestError(f"{path}: unexpected header {header!r}")
+        while block := b"".join(islice(fh, popfile.BLOCK_LINES)):
+            if not block.isascii():
+                block.decode("utf-8")
+            try:
+                starts, ends, lines = _scan_fields(block, 3, first_line)
+            except _FieldCountError as exc:
+                fail(exc.line - first_line, "expected 3 fields")
+            buf = np.frombuffer(block, np.uint8)
+
+            def field(i, j):
+                return block[starts[i, j] : ends[i, j]].decode("utf-8")
+
+            zi, zone_known = find_zone(buf, starts[:, 0], ends[:, 0])
+            ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
+            if not (zone_known.all() and record_known.all()):
+                i = int(np.argmin(zone_known & record_known))
+                if not zone_known[i]:
+                    fail(i, f"unknown zone id {field(i, 0)!r}")
+                fail(i, f"unknown record id {field(i, 1)!r}")
+            values, valid = popfile._digits(buf, starts[:, 2], ends[:, 2])
+            if not valid.all():
+                i = int(np.argmin(valid))
+                fail(i, f"invalid count {field(i, 2)!r}")
+            key = zi * n_records + ri
+            rows = np.arange(key.size)
+            named = cells[key] >= 0
+            cells[key] = rows
+            if named.any() or (cells[key] != rows).any():
+                repeated = named
+                first = np.unique(key, return_index=True)[1]
+                repeated[np.setdiff1d(rows, first)] = True
+                i = int(np.argmax(repeated))
+                zone, record = field(i, 0), field(i, 1)
+                fail(i, f"duplicate row for zone {zone!r}, record {record!r}")
+            cells[key] = values
+            first_line += lines.size
+    np.maximum(counts, 0, out=counts)
+    return counts

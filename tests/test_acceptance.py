@@ -20,7 +20,7 @@ from smallarea.indicators import (
     mpi,
     percent_change,
 )
-from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
+from smallarea.integerize import RngSpec, trs_zone
 from smallarea.ipf import ipf_zone
 from smallarea.schema import ConstraintTable, SurveyDataset, VariableDef
 from smallarea.validate import (
@@ -32,6 +32,7 @@ from smallarea.validate import (
 )
 
 from conftest import make_schema, make_survey
+from dense_oracle import sparse
 from test_integerize import systematic_expected_counts
 from test_ipf import brute_force_ipf
 from test_validate import t_density
@@ -306,11 +307,7 @@ def _share_fixture(rows, variable):
     sim_counts = np.array(
         [[int(round(sim * 100)) for _, _, sim, _ in rows]]
     ).T  # records x 1 zone
-    population = SyntheticPopulation(
-        counts=sim_counts,
-        zone_ids=("METRO",),
-        record_ids=survey.record_ids,
-    )
+    population = sparse(sim_counts, ("METRO",), survey.record_ids)
     actual = ConstraintTable(
         variable,
         ("METRO",),
@@ -376,7 +373,7 @@ def _three_flag_spec():
 def test_criterion_8_mpi_suite():
     survey = _flag_survey([[1, 1, 0], [1, 0, 0], [0, 0, 0], [1, 1, 1]])
     counts = np.ones((4, 1), dtype=np.int64)
-    per_zone, _ = mpi(counts, survey, _three_flag_spec())
+    per_zone, _ = mpi(sparse(counts), survey, _three_flag_spec())
     assert per_zone[0].headcount == pytest.approx(0.75, abs=1e-15)
     assert per_zone[0].intensity == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert per_zone[0].adjusted == pytest.approx(0.5, abs=1e-15)
@@ -385,7 +382,7 @@ def test_criterion_8_mpi_suite():
     rows = (rng.random((40, 3)) < 0.4).astype(int)
     survey = _flag_survey(rows)
     counts = rng.integers(0, 5, size=(40, 8))
-    per_zone, metro = mpi(counts, survey, _three_flag_spec())
+    per_zone, metro = mpi(sparse(counts), survey, _three_flag_spec())
     pops = counts.sum(axis=0).astype(float)
     weighted = sum(
         p * r.adjusted for p, r in zip(pops, per_zone) if p > 0
@@ -400,11 +397,11 @@ def test_criterion_8_mpi_suite():
         if poor.size == 0:
             continue
         counts = rng.integers(1, 4, size=6).reshape(-1, 1)
-        before, _ = mpi(counts, _flag_survey(rows), _three_flag_spec())
+        before, _ = mpi(sparse(counts), _flag_survey(rows), _three_flag_spec())
         i = int(rng.choice(poor))
         j = int(np.flatnonzero(rows[i] == 0)[0])
         rows[i, j] = 1
-        after, _ = mpi(counts, _flag_survey(rows), _three_flag_spec())
+        after, _ = mpi(sparse(counts), _flag_survey(rows), _three_flag_spec())
         assert after[0].adjusted >= before[0].adjusted - 1e-12
         trials += 1
     passline(
@@ -416,7 +413,7 @@ def test_criterion_8_mpi_suite():
 
 def test_criterion_9_arop_properties():
     incomes = np.array([50.0, 100, 100, 200])
-    rates, line, _ = arop_absolute(np.ones((4, 1), dtype=np.int64), incomes)
+    rates, line, _ = arop_absolute(sparse(np.ones((4, 1))), incomes)
     assert line == pytest.approx(60)
     assert rates[0] == pytest.approx(0.25)
 
@@ -426,17 +423,17 @@ def test_criterion_9_arop_properties():
         incomes = rng.uniform(10, 1000, size=n)
         counts = rng.integers(0, 4, size=(n, 4))
         scale = float(rng.uniform(0.1, 20))
-        a1, _, _ = arop_absolute(counts, incomes)
-        a2, _, _ = arop_absolute(counts, incomes * scale)
+        a1, _, _ = arop_absolute(sparse(counts), incomes)
+        a2, _, _ = arop_absolute(sparse(counts), incomes * scale)
         np.testing.assert_allclose(a1, a2, equal_nan=True)
-        r1, _ = arop_relative(counts, incomes)
-        r2, _ = arop_relative(counts, incomes * scale)
+        r1, _ = arop_relative(sparse(counts), incomes)
+        r2, _ = arop_relative(sparse(counts), incomes * scale)
         np.testing.assert_allclose(r1, r2, equal_nan=True)
 
         # locality: zone 0's relative rate only depends on its own column
         mutated = counts.copy()
         mutated[:, 1:] = rng.integers(0, 9, size=(n, 3))
-        r3, _ = arop_relative(mutated, incomes)
+        r3, _ = arop_relative(sparse(mutated), incomes)
         if not math.isnan(r1[0]):
             assert r3[0] == r1[0]
     passline(

@@ -279,6 +279,14 @@ class TestPipeline:
         timings = [line.split("=")[0] for line in lines if line.startswith("timing.")]
         assert timings[0] == "timing.load_inputs_seconds"
 
+    def test_manifest_records_peak_memory(self, tmp_path):
+        config = write_mini(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        peaks = [line for line in lines if line.startswith("memory.peak_rss_mib=")]
+        assert len(peaks) == 1
+        assert float(peaks[0].split("=")[1]) > 0
+
     @pytest.mark.parametrize(
         "good, bad",
         [

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from smallarea.indicators import (
     MpiDimension,
     MpiIndicator,
+    MpiResult,
     MpiSpec,
     arop_absolute,
     arop_relative,
+    deprivation_scores,
     equivalize,
     equivalized_incomes,
     income_summary,
@@ -23,6 +25,7 @@ from smallarea.ingest import load_survey
 from smallarea.schema import SchemaError, SurveyDataset, VariableDef
 
 from conftest import make_schema
+from dense_oracle import sparse
 
 
 def csv_survey(tmp_path, text):
@@ -133,7 +136,7 @@ class TestPercentChange:
 
 
 def one_zone(counts):
-    return np.asarray(counts, dtype=np.int64).reshape(-1, 1)
+    return sparse(np.reshape(counts, (-1, 1)))
 
 
 class TestAropAbsolute:
@@ -154,8 +157,8 @@ class TestAropAbsolute:
         for _ in range(20):
             incomes = rng.uniform(10, 1000, size=15)
             counts = rng.integers(0, 4, size=(15, 3))
-            r1, line1, _ = arop_absolute(counts, incomes)
-            r2, line2, _ = arop_absolute(counts, incomes * 3)
+            r1, line1, _ = arop_absolute(sparse(counts), incomes)
+            r2, line2, _ = arop_absolute(sparse(counts), incomes * 3)
             np.testing.assert_allclose(r1, r2, equal_nan=True)
             assert line2 == pytest.approx(3 * line1)
 
@@ -172,7 +175,7 @@ class TestAropRelative:
         counts = np.zeros((8, 2), dtype=np.int64)
         counts[:4, 0] = 1
         counts[4:, 1] = 1
-        rates, lines = arop_relative(counts, incomes)
+        rates, lines = arop_relative(sparse(counts), incomes)
         np.testing.assert_allclose(rates, [0.25, 0.25])
         np.testing.assert_allclose(lines, [60, 600])
 
@@ -181,16 +184,16 @@ class TestAropRelative:
         incomes = rng.uniform(10, 100, size=12)
         counts = rng.integers(0, 4, size=(12, 3))
         counts[:, 0] = np.maximum(counts[:, 0], 1)
-        base, _ = arop_relative(counts, incomes)
+        base, _ = arop_relative(sparse(counts), incomes)
         mutated = counts.copy()
         mutated[:, 1] = rng.integers(0, 9, size=12)
-        after, _ = arop_relative(mutated, incomes)
+        after, _ = arop_relative(sparse(mutated), incomes)
         assert after[0] == base[0]
 
     def test_empty_zone_missing(self):
         incomes = np.array([50.0, 100])
         counts = np.array([[1, 0], [1, 0]])
-        rates, _ = arop_relative(counts, incomes)
+        rates, _ = arop_relative(sparse(counts), incomes)
         assert math.isnan(rates[1])
 
 
@@ -261,7 +264,7 @@ class TestMpi:
         rng = np.random.default_rng(3)
         survey = flag_survey((rng.random((20, 3)) < 0.4).astype(int))
         counts = rng.integers(0, 4, size=(20, 4))
-        per_zone, _ = mpi(counts, survey, three_flag_spec())
+        per_zone, _ = mpi(sparse(counts), survey, three_flag_spec())
         for res in per_zone:
             if not math.isnan(res.adjusted):
                 assert res.adjusted == res.headcount * res.intensity
@@ -270,7 +273,7 @@ class TestMpi:
         rng = np.random.default_rng(14)
         survey = flag_survey((rng.random((30, 3)) < 0.4).astype(int))
         counts = rng.integers(0, 5, size=(30, 6))
-        per_zone, metro = mpi(counts, survey, three_flag_spec())
+        per_zone, metro = mpi(sparse(counts), survey, three_flag_spec())
         zone_pops = counts.sum(axis=0).astype(float)
         weighted = sum(
             p * r.adjusted for p, r in zip(zone_pops, per_zone) if p > 0
@@ -385,15 +388,15 @@ class TestIncomeSummary:
         rng = np.random.default_rng(4)
         incomes = rng.uniform(100, 900, size=20)
         counts = rng.integers(0, 5, size=(20, 4))
-        means, _ = income_summary(counts, incomes)
-        (metro_mean,), _ = income_summary(counts.sum(axis=1)[:, None], incomes)
+        means, _ = income_summary(sparse(counts), incomes)
+        (metro_mean,), _ = income_summary(sparse(counts.sum(axis=1)[:, None]), incomes)
         pops = counts.sum(axis=0)
         expected = sum(p * m for p, m in zip(pops, means) if p > 0) / pops.sum()
         assert metro_mean == pytest.approx(expected, rel=1e-12)
 
     def test_empty_zone_missing(self):
         incomes = np.array([10.0])
-        means, medians = income_summary(np.array([[1, 0]]), incomes)
+        means, medians = income_summary(sparse(np.array([[1, 0]])), incomes)
         assert math.isnan(means[1]) and math.isnan(medians[1])
 
 
@@ -480,6 +483,31 @@ def ref_income_summary(counts, incomes):
     return means, medians, metro_mean, metro_median
 
 
+def ref_md_rate(counts, deprivations, threshold):
+    deprived = deprivations.sum(axis=1) >= threshold
+    totals = counts.sum(axis=0).astype(float)
+    hit = counts[deprived].sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        return np.where(totals > 0, hit / np.where(totals > 0, totals, 1), math.nan)
+
+
+def ref_mpi(counts, survey, spec):
+    score = deprivation_scores(survey, spec)
+    poor = score >= spec.cutoff - 1e-9
+
+    def compute(col):
+        total = col.sum()
+        if total == 0:
+            return MpiResult(math.nan, math.nan, math.nan)
+        wp = col[poor].sum()
+        h = wp / total
+        a = float(score[poor] @ col[poor] / wp) if wp > 0 else 0.0
+        return MpiResult(float(h), a, float(h * a))
+
+    per_zone = [compute(counts[:, z].astype(float)) for z in range(counts.shape[1])]
+    return per_zone, compute(counts.sum(axis=1).astype(float))
+
+
 def assert_same(actual, expected):
     """Exact equality, NaN equal to NaN."""
     np.testing.assert_array_equal(np.asarray(actual), np.asarray(expected), strict=True)
@@ -539,11 +567,12 @@ class TestAgainstReference:
     @staticmethod
     def check(counts, incomes, fraction):
         means, medians, metro_mean, metro_median = ref_income_summary(counts, incomes)
-        assert_same(income_summary(counts, incomes), (means, medians))
+        assert_same(income_summary(sparse(counts), incomes), (means, medians))
         pooled = counts.sum(axis=1)[:, None]
-        assert_same(income_summary(pooled, incomes), ([metro_mean], [metro_median]))
+        metro = income_summary(sparse(pooled), incomes)
+        assert_same(metro, ([metro_mean], [metro_median]))
         for cols in (counts, pooled):
-            rates, lines = arop_relative(cols, incomes, fraction)
+            rates, lines = arop_relative(sparse(cols), incomes, fraction)
             ref_rates, ref_lines = ref_arop_relative(cols, incomes, fraction)
             assert_same(rates, ref_rates)
             assert_same(lines, ref_lines)
@@ -551,12 +580,32 @@ class TestAgainstReference:
                 expected = ref_arop_absolute(cols, incomes, fraction)
             except ValueError:
                 with pytest.raises(ValueError):
-                    arop_absolute(cols, incomes, fraction)
+                    arop_absolute(sparse(cols), incomes, fraction)
                 continue
-            rates, line, excluded = arop_absolute(cols, incomes, fraction)
+            rates, line, excluded = arop_absolute(sparse(cols), incomes, fraction)
             assert_same(rates, expected[0])
             assert line == expected[1]
             assert_same(excluded, expected[2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pop=populations(), data=st.data())
+    def test_md_rate_and_mpi(self, pop, data):
+        # Zone columns scattered into the dense buffer: the same sums and
+        # dot products as on the dense matrix.
+        counts, _ = pop
+        n = len(counts)
+        flags = data.draw(st.lists(st.booleans(), min_size=3 * n, max_size=3 * n))
+        rows = np.reshape(flags, (n, 3))
+        for threshold in (1, 2, 3):
+            assert_same(
+                md_rate(sparse(counts), rows, threshold),
+                ref_md_rate(counts, rows, threshold),
+            )
+        survey = flag_survey(rows.astype(int))
+        spec = three_flag_spec(data.draw(st.sampled_from([1 / 3, 2 / 3, 1.0])))
+        got = mpi(sparse(counts), survey, spec)
+        expected = ref_mpi(counts, survey, spec)
+        assert repr(got) == repr(expected)  # NaN fields compare equal as text
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 15))

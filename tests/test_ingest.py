@@ -252,6 +252,25 @@ class TestLoadSurvey:
         with pytest.raises(IngestError, match=message):
             load_survey(path, schema)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"r1,h1,M,Married,1000,0\nr2\xff,h2,F,Widowed,2000,1\n",  # byte scanner
+            b'r1,h1,M,Married,1000,0\n"r2\xff",h2,F,Widowed,2000,1\n',  # csv module
+            b"r1,h1,M,Married\xff,1000,0\r\n",
+        ],
+    )
+    def test_bytes_not_utf8_rejected(self, tmp_path, schema, body):
+        # As a UTF-8 text read rejects them: the same error and message.
+        data = b"record_id,household_id,sex,marital,income,lacks_tv\n" + body
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            data.decode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            load_survey(path, schema)
+        assert str(got.value) == str(expected.value)
+
     def test_short_row_names_line(self, tmp_path, schema):
         path = self.write(tmp_path, ["r1,h1,M,Married,1000,0\n", "r2,h2,F,1\n"])
         with pytest.raises(IngestError, match="line 3: expected 6 fields, got 4"):

@@ -10,6 +10,8 @@ from smallarea.integerize import (
 )
 from smallarea.ipf import WeightMatrix
 
+from dense_oracle import dense_counts, dense_synthesize, sparse, weight_matrix
+
 
 def rng_for(seed=0, zone=0):
     return RngSpec(seed).stream(zone)
@@ -123,12 +125,8 @@ class TestTrsZone:
 
 class TestSynthesize:
     def matrix(self, weights, zones):
-        w = np.asarray(weights, dtype=float)
-        return WeightMatrix(
-            weights=w,
-            zone_ids=tuple(zones),
-            record_ids=tuple(f"r{i}" for i in range(w.shape[0])),
-        )
+        records = tuple(f"r{i}" for i in range(len(weights)))
+        return weight_matrix(weights, tuple(zones), records)
 
     def test_exact_zone_totals(self):
         rng = np.random.default_rng(1)
@@ -140,7 +138,7 @@ class TestSynthesize:
     def test_integer_weights_identity(self):
         w = np.array([[2.0], [3.0], [0.0]])
         pop = synthesize(self.matrix(w, ["Z1"]), [5], seed=4)
-        np.testing.assert_array_equal(pop.counts[:, 0], [2, 3, 0])
+        np.testing.assert_array_equal(dense_counts(pop)[:, 0], [2, 3, 0])
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
@@ -150,8 +148,8 @@ class TestSynthesize:
         p1 = synthesize(m, targets, seed=42)
         p2 = synthesize(m, targets, seed=42)
         p3 = synthesize(m, targets, seed=43)
-        np.testing.assert_array_equal(p1.counts, p2.counts)
-        assert not np.array_equal(p1.counts, p3.counts)
+        np.testing.assert_array_equal(dense_counts(p1), dense_counts(p2))
+        assert not np.array_equal(dense_counts(p1), dense_counts(p3))
 
     def test_zone_streams_independent(self):
         # same weights in two zones: stream separation makes draws independent
@@ -160,29 +158,96 @@ class TestSynthesize:
         w1 = w2[:, :1]
         p_single = synthesize(self.matrix(w1, ["Z0"]), [1], seed=7)
         p_double = synthesize(self.matrix(w2, ["Z0", "Z1"]), [1, 1], seed=7)
-        np.testing.assert_array_equal(p_single.counts[:, 0], p_double.counts[:, 0])
+        np.testing.assert_array_equal(
+            dense_counts(p_single)[:, 0], dense_counts(p_double)[:, 0]
+        )
 
     def test_error_tagged_with_zone(self):
         w = np.zeros((3, 1))
         with pytest.raises(ValueError, match="Z9"):
             synthesize(self.matrix(w, ["Z9"]), [4], seed=0)
 
+    def test_matches_dense_synthesize(self):
+        # Compressed zone by zone as trs_zone makes each column: the same
+        # counts as the dense matrix, from the same streams.
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0, 2, size=(30, 6)) * (rng.random((30, 6)) < 0.5)
+        w[:, 2] = 0  # an empty zone
+        targets = round_half_up(w.sum(axis=0))
+        m = self.matrix(w, [f"Z{i}" for i in range(6)])
+        for seed in range(5):
+            pop = synthesize(m, targets, seed=seed)
+            expected = dense_synthesize(m, targets, seed)
+            assert dense_counts(pop).tobytes() == expected.tobytes()
+            assert pop == sparse(expected, pop.zone_ids, pop.record_ids)
+
+
+ZONES, RECORDS = ("Z1", "Z2"), ("r1", "r2", "r3")
+
+
+def _population_arrays():
+    # Z1 counts r1 once and r3 twice, Z2 counts r2 three times.
+    return dict(
+        indptr=np.array([0, 2, 3], dtype=np.int64),
+        records=np.array([0, 2, 1], dtype=np.int32),
+        counts=np.array([1, 2, 3], dtype=np.int64),
+    )
+
+
+def _weight_arrays():
+    return dict(
+        multipliers=np.arange(4, dtype=float).reshape(2, 2),
+        cells=np.array([0, 1, 1], dtype=np.intp),
+        init=np.array([1.0, 2.0, 3.0]),
+    )
+
 
 @pytest.mark.parametrize(
     "cls, attr, dtype",
-    [(SyntheticPopulation, "counts", np.int64), (WeightMatrix, "weights", float)],
+    [
+        (SyntheticPopulation, "indptr", np.int64),
+        (SyntheticPopulation, "records", np.int32),
+        (SyntheticPopulation, "counts", np.int32),
+        (SyntheticPopulation, "counts", np.int64),
+        (WeightMatrix, "multipliers", float),
+        (WeightMatrix, "cells", np.intp),
+        (WeightMatrix, "init", float),
+    ],
 )
 def test_matrix_held_read_only_without_copy(cls, attr, dtype):
-    given = np.arange(6, dtype=dtype).reshape(3, 2)
-    held = getattr(cls(given, ("Z1", "Z2"), ("r1", "r2", "r3")), attr)
+    arrays = _population_arrays() if cls is SyntheticPopulation else _weight_arrays()
+    given = arrays[attr] = arrays[attr].astype(dtype)
+    held = getattr(cls(**arrays, zone_ids=ZONES, record_ids=RECORDS), attr)
     assert np.shares_memory(held, given)
     assert given.flags.writeable
     with pytest.raises(ValueError):
-        held[0, 0] = 7
+        held[0] = 7
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(indptr=[0, 2]),  # one pointer short
+        dict(indptr=[0, 3, 2]),  # a zone ending before it starts
+        dict(indptr=[1, 2, 3]),
+        dict(records=[0, 3, 1]),  # no record r4
+        dict(records=[2, 0, 1]),  # a zone's records out of order
+        dict(records=[0, 0, 1]),  # a record twice in a zone
+        dict(counts=[1, 0, 3]),  # a zero held
+        dict(counts=[1, 2]),
+    ],
+)
+def test_population_rejects_malformed_columns(change):
+    arrays = {**_population_arrays(), **change}
+    with pytest.raises(ValueError):
+        SyntheticPopulation(**arrays, zone_ids=ZONES, record_ids=RECORDS)
 
 
 def test_count_and_weight_matrices_are_column_major(tmp_path, two_by_two):
-    # Every per-zone consumer reads a zone column, contiguous in this layout.
+    # Every per-zone consumer reads one zone: the weights expand one zone
+    # at a time from the zones x cells multipliers, and each zone's counts
+    # are one contiguous slice of the compressed columns, which a reread of
+    # population.csv reproduces.
     from smallarea.ipf import ipf_all
     from smallarea.popfile import POPULATION_HEADER, population_rows, read_population
     from smallarea.cli import write_csv
@@ -195,10 +260,17 @@ def test_count_and_weight_matrices_are_column_major(tmp_path, two_by_two):
         make_table("age", ["Z1", "Z2"], ("Y", "O"), [[3, 1], [3, 3]]),
     ]
     matrix, _ = ipf_all(survey, tables)
+    assert matrix.multipliers.shape == (2, 4)  # zones x cells: four cells
     population = synthesize(matrix, [4, 6], seed=1)
     path = tmp_path / "population.csv"
     write_csv(path, POPULATION_HEADER, population_rows(population))
     reread = read_population(path, population.zone_ids, population.record_ids)
-    for array in (matrix.weights, population.counts, reread.counts):
-        assert array.flags.f_contiguous
-    np.testing.assert_array_equal(reread.counts, population.counts)
+    dense = dense_counts(population)
+    for zi, (a, b) in enumerate(zip(population.indptr[:-1], population.indptr[1:])):
+        np.testing.assert_array_equal(
+            dense[population.records[a:b], zi], population.counts[a:b]
+        )
+        assert dense[:, zi].sum() == population.counts[a:b].sum()
+    for array in (population.records, population.counts, reread.counts):
+        assert array.flags.c_contiguous
+    assert reread == population

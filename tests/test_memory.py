@@ -1,0 +1,72 @@
+"""Memory: no stage of a run allocates a records x zones array."""
+
+import tracemalloc
+
+from smallarea.cli import write_csv
+from smallarea.fixture import generate_example
+from smallarea.indicators import (
+    arop_absolute,
+    arop_relative,
+    equivalized_incomes,
+    income_summary,
+    md_rate,
+    mpi,
+)
+from smallarea.ingest import load_config, load_constraints, load_survey
+from smallarea.integerize import round_half_up, synthesize
+from smallarea.ipf import ipf_all
+from smallarea.popfile import POPULATION_HEADER, population_rows, read_population
+from smallarea.schema import rescale_constraints
+from smallarea.validate import internal_validation
+
+
+def test_run_holds_no_records_by_zones_array(tmp_path):
+    # 1000 zones x 3000 records, each zone of about 300 persons, so that a
+    # zone counts about one record in ten: one float64 or int64 records x
+    # zones matrix takes 24 MB, and the traced peak of every stage stays
+    # below half of that. A stage may hold its result and a transient copy
+    # of it, 16 bytes per held count, and fixed working sets (the reader's
+    # BLOCK_LINES lines, IPF's BLOCK_CELLS cells); at 300 zones the reader's
+    # block alone takes most of the bound.
+    config = generate_example(
+        tmp_path, n_zones=1000, survey_size=3000, mean_zone_pop=300
+    )
+    config = load_config(config)
+    survey = load_survey(config.survey_path, config.schema)
+    reference = config.schema.constraint_vars[0].name
+    tables = rescale_constraints(
+        load_constraints(config.constraints_path, config.schema), reference
+    )
+    zones = tables[0].zones
+    targets = round_half_up(tables[0].zone_totals())
+    incomes = equivalized_incomes(survey, config.equivalize)
+    bound = 0.5 * survey.n * len(zones) * 8
+    path = tmp_path / "population.csv"
+
+    def stages():
+        matrix, _ = ipf_all(survey, tables)
+        yield "ipf_all"
+        population = synthesize(matrix, targets, config.seed)
+        del matrix
+        yield "synthesize"
+        write_csv(path, POPULATION_HEADER, population_rows(population))
+        yield "population.csv"
+        del population  # validate and indicators read it in their own run
+        population = read_population(path, zones, survey.record_ids)
+        yield "read_population"
+        internal_validation(population, survey, tables)
+        yield "internal_validation"
+        income_summary(population, incomes)
+        arop_absolute(population, incomes)
+        arop_relative(population, incomes)
+        md_rate(population, survey.deprivations, config.md_threshold)
+        mpi(population, survey, config.mpi_spec)
+        yield "indicators"
+
+    tracemalloc.start()
+    try:
+        for stage in stages():
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < bound, f"{stage}: traced peak {peak} bytes"
+    finally:
+        tracemalloc.stop()

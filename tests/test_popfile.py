@@ -1,5 +1,6 @@
 """The population files: the fast writers and reader against the row-wise
-csv-module code they replaced, and the reader's rejection of bad files."""
+csv-module code they replaced and against the dense reader, and the reader's
+rejection of bad files."""
 
 import csv
 import io
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from smallarea import popfile
 from smallarea.ingest import IngestError
-from smallarea.integerize import SyntheticPopulation
 from smallarea.ipf import WeightMatrix
 from smallarea.cli import write_csv
 from smallarea.popfile import (
@@ -25,6 +25,14 @@ from smallarea.popfile import (
     population_rows,
     read_population,
     weights_rows,
+)
+
+from dense_oracle import (
+    dense_counts,
+    dense_read_population,
+    dense_weights,
+    sparse,
+    weight_matrix,
 )
 
 # --------------------------------------------------------------------------
@@ -54,8 +62,9 @@ def reference_csv(header, rows) -> bytes:
 
 def reference_population_csv(population) -> bytes:
     rows = []
+    counts = dense_counts(population)
     for zi, zone in enumerate(population.zone_ids):
-        col = population.counts[:, zi]
+        col = counts[:, zi]
         for ri in np.flatnonzero(col):
             rows.append((zone, population.record_ids[ri], int(col[ri])))
     return reference_csv(["zone_id", "record_id", "count"], rows)
@@ -63,9 +72,10 @@ def reference_population_csv(population) -> bytes:
 
 def reference_weights_csv(matrix) -> bytes:
     rows = []
+    weights = dense_weights(matrix)
     for zi, zone in enumerate(matrix.zone_ids):
         for ri, rid in enumerate(matrix.record_ids):
-            rows.append((rid, zone, matrix.weights[ri, zi]))
+            rows.append((rid, zone, weights[ri, zi]))
     return reference_csv(["record_id", "zone_id", "weight"], rows)
 
 
@@ -175,14 +185,22 @@ def populations(draw):
     counts = matrix(draw, st.integers(0, 12), records, zones)
     empty = draw(st.lists(st.booleans(), min_size=len(zones), max_size=len(zones)))
     counts[:, empty] = 0  # zones with no persons
-    return SyntheticPopulation(counts=counts, zone_ids=zones, record_ids=records)
+    return sparse(counts, zones, records)
 
 
 @st.composite
 def weight_matrices(draw):
+    """Weights given per record, or as zones x cells multipliers with a
+    cell per record and, or not, initial weights."""
     zones, records = draw(shapes())
-    weights = matrix(draw, st.floats(), records, zones)
-    return WeightMatrix(weights=weights, zone_ids=zones, record_ids=records)
+    n = len(records)
+    if draw(st.booleans()):
+        return weight_matrix(matrix(draw, st.floats(), records, zones), zones, records)
+    n_cells = draw(st.integers(1, n))
+    multipliers = matrix(draw, st.floats(), range(n_cells), zones).T
+    cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=n, max_size=n))
+    init = draw(st.none() | st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    return WeightMatrix(multipliers, cells, zones, records, init)
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,10 +210,10 @@ def test_population_bytes_and_round_trip(tmp_path_factory, population):
     write_population(path, population)
     assert path.read_bytes() == reference_population_csv(population)
     back = read_population(path, population.zone_ids, population.record_ids)
-    np.testing.assert_array_equal(back.counts, population.counts)
+    assert back == population
     np.testing.assert_array_equal(
         reference_load(path, population.zone_ids, population.record_ids),
-        population.counts,
+        dense_counts(population),
     )
 
 
@@ -221,19 +239,18 @@ def test_text_rows_as_lists(population, matrix):
 
 
 def test_single_record_and_empty_zone(tmp_path):
-    population = SyntheticPopulation(
-        counts=[[0, 3, 0]], zone_ids=("Z1", "Z2", "Z3"), record_ids=("r1",)
-    )
+    population = sparse([[0, 3, 0]], ("Z1", "Z2", "Z3"), ("r1",))
     path = tmp_path / "population.csv"
     write_population(path, population)
     assert path.read_bytes() == b"zone_id,record_id,count\r\nZ2,r1,3\r\n"
     back = read_population(path, population.zone_ids, population.record_ids)
-    np.testing.assert_array_equal(back.counts, [[0, 3, 0]])
+    assert back == population
+    np.testing.assert_array_equal(dense_counts(back), [[0, 3, 0]])
 
 
-def test_read_population_holds_one_matrix(tmp_path):
-    # A sparse file of a large matrix: reading it peaks near one count
-    # matrix, because SyntheticPopulation keeps the reader's array.
+def test_read_population_holds_no_dense_matrix(tmp_path):
+    # A sparse file of a large population: reading it never allocates a
+    # records x zones array, whose int64 form would take 4 MB here.
     zones = tuple(f"Z{i}" for i in range(500))
     records = tuple(f"r{i}" for i in range(1000))
     path = tmp_path / "population.csv"
@@ -246,7 +263,7 @@ def test_read_population_holds_one_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert population.counts.sum() == len(zones)
-    assert peak < 1.5 * population.counts.nbytes
+    assert peak < len(records) * len(zones)  # an eighth of the int64 matrix
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +283,8 @@ def read_text(tmp_path, body, header="zone_id,record_id,count\n"):
 class TestReadPopulation:
     def test_lf_line_ends_and_no_final_newline(self, tmp_path):
         population = read_text(tmp_path, "Z1,r1,2\nZ2,r3,1")
-        np.testing.assert_array_equal(population.counts, [[2, 0], [0, 0], [0, 1]])
+        expected = [[2, 0], [0, 0], [0, 1]]
+        np.testing.assert_array_equal(dense_counts(population), expected)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="run synthesize"):
@@ -304,9 +322,9 @@ class TestReadPopulation:
 
     def test_later_block_reads_like_one(self, tmp_path, monkeypatch):
         body = "Z1,r1,2\nZ2,r1,1\nZ1,r2,1\nZ1,r3,1\nZ2,r3,4\n"
-        whole = read_text(tmp_path, body).counts
+        whole = read_text(tmp_path, body)
         monkeypatch.setattr(popfile, "BLOCK_LINES", 2)
-        np.testing.assert_array_equal(read_text(tmp_path, body).counts, whole)
+        assert read_text(tmp_path, body) == whole
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -409,8 +427,56 @@ def test_read_population_matches_text_reader(tmp_path_factory, case, block_lines
         lambda: reference_read_population(path, zones, records, block_lines)
     )
     with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
-        got = outcome(lambda: read_population(path, zones, records).counts)
+        got = outcome(lambda: dense_counts(read_population(path, zones, records)))
     if isinstance(expected, str):
         assert got == expected
     else:
         np.testing.assert_array_equal(got, expected)
+
+
+# --------------------------------------------------------------------------
+# The compressed reader against the dense reader
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def shuffled_files(draw):
+    """`population_files` with the rows in any order, and up to two more
+    faults: a repeated line anywhere, or a line of the wrong width."""
+    zones, records, lines, end, final_newline = draw(population_files())
+    lines = list(draw(st.permutations(lines)))
+    for _ in range(draw(st.integers(0, 2))):
+        if not lines:
+            break
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from([line, line + ",1"])))
+    return zones, records, lines, end, final_newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=shuffled_files(),
+    block_lines=st.sampled_from([1, 2, 3, popfile.BLOCK_LINES]),
+)
+def test_read_population_matches_dense_reader(tmp_path_factory, case, block_lines):
+    # Rows in any order, repeated pairs and several faults in one file: the
+    # same counts, or the same message naming the same line.
+    zones, records, lines, end, final_newline = case
+    body = end.join(lines) + (end if final_newline and lines else "")
+    path = tmp_path_factory.mktemp("pop") / "population.csv"
+    path.write_bytes(f"zone_id,record_id,count{end}{body}".encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return read()
+        except IngestError as exc:
+            return str(exc)
+
+    with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
+        expected = outcome(lambda: dense_read_population(path, zones, records))
+        got = outcome(lambda: read_population(path, zones, records))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got == sparse(expected, tuple(zones), tuple(records))

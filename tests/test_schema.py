@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,15 +36,11 @@ def full_survey(schema):
 
 
 class TestCategoryCounts:
-    def test_vector_and_matrix(self, two_by_two):
+    def test_counts_and_weighted_counts(self, two_by_two):
         _, survey = two_by_two  # records (M,Y), (M,O), (F,Y), (F,O)
         np.testing.assert_array_equal(survey.category_counts("age"), [2, 2])
         np.testing.assert_array_equal(
             survey.category_counts("age", [1.0, 2.0, 3.0, 4.0]), [4.0, 6.0]
-        )
-        weights = np.array([[1, 0], [2, 0], [3, 5], [4, 0]])  # records x zones
-        np.testing.assert_array_equal(
-            survey.category_counts("age", weights), [[4, 6], [5, 0]]
         )
 
     def test_unknown_variable(self, two_by_two):
@@ -112,6 +109,22 @@ class TestCheckConsistency:
         r1 = check_consistency(schema, tables, survey)
         r2 = check_consistency(schema, tables, survey)
         assert r1 == r2
+
+    def test_reports_of_two_zones_compare(self):
+        # zone_totals holds arrays, which compare as arrays.
+        schema = make_schema()
+        survey = full_survey(schema)
+        zones = ("Z1", "Z2")
+        tables = two_var_tables([[60, 40], [5, 5]], [[30, 70], [4, 6]], zones)
+        r1 = check_consistency(schema, tables, survey)
+        assert r1 == check_consistency(schema, tables, survey)
+        changed = two_var_tables([[60, 40], [5, 5]], [[30, 70], [4, 7]], zones)
+        r2 = check_consistency(schema, changed, survey)
+        assert r1 != r2
+        assert r1.zones == r2.zones and r1.empty_cells == r2.empty_cells
+        totals = {**r1.zone_totals, "age": np.array([100.0, 11.0])}
+        assert r1 != dataclasses.replace(r1, zone_totals=totals)
+        assert r1 != dataclasses.replace(r1, zone_totals={"sex": totals["sex"]})
 
 
 class TestRescaleConstraints:

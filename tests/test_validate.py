@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from smallarea.integerize import SyntheticPopulation
 from smallarea.schema import ConstraintTable, SchemaError, VariableDef
 from smallarea.ingest import Crosswalk
 from smallarea.validate import (
@@ -18,6 +17,7 @@ from smallarea.validate import (
 )
 
 from conftest import make_schema, make_survey, make_table
+from dense_oracle import dense_counts, sparse
 
 
 def t_density(x, df):
@@ -181,9 +181,7 @@ def small_population():
             [5, 4, 3, 1],
         ]
     )
-    pop = SyntheticPopulation(
-        counts=counts, zone_ids=zones, record_ids=("r0", "r1", "r2")
-    )
+    pop = sparse(counts, zones, ("r0", "r1", "r2"))
     return schema, survey, pop, zones
 
 
@@ -209,7 +207,8 @@ class TestAggregate:
 
 
 def reference_aggregate(population, survey, variable, crosswalk=None):
-    """The per-zone bincount loop that `aggregate` replaced."""
+    """The per-zone bincount loop over the dense count matrix that
+    `aggregate` replaced."""
     vardef = survey.schema.variable(variable)
     codes = survey.category_codes(variable)
     if crosswalk is not None:
@@ -223,10 +222,11 @@ def reference_aggregate(population, survey, variable, crosswalk=None):
     else:
         categories = vardef.categories
     n_cats = len(categories)
+    dense = dense_counts(population)
     counts = np.zeros((len(population.zone_ids), n_cats))
     for zi in range(len(population.zone_ids)):
         counts[zi] = np.bincount(
-            codes, weights=population.counts[:, zi], minlength=n_cats
+            codes, weights=dense[:, zi], minlength=n_cats
         )
     return ConstraintTable(variable, population.zone_ids, categories, counts)
 
@@ -252,9 +252,7 @@ class TestAggregateAgainstReference:
         counts = rng.integers(0, 4, size=(n, n_zones)) * (rng.random(n) < 0.7)[:, None]
         counts[:, 0] = 0  # an empty zone
         zones = tuple(f"Z{i}" for i in range(n_zones))
-        pop = SyntheticPopulation(
-            counts=counts, zone_ids=zones, record_ids=survey.record_ids
-        )
+        pop = sparse(counts, zones, survey.record_ids)
         groups = rng.choice(["g1", "g2", "g3"], size=len(fine))
         crosswalk = Crosswalk("occ", dict(zip(fine, map(str, groups))))
         for variable, cw in [("sex", None), ("occ", None), ("occ", crosswalk)]:
