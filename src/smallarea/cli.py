@@ -25,11 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# run_indicators gets the figures of arop_absolute, arop_relative and
+# income_summary from income_indicators; the three stay importable here
+# because perfbench/tracer.py wraps them on this module by name.
 from .indicators import (
     arop_absolute,
     arop_relative,
     deprivation_scores,
     equivalized_incomes,
+    income_indicators,
     income_summary,
     md_rate,
     mpi,
@@ -345,9 +349,7 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
     def zone_rows(pop):
         """One indicators.csv row per zone of the population `pop`."""
         zone_ids = pop.zone_ids
-        means, medians = income_summary(pop, incomes)
-        abs_rates, _, excluded = arop_absolute(pop, incomes, cfg.arop_fraction)
-        rel_rates, _ = arop_relative(pop, incomes, cfg.arop_fraction)
+        income = income_indicators(pop, incomes, cfg.arop_fraction)
         if rt.schema.deprivation_fields:
             md = md_rate(pop, rt.survey.deprivations, cfg.md_threshold)
         else:
@@ -360,9 +362,10 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
         else:
             mpis = [(math.nan,) * 3] * len(zone_ids)
         return [
-            (zone, means[i], medians[i], abs_rates[i], rel_rates[i], md[i])
+            (zone, income.means[i], income.medians[i])
+            + (income.arop_absolute[i], income.arop_relative[i], md[i])
             + mpis[i]
-            + (int(excluded[i]),)
+            + (int(income.excluded[i]),)
             for i, zone in enumerate(zone_ids)
         ]
 

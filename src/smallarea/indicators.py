@@ -212,6 +212,52 @@ def equivalized_incomes(survey: SurveyDataset, do_equivalize: bool) -> np.ndarra
     return out
 
 
+@dataclass(frozen=True)
+class IncomeIndicators:
+    """Per-zone income figures of a population; NaN for zones with no
+    counted person with observed income."""
+
+    means: np.ndarray
+    medians: np.ndarray
+    line: float  # metro-wide poverty line; NaN when nobody is observed
+    arop_absolute: np.ndarray  # shares below `line`
+    lines: np.ndarray  # per-zone poverty lines
+    arop_relative: np.ndarray  # shares below each zone's line
+    excluded: np.ndarray  # persons with missing income
+
+
+def income_indicators(
+    population: SyntheticPopulation, incomes: np.ndarray, fraction: float = 0.6
+) -> IncomeIndicators:
+    """The figures of income_summary, arop_absolute and arop_relative from
+    one ranked pass per zone. Like arop_absolute, raises when no counted
+    person has an observed income."""
+    figures = _income_pass(population, incomes, fraction)
+    if math.isnan(figures.line):
+        raise ValueError("no counted person with observed income")
+    return figures
+
+
+def _income_pass(population, incomes, fraction=0.6) -> IncomeIndicators:
+    """IncomeIndicators with one cumsum per zone over the ranked incomes;
+    `line` is NaN when no counted person has an observed income."""
+    ranked = _RankedIncomes(incomes)
+    line = fraction * ranked.column(population.record_totals())[1]
+    n = len(population.zone_ids)
+    means, medians, abs_rates, lines, rel_rates = (
+        np.full(n, math.nan) for _ in range(5)
+    )
+    for z, col in enumerate(population.columns()):
+        cum, medians[z] = ranked.column(col)
+        if cum[-1] > 0:
+            means[z] = ranked.mean(col, cum[-1])
+            abs_rates[z] = ranked.below(cum, line) / cum[-1]
+            lines[z] = fraction * medians[z]
+            rel_rates[z] = ranked.below(cum, lines[z]) / cum[-1]
+    excluded = population.zone_totals(where=np.isnan(incomes))
+    return IncomeIndicators(means, medians, line, abs_rates, lines, rel_rates, excluded)
+
+
 def arop_absolute(
     population: SyntheticPopulation, incomes: np.ndarray, fraction: float = 0.6
 ):
@@ -220,18 +266,8 @@ def arop_absolute(
     Records with missing income are excluded from both numerator and
     denominator. Returns (per-zone rates, poverty line, per-zone excluded
     counts)."""
-    ranked = _RankedIncomes(incomes)
-    _, median = ranked.column(population.record_totals())
-    if math.isnan(median):
-        raise ValueError("no counted person with observed income")
-    line = fraction * median
-    rates = np.full(len(population.zone_ids), math.nan)
-    for z, col in enumerate(population.columns()):
-        cum = ranked.column(col)[0]
-        if cum[-1] > 0:
-            rates[z] = ranked.below(cum, line) / cum[-1]
-    excluded = population.zone_totals(where=np.isnan(incomes))
-    return rates, line, excluded
+    figures = income_indicators(population, incomes, fraction)
+    return figures.arop_absolute, figures.line, figures.excluded
 
 
 def arop_relative(
@@ -241,15 +277,8 @@ def arop_relative(
 
     Returns (per-zone rates, per-zone lines); both NaN for zones with no
     counted person with observed income."""
-    ranked = _RankedIncomes(incomes)
-    rates = np.full(len(population.zone_ids), math.nan)
-    lines = np.full(len(population.zone_ids), math.nan)
-    for z, col in enumerate(population.columns()):
-        cum, median = ranked.column(col)
-        if cum[-1] > 0:
-            lines[z] = fraction * median
-            rates[z] = ranked.below(cum, lines[z]) / cum[-1]
-    return rates, lines
+    figures = _income_pass(population, incomes, fraction)
+    return figures.arop_relative, figures.lines
 
 
 def md_rate(
@@ -323,11 +352,5 @@ def income_summary(population: SyntheticPopulation, incomes: np.ndarray):
     (means, medians); NaN for zones with no counted person with observed
     income. The metro figures are those of the one-zone population of
     `population.record_totals()`."""
-    ranked = _RankedIncomes(incomes)
-    means = np.full(len(population.zone_ids), math.nan)
-    medians = np.full(len(population.zone_ids), math.nan)
-    for z, col in enumerate(population.columns()):
-        cum, medians[z] = ranked.column(col)
-        if cum[-1] > 0:
-            means[z] = ranked.mean(col, cum[-1])
-    return means, medians
+    figures = _income_pass(population, incomes)
+    return figures.means, figures.medians

@@ -147,8 +147,7 @@ class SyntheticPopulation:
     def record_totals(self) -> np.ndarray:
         """Persons per record over all zones: the pooled (metro) column."""
         totals = np.zeros(len(self.record_ids), dtype=np.int64)
-        for zone in self.slices():
-            totals[self.records[zone]] += self.counts[zone]  # no record twice
+        np.add.at(totals, self.records, self.counts.astype(np.int64, copy=False))
         return totals
 
     def columns(self):

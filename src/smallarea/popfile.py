@@ -5,10 +5,12 @@ zones in constraint-table order and records in survey order within a zone.
 `weights.csv` (`--dump-weights`) holds one `record_id,zone_id,weight` row per
 record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `population_rows` and `weights_rows` give their data rows as the text that
-`csv.writer` would write, with CRLF line ends, made with one string join per
-zone. Ids are written and split unquoted, which is exact because ingest
-rejects zone and record ids that `csv.writer` would quote
-(`schema.needs_quoting`).
+`csv.writer` would write, with CRLF line ends. `population_rows` fills the
+bytes of a block of whole zones with numpy passes over byte tables of the
+ids and the digits of the counts, and makes no Python string per row;
+`weights_rows` makes one string join per zone. Ids are written and split
+unquoted, which is exact because ingest rejects zone and record ids that
+`csv.writer` would quote (`schema.needs_quoting`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .ipf import WeightMatrix
 
 POPULATION_HEADER = ("zone_id", "record_id", "count")
 WEIGHTS_HEADER = ("record_id", "zone_id", "weight")
-# Lines parsed at a time: splitting the whole file at once holds every field
-# of it as a string, which costs more memory than the count matrix itself.
+# Lines parsed, or rows written, at a time: splitting the whole file at once
+# holds every field of it as a string, which costs more memory than the count
+# matrix itself, and the writer's working arrays take about 120 bytes a row.
 BLOCK_LINES = 16384
 
 
@@ -50,17 +53,40 @@ class TextRows:
 
 
 def population_rows(population: SyntheticPopulation) -> TextRows:
-    """The rows of `population.csv`: one string join per zone over the
-    counts it holds."""
-    ids = np.array([rid + "," for rid in population.record_ids], dtype=object)
+    """The rows of `population.csv`, made one block of whole zones of about
+    BLOCK_LINES rows at a time. A row's length is the sum of the lengths of
+    its "<zone_id>," and "<record_id>," in padded byte tables, of its
+    count's digits and of CRLF; one cumsum gives each row's offset in the
+    block's bytes. Each id field is copied with one pass per byte column of
+    its table and each count digit by digit, exactly up to 2**63 - 1."""
 
     def blocks():
-        for zone, held in zip(population.zone_ids, population.slices()):
-            if held.stop > held.start:
-                lead = zone + ","
-                counts = map(str, population.counts[held].tolist())
-                rows = map(str.__add__, ids[population.records[held]], counts)
-                yield lead + f"\r\n{lead}".join(rows) + "\r\n"
+        zone_table, zone_lengths = _field_table(population.zone_ids)
+        record_table, record_lengths = _field_table(population.record_ids)
+        indptr = population.indptr
+        for first, end in population.zone_blocks(BLOCK_LINES):
+            held = slice(indptr[first], indptr[end])
+            if held.start == held.stop:  # a block of empty zones
+                continue
+            zones = np.repeat(np.arange(first, end), np.diff(indptr[first : end + 1]))
+            records = population.records[held]
+            counts = population.counts[held].astype(np.int64)  # divided below
+            zone_len, record_len = zone_lengths[zones], record_lengths[records]
+            digits = np.searchsorted(_POWERS_OF_TEN, counts, side="right")
+            lengths = zone_len + record_len + digits + 2
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            out = np.empty(int(ends[-1]), np.uint8)
+            _copy_fields(out, starts, zone_table, zones, zone_len)
+            _copy_fields(out, starts + zone_len, record_table, records, record_len)
+            last = ends - 3  # each count's last digit
+            for p in range(int(digits.max())):
+                inside = digits > p
+                out[last[inside] - p] = counts[inside] % 10 + ord("0")
+                counts //= 10
+            out[ends - 2] = ord("\r")
+            out[ends - 1] = ord("\n")
+            yield str(out, "utf-8")
 
     return TextRows(population.counts.size, blocks)
 
@@ -184,12 +210,9 @@ def _id_finder(ids):
     """A function that maps fields (buf, starts, ends) to the index of each
     in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
     lookup of `_id_keys`."""
-    encoded = [i.encode("utf-8") for i in ids]
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    ends = np.cumsum(lengths)
-    width = int(lengths.max(initial=0))
-    buf = np.frombuffer(b"".join(encoded), np.uint8)
-    keys = _id_keys(buf, ends - lengths, ends, width)
+    buf, starts, ends = _id_bytes(ids)
+    width = int((ends - starts).max(initial=0))
+    keys = _id_keys(buf, starts, ends, width)
     order = np.argsort(keys, kind="stable")
     table = keys[order]
 
@@ -201,6 +224,16 @@ def _id_finder(ids):
         return order[at], table[at] == keys
 
     return find
+
+
+def _id_bytes(ids, suffix=""):
+    """The UTF-8 bytes of each id followed by `suffix`, as one uint8 buffer
+    and the start and end of each."""
+    lengths = np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
+    lengths += len(suffix.encode("utf-8"))
+    ends = np.cumsum(lengths)
+    buf = (suffix.join(ids) + suffix).encode("utf-8")
+    return np.frombuffer(buf, np.uint8), ends - lengths, ends
 
 
 def _id_keys(buf, starts, ends, width) -> np.ndarray:
@@ -240,3 +273,25 @@ def _digits(buf, starts, ends):
         value = np.where(inside, value * np.uint64(10) + digits[:, j], value)
     valid &= value < np.uint64(2**63)
     return value.astype(np.int64), valid
+
+
+# 10**k for k = 0..18: a positive int64 has as many digits as the powers it
+# reaches.
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _field_table(ids):
+    """The UTF-8 bytes of "<id>," for each of `ids`, zero-padded to the
+    longest, as one row per byte column; and the length of each."""
+    buf, starts, ends = _id_bytes(ids, ",")
+    lengths = ends - starts
+    table = _gather(buf, starts, ends, int(lengths.max(initial=0)))
+    return np.ascontiguousarray(table.T), lengths
+
+
+def _copy_fields(out, at, columns, rows, lengths):
+    """Copy the first `lengths` bytes of the fields `rows` of a byte-column
+    table to out[at:at + lengths], one masked pass per byte column."""
+    for j, column in enumerate(columns):
+        inside = lengths > j
+        out[at[inside] + j] = column[rows[inside]]

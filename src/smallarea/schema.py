@@ -254,18 +254,12 @@ class ConsistencyReport:
 
     def __eq__(self, other):
         """Field by field, with the arrays of `zone_totals` compared as
-        arrays."""
+        arrays and NaN equal to NaN, so that a report of tables holding a
+        NaN count equals itself."""
         if not isinstance(other, ConsistencyReport):
             return NotImplemented
-        mine, theirs = self.zone_totals, other.zone_totals
-        return (
-            all(
-                getattr(self, f.name) == getattr(other, f.name)
-                for f in fields(self)
-                if f.name != "zone_totals"
-            )
-            and mine.keys() == theirs.keys()
-            and all(np.array_equal(mine[k], theirs[k]) for k in mine)
+        return all(
+            _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
     @property
@@ -275,6 +269,18 @@ class ConsistencyReport:
             and not self.empty_cells
             and not self.bad_cells
         )
+
+
+def _same(a, b) -> bool:
+    """a == b for the values a ConsistencyReport holds (tuples, dicts of
+    arrays, floats and strings), with NaN equal to NaN."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
 
 
 def check_consistency(schema, tables, survey) -> ConsistencyReport:

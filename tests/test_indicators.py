@@ -15,6 +15,7 @@ from smallarea.indicators import (
     deprivation_scores,
     equivalize,
     equivalized_incomes,
+    income_indicators,
     income_summary,
     md_rate,
     mpi,
@@ -24,8 +25,14 @@ from smallarea.indicators import (
 from smallarea.ingest import load_survey
 from smallarea.schema import SchemaError, SurveyDataset, VariableDef
 
+from smallarea.fixture import generate_example
+from smallarea.ingest import load_config, load_constraints
+from smallarea.integerize import round_half_up, synthesize
+from smallarea.ipf import ipf_all
+from smallarea.schema import rescale_constraints
+
 from conftest import make_schema
-from dense_oracle import sparse
+from dense_oracle import dense_counts, sparse
 
 
 def csv_survey(tmp_path, text):
@@ -624,3 +631,62 @@ class TestAgainstReference:
     def test_weighted_median_named_cases(self, counts, incomes, _):
         expected = ref_weighted_median(incomes, counts[:, 0])
         assert weighted_median(incomes, counts[:, 0]) == expected
+
+
+class TestIncomeIndicators:
+    """income_indicators, the one ranked pass per zone that run_indicators
+    makes, gives the figures of income_summary, arop_absolute and
+    arop_relative, and those of the reference code."""
+
+    @staticmethod
+    def check(population, incomes, fraction):
+        counts = dense_counts(population)
+        try:
+            ref_abs = ref_arop_absolute(counts, incomes, fraction)
+        except ValueError:
+            with pytest.raises(ValueError, match="no counted person"):
+                income_indicators(population, incomes, fraction)
+            return
+        figures = income_indicators(population, incomes, fraction)
+        means, medians = income_summary(population, incomes)
+        rates, line, excluded = arop_absolute(population, incomes, fraction)
+        rel_rates, lines = arop_relative(population, incomes, fraction)
+        assert_same(figures.means, means)
+        assert_same(figures.medians, medians)
+        assert_same(figures.arop_absolute, rates)
+        assert figures.line == line
+        assert_same(figures.excluded, excluded)
+        assert_same(figures.arop_relative, rel_rates)
+        assert_same(figures.lines, lines)
+        ref_means, ref_medians, _, _ = ref_income_summary(counts, incomes)
+        assert_same(figures.means, ref_means)
+        assert_same(figures.medians, ref_medians)
+        assert_same(figures.arop_absolute, ref_abs[0])
+        assert figures.line == ref_abs[1]
+        assert_same(figures.excluded, ref_abs[2])
+        ref_rel = ref_arop_relative(counts, incomes, fraction)
+        assert_same((figures.arop_relative, figures.lines), ref_rel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pop=populations(), fraction=st.sampled_from([0.5, 0.6, 1.0]))
+    def test_hypothesis_populations(self, pop, fraction):
+        counts, incomes = pop
+        self.check(sparse(counts), incomes, fraction)
+
+    def test_recovery_fixture(self, tmp_path):
+        # The acceptance gate's 59 zones x 3000 records, about 5000 persons
+        # per zone, with its equivalized incomes.
+        config = load_config(
+            generate_example(tmp_path, n_zones=59, survey_size=3000, mean_zone_pop=5000)
+        )
+        survey = load_survey(config.survey_path, config.schema)
+        tables = rescale_constraints(
+            load_constraints(config.constraints_path, config.schema),
+            config.schema.constraint_vars[0].name,
+        )
+        matrix, _ = ipf_all(survey, tables)
+        population = synthesize(
+            matrix, round_half_up(tables[0].zone_totals()), config.seed
+        )
+        incomes = equivalized_incomes(survey, config.equivalize)
+        self.check(population, incomes, config.arop_fraction)

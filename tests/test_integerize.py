@@ -274,3 +274,21 @@ def test_count_and_weight_matrices_are_column_major(tmp_path, two_by_two):
     for array in (population.records, population.counts, reread.counts):
         assert array.flags.c_contiguous
     assert reread == population
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_record_totals_exact(dtype):
+    # Against the per-zone loop; int64 sums past 2**53, where a float sum
+    # would round, stay exact.
+    big = dtype == np.int64
+    counts = [[3, 0, 5], [2**62, 0, 2**62 - 1] if big else [7, 1, 2]]
+    population = sparse(counts)
+    assert population.counts.dtype == dtype
+    totals = population.record_totals()
+    expected = np.zeros(2, dtype=np.int64)
+    for zone in population.slices():
+        expected[population.records[zone]] += population.counts[zone]
+    assert totals.dtype == np.int64
+    np.testing.assert_array_equal(totals, expected)
+    if big:
+        assert int(totals[1]) == 2**63 - 1

@@ -179,10 +179,21 @@ def matrix(draw, elements, records, zones) -> np.ndarray:
     return np.array(values).reshape(len(records), len(zones))
 
 
+# Counts of one digit and of many, at the powers of ten, and past the int32
+# range, which the population then holds as int64.
+EDGE_COUNTS = [9, 10, 99, 100, 2**31 - 1, 2**31, 10**18 - 1, 10**18, 2**63 - 1]
+count_values = (
+    st.integers(0, 12)
+    | st.integers(0, 10**6)
+    | st.integers(0, 2**63 - 1)
+    | st.sampled_from(EDGE_COUNTS)
+)
+
+
 @st.composite
 def populations(draw):
     zones, records = draw(shapes())
-    counts = matrix(draw, st.integers(0, 12), records, zones)
+    counts = matrix(draw, count_values, records, zones)
     empty = draw(st.lists(st.booleans(), min_size=len(zones), max_size=len(zones)))
     counts[:, empty] = 0  # zones with no persons
     return sparse(counts, zones, records)
@@ -214,6 +225,39 @@ def test_population_bytes_and_round_trip(tmp_path_factory, population):
     np.testing.assert_array_equal(
         reference_load(path, population.zone_ids, population.record_ids),
         dense_counts(population),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(population=populations(), block_lines=st.sampled_from([1, 2, 3]))
+def test_population_bytes_in_small_blocks(tmp_path_factory, population, block_lines):
+    # Blocks of a few rows, which start and end at empty zones and split
+    # the rows of neighbouring zones, write the same bytes.
+    path = tmp_path_factory.mktemp("pop") / "population.csv"
+    with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
+        write_population(path, population)
+    assert path.read_bytes() == reference_population_csv(population)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3])
+def test_empty_zones_at_block_edges(tmp_path, monkeypatch, block_lines):
+    # Zones of 0, 2, 0, 3, 0 and 1 rows; the int64 counts need all 19
+    # digits and one past the int32 range.
+    counts = np.zeros((3, 6), dtype=np.int64)
+    counts[[0, 2], 1] = [5, 70]
+    counts[:, 3] = [1, 12, 2**63 - 1]
+    counts[1, 5] = 2**31
+    zones = ("Z1", "Zé2", "Z3", "Z4", "Z5", "Z6")
+    population = sparse(counts, zones, ("r1", "ŕ2", "r3"))
+    assert population.counts.dtype == np.int64
+    monkeypatch.setattr(popfile, "BLOCK_LINES", block_lines)
+    blocks = list(population_rows(population).blocks())
+    assert all(block.endswith("\r\n") for block in blocks)
+    path = tmp_path / "population.csv"
+    write_population(path, population)
+    assert path.read_bytes() == reference_population_csv(population)
+    assert path.read_bytes().decode("utf-8").endswith(
+        "Z4,ŕ2,12\r\nZ4,r3,9223372036854775807\r\nZ6,ŕ2,2147483648\r\n"
     )
 
 

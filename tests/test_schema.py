@@ -126,6 +126,19 @@ class TestCheckConsistency:
         assert r1 != dataclasses.replace(r1, zone_totals=totals)
         assert r1 != dataclasses.replace(r1, zone_totals={"sex": totals["sex"]})
 
+    def test_report_with_nan_count_equals_itself(self):
+        # The NaN cell's total and its bad_cells value compare NaN-aware.
+        schema = make_schema()
+        survey = full_survey(schema)
+        tables = two_var_tables([[60, math.nan]], [[30, 70]])
+        r1 = check_consistency(schema, tables, survey)
+        r2 = check_consistency(schema, tables, survey)
+        assert math.isnan(r1.zone_totals["sex"][0])
+        assert r1.bad_cells == (("sex", "Z1", "F", r1.bad_cells[0][3]),)
+        assert r1 == r1 and r1 == r2
+        changed = two_var_tables([[60, math.nan]], [[30, 71]])
+        assert r1 != check_consistency(schema, changed, survey)
+
 
 class TestRescaleConstraints:
     def test_example_row(self):
