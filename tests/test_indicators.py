@@ -22,14 +22,16 @@ from smallarea.indicators import (
     percent_change,
     weighted_median,
 )
-from smallarea.ingest import load_survey
-from smallarea.schema import SchemaError, SurveyDataset, VariableDef
-
 from smallarea.fixture import generate_example
-from smallarea.ingest import load_config, load_constraints
+from smallarea.ingest import load_config, load_constraints, load_survey
 from smallarea.integerize import round_half_up, synthesize
 from smallarea.ipf import ipf_all
-from smallarea.schema import rescale_constraints
+from smallarea.schema import (
+    SchemaError,
+    SurveyDataset,
+    VariableDef,
+    rescale_constraints,
+)
 
 from conftest import make_schema
 from dense_oracle import dense_counts, sparse
@@ -648,24 +650,19 @@ class TestIncomeIndicators:
                 income_indicators(population, incomes, fraction)
             return
         figures = income_indicators(population, incomes, fraction)
-        means, medians = income_summary(population, incomes)
-        rates, line, excluded = arop_absolute(population, incomes, fraction)
-        rel_rates, lines = arop_relative(population, incomes, fraction)
-        assert_same(figures.means, means)
-        assert_same(figures.medians, medians)
-        assert_same(figures.arop_absolute, rates)
-        assert figures.line == line
-        assert_same(figures.excluded, excluded)
-        assert_same(figures.arop_relative, rel_rates)
-        assert_same(figures.lines, lines)
-        ref_means, ref_medians, _, _ = ref_income_summary(counts, incomes)
-        assert_same(figures.means, ref_means)
-        assert_same(figures.medians, ref_medians)
-        assert_same(figures.arop_absolute, ref_abs[0])
-        assert figures.line == ref_abs[1]
-        assert_same(figures.excluded, ref_abs[2])
-        ref_rel = ref_arop_relative(counts, incomes, fraction)
-        assert_same((figures.arop_relative, figures.lines), ref_rel)
+        summary = (figures.means, figures.medians)
+        assert_same(summary, income_summary(population, incomes))
+        assert_same(summary, ref_income_summary(counts, incomes)[:2])
+        relative = (figures.arop_relative, figures.lines)
+        assert_same(relative, arop_relative(population, incomes, fraction))
+        assert_same(relative, ref_arop_relative(counts, incomes, fraction))
+        for rates, line, excluded in (
+            arop_absolute(population, incomes, fraction),
+            ref_abs,
+        ):
+            assert_same(figures.arop_absolute, rates)
+            assert figures.line == line
+            assert_same(figures.excluded, excluded)
 
     @settings(max_examples=200, deadline=None)
     @given(pop=populations(), fraction=st.sampled_from([0.5, 0.6, 1.0]))
