@@ -29,6 +29,7 @@ from . import __version__
 # income_summary from income_indicators; the three stay importable here
 # because perfbench/tracer.py wraps them on this module by name.
 from .indicators import (
+    MpiResult,
     arop_absolute,
     arop_relative,
     deprivation_scores,
@@ -346,25 +347,18 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
     cfg = rt.config
     incomes = equivalized_incomes(rt.survey, cfg.equivalize)
 
-    def zone_rows(pop):
-        """One indicators.csv row per zone of the population `pop`."""
+    def zone_rows(pop, mpis):
+        """One indicators.csv row per zone of `pop`, with its MPI `mpis`."""
         zone_ids = pop.zone_ids
         income = income_indicators(pop, incomes, cfg.arop_fraction)
         if rt.schema.deprivation_fields:
             md = md_rate(pop, rt.survey.deprivations, cfg.md_threshold)
         else:
             md = np.full(len(zone_ids), math.nan)
-        if cfg.mpi_spec is not None:
-            mpis = [
-                (r.headcount, r.intensity, r.adjusted)
-                for r in mpi(pop, rt.survey, cfg.mpi_spec)[0]
-            ]
-        else:
-            mpis = [(math.nan,) * 3] * len(zone_ids)
         return [
             (zone, income.means[i], income.medians[i])
             + (income.arop_absolute[i], income.arop_relative[i], md[i])
-            + mpis[i]
+            + (mpis[i].headcount, mpis[i].intensity, mpis[i].adjusted)
             + (int(income.excluded[i]),)
             for i, zone in enumerate(zone_ids)
         ]
@@ -374,7 +368,12 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
         metro = SyntheticPopulation.from_columns(
             [population.record_totals()], ("METRO",), population.record_ids, n
         )
-        return zone_rows(population) + zone_rows(metro)
+        if cfg.mpi_spec is not None:
+            zone_mpis, metro_mpi = mpi(population, rt.survey, cfg.mpi_spec)
+        else:
+            metro_mpi = MpiResult(math.nan, math.nan, math.nan)
+            zone_mpis = [metro_mpi] * len(population.zone_ids)
+        return zone_rows(population, zone_mpis) + zone_rows(metro, [metro_mpi])
 
     rows = rt.timed("indicators", compute)
     rt.write("indicators.csv", INDICATOR_COLUMNS, rows)

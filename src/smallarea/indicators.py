@@ -147,8 +147,8 @@ class _RankedIncomes:
 
     def mean(self, col, total):
         """Weighted mean income of a column counting `total` > 0 persons,
-        summed in survey record order."""
-        return self.observed @ col[self.valid].astype(float) / total
+        an np.sum in survey record order (a BLAS dot's bits vary)."""
+        return np.sum(self.observed * col[self.valid]) / total
 
     def below(self, cum, line):
         """Persons counted in `cum` with an observed income below `line`."""
@@ -327,24 +327,26 @@ def mpi(population: SyntheticPopulation, survey: SurveyDataset, spec: MpiSpec):
     """Per-zone Alkire-Foster measures plus the pooled (metro) result.
 
     H = weighted share of persons with score >= cutoff, A = weighted mean
-    score among them, M0 = H * A. Returns (list of per-zone MpiResult,
-    metro MpiResult)."""
+    score among them, M0 = H * A, each summed in record order. Returns (list
+    of per-zone MpiResult, metro MpiResult from `record_totals()`)."""
     score = deprivation_scores(survey, spec)
     # small slack so scores assembled from thirds compare equal to k = 1/3
     poor = score >= spec.cutoff - 1e-9
 
-    def compute(col) -> MpiResult:
-        total = col.sum()
+    def compute(records, counts) -> MpiResult:
+        total = counts.sum()
         if total == 0:
             return MpiResult(math.nan, math.nan, math.nan)
-        wp = col[poor].sum()
+        held = poor[records]
+        wp = counts[held].sum()
         h = wp / total
-        a = float(score[poor] @ col[poor] / wp) if wp > 0 else 0.0
+        a = float(np.sum(score[records[held]] * counts[held]) / wp) if wp > 0 else 0.0
         return MpiResult(float(h), a, float(h * a))
 
-    per_zone = [compute(col.astype(float)) for col in population.columns()]
-    metro = compute(population.record_totals().astype(float))
-    return per_zone, metro
+    records, counts = population.records, population.counts
+    per_zone = [compute(records[s], counts[s]) for s in population.slices()]
+    pooled = population.record_totals()
+    return per_zone, compute(np.flatnonzero(pooled), pooled[pooled > 0])
 
 
 def income_summary(population: SyntheticPopulation, incomes: np.ndarray):

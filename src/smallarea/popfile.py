@@ -15,7 +15,7 @@ unquoted, which is exact because ingest rejects zone and record ids that
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,9 @@ WEIGHTS_HEADER = ("record_id", "zone_id", "weight")
 # holds every field of it as a string, which costs more memory than the count
 # matrix itself, and the writer's working arrays take about 120 bytes a row.
 BLOCK_LINES = 16384
+# Bytes the reader reads at a time and cuts into blocks at line ends; a
+# read is allocated whole, so it adds to the reader's peak memory.
+CHUNK_BYTES = 1 << 18
 
 
 class TextRows:
@@ -112,12 +115,12 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     `record_ids`; absent (zone, record) pairs and counts of 0 count 0. Rows
     may come in any order. Lines end in LF or CRLF.
 
-    Reads BLOCK_LINES lines at a time as bytes and matches each block's ids
-    as byte keys. Rejects, naming the file and line, a row that has not 3
-    fields, an unknown zone or record id, a count that is not a non-negative
-    integer written in digits, and a repeated (zone, record) pair. When a
-    file holds several faults, the one named is that of the first block
-    with a fault, and in it a bad row before a repeated pair."""
+    Parses blocks of BLOCK_LINES lines, cut from byte reads, and matches
+    each block's ids as byte keys. Rejects, naming the file and line, a row
+    that has not 3 fields, an unknown zone or record id, a count that is not
+    a non-negative integer written in digits, and a repeated (zone, record)
+    pair. When a file holds several faults, the one named is that of the
+    first block with a fault, and in it a bad row before a repeated pair."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
@@ -153,7 +156,7 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         header = fh.readline().decode("utf-8").removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
-        while block := b"".join(islice(fh, BLOCK_LINES)):
+        for block in _line_blocks(fh):
             if not block.isascii():
                 block.decode("utf-8")  # rejects what a text read would
             try:
@@ -196,6 +199,24 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     bounds = np.arange(len(zone_ids) + 1, dtype=np.int32)
     indptr = np.searchsorted(zi, bounds).astype(np.int64)
     return SyntheticPopulation(indptr, ri, counts, zone_ids, record_ids)
+
+
+def _line_blocks(fh):
+    """The rest of the binary file `fh` in blocks of BLOCK_LINES lines, the
+    last one possibly shorter. Reads CHUNK_BYTES at a time and cuts at the
+    LF that ends each block, so no object is made per line."""
+    pieces, lines = [], 0  # the current block's bytes so far, its whole lines
+    while chunk := fh.read(CHUNK_BYTES):
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
+        start = 0
+        for end in ends[BLOCK_LINES - 1 - lines :: BLOCK_LINES].tolist():
+            pieces.append(chunk[start:end])
+            yield b"".join(pieces)
+            pieces, start = [], end
+        pieces.append(chunk[start:])
+        lines = (lines + ends.size) % BLOCK_LINES
+    if block := b"".join(pieces):
+        yield block
 
 
 def _joined(blocks: list) -> np.ndarray:

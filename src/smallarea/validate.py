@@ -44,8 +44,9 @@ class ValidationReport:
 # --------------------------------------------------------------------------
 
 def r_squared(actual, simulated) -> float:
-    """Squared Pearson correlation between actual and simulated values.
-    NaN when undefined (n < 3, or either vector constant)."""
+    """Squared Pearson correlation between actual and simulated values, from
+    np.sum reductions (a BLAS dot's bits vary with its thread count). NaN
+    when undefined (n < 3, or either vector constant)."""
     a = np.asarray(actual, dtype=float)
     s = np.asarray(simulated, dtype=float)
     if a.shape != s.shape:
@@ -53,7 +54,7 @@ def r_squared(actual, simulated) -> float:
     if a.size < 3 or np.ptp(a) == 0 or np.ptp(s) == 0:
         return math.nan
     da, ds = a - a.mean(), s - s.mean()
-    r = float(da @ ds / math.sqrt((da @ da) * (ds @ ds)))
+    r = float(np.sum(da * ds) / math.sqrt(np.sum(da * da) * np.sum(ds * ds)))
     return r * r
 
 

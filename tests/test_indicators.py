@@ -411,7 +411,10 @@ class TestIncomeSummary:
 
 # --------------------------------------------------------------------------
 # Reference implementations: the per-zone code that income_summary,
-# arop_absolute and arop_relative replaced, one np.unique per median.
+# arop_absolute and arop_relative replaced, one np.unique per median. Sums of
+# products are np.sum reductions in record order, as in the package: a BLAS
+# dot product (`@`) sums in an order of its own, which changes with its
+# thread count past 10000 terms. TestBlasForm checks that `@` form.
 # --------------------------------------------------------------------------
 
 def ref_weighted_median(values, counts):
@@ -482,12 +485,12 @@ def ref_income_summary(counts, incomes):
         w = col[valid].astype(float)
         if w.sum() == 0:
             continue
-        means[z] = incomes[valid] @ w / w.sum()
+        means[z] = np.sum(incomes[valid] * w) / w.sum()
         medians[z] = ref_weighted_median(incomes[valid], w)
     pooled = counts.sum(axis=1)[valid].astype(float)
     if pooled.sum() == 0:
         return means, medians, math.nan, math.nan
-    metro_mean = incomes[valid] @ pooled / pooled.sum()
+    metro_mean = np.sum(incomes[valid] * pooled) / pooled.sum()
     metro_median = ref_weighted_median(incomes[valid], pooled)
     return means, medians, metro_mean, metro_median
 
@@ -510,7 +513,9 @@ def ref_mpi(counts, survey, spec):
             return MpiResult(math.nan, math.nan, math.nan)
         wp = col[poor].sum()
         h = wp / total
-        a = float(score[poor] @ col[poor] / wp) if wp > 0 else 0.0
+        # Over the poor records that the column counts, in record order.
+        held = np.flatnonzero(poor & (col > 0))
+        a = float(np.sum(score[held] * col[held]) / wp) if wp > 0 else 0.0
         return MpiResult(float(h), a, float(h * a))
 
     per_zone = [compute(counts[:, z].astype(float)) for z in range(counts.shape[1])]
@@ -615,6 +620,9 @@ class TestAgainstReference:
         got = mpi(sparse(counts), survey, spec)
         expected = ref_mpi(counts, survey, spec)
         assert repr(got) == repr(expected)  # NaN fields compare equal as text
+        # The metro result is that of the one-zone pooled population.
+        pooled = mpi(sparse(counts.sum(axis=1)[:, None]), survey, spec)
+        assert repr(pooled[0]) == repr([got[1]])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 15))
@@ -671,19 +679,82 @@ class TestIncomeIndicators:
         self.check(sparse(counts), incomes, fraction)
 
     def test_recovery_fixture(self, tmp_path):
-        # The acceptance gate's 59 zones x 3000 records, about 5000 persons
-        # per zone, with its equivalized incomes.
-        config = load_config(
-            generate_example(tmp_path, n_zones=59, survey_size=3000, mean_zone_pop=5000)
-        )
-        survey = load_survey(config.survey_path, config.schema)
-        tables = rescale_constraints(
-            load_constraints(config.constraints_path, config.schema),
-            config.schema.constraint_vars[0].name,
-        )
-        matrix, _ = ipf_all(survey, tables)
-        population = synthesize(
-            matrix, round_half_up(tables[0].zone_totals()), config.seed
-        )
+        population, survey, config = recovery_fixture(tmp_path)
         incomes = equivalized_incomes(survey, config.equivalize)
         self.check(population, incomes, config.arop_fraction)
+
+
+def recovery_fixture(tmp_path):
+    """(population, survey, config) of the acceptance gate's 59 zones x 3000
+    records, about 5000 persons per zone."""
+    config = load_config(
+        generate_example(tmp_path, n_zones=59, survey_size=3000, mean_zone_pop=5000)
+    )
+    survey = load_survey(config.survey_path, config.schema)
+    tables = rescale_constraints(
+        load_constraints(config.constraints_path, config.schema),
+        config.schema.constraint_vars[0].name,
+    )
+    matrix, _ = ipf_all(survey, tables)
+    targets = round_half_up(tables[0].zone_totals())
+    return synthesize(matrix, targets, config.seed), survey, config
+
+
+@st.composite
+def blas_cases(draw):
+    """(counts, incomes, rows, spec): `populations()` with three more zones,
+    counting only the poor records, only the others and only the records
+    with missing income; counts possibly scaled past the int32 range."""
+    counts, incomes = draw(populations())
+    n = len(counts)
+    flags = draw(st.lists(st.booleans(), min_size=3 * n, max_size=3 * n))
+    rows = np.reshape(flags, (n, 3)).astype(int)
+    spec = three_flag_spec(draw(st.sampled_from([1 / 3, 2 / 3, 1.0])))
+    poor = deprivation_scores(flag_survey(rows), spec) >= spec.cutoff - 1e-9
+    extra = np.stack((poor, ~poor, np.isnan(incomes)), axis=1)
+    counts = np.hstack((counts, extra * draw(st.integers(1, 4))))
+    return counts * draw(st.sampled_from([1, 2**31, 2**33 + 7])), incomes, rows, spec
+
+
+class TestBlasForm:
+    """The means and MPI intensities, np.sum reductions in record order,
+    agree within 1e-12 relative with the BLAS dot products (`@`) that they
+    replaced, whose bits depend on the BLAS thread count."""
+
+    @staticmethod
+    def check(population, incomes, survey, spec):
+        counts = dense_counts(population)
+        pooled = counts.sum(axis=1)
+        means = np.append(
+            income_summary(population, incomes)[0],
+            income_summary(sparse(pooled[:, None]), incomes)[0],
+        )
+        per_zone, metro = mpi(population, survey, spec)
+        results = per_zone + [metro]
+        valid = ~np.isnan(incomes)
+        score = deprivation_scores(survey, spec)
+        poor = score >= spec.cutoff - 1e-9
+        for z, col in enumerate(np.column_stack((counts, pooled)).T):
+            w = col[valid].astype(float)
+            if w.sum() > 0:
+                expected = incomes[valid] @ w / w.sum()
+                np.testing.assert_allclose(means[z], expected, rtol=1e-12, atol=0)
+            else:
+                assert math.isnan(means[z])
+            c = col.astype(float)
+            if c.sum() > 0 and c[poor].sum() > 0:
+                a = score[poor] @ c[poor] / c[poor].sum()
+                h = results[z].headcount
+                got = (results[z].intensity, results[z].adjusted)
+                np.testing.assert_allclose(got, (a, h * a), rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=blas_cases())
+    def test_hypothesis_populations(self, case):
+        counts, incomes, rows, spec = case
+        self.check(sparse(counts), incomes, flag_survey(rows), spec)
+
+    def test_recovery_fixture(self, tmp_path):
+        population, survey, config = recovery_fixture(tmp_path)
+        incomes = equivalized_incomes(survey, config.equivalize)
+        self.check(population, incomes, survey, config.mpi_spec)

@@ -502,10 +502,14 @@ def shuffled_files(draw):
 @given(
     case=shuffled_files(),
     block_lines=st.sampled_from([1, 2, 3, popfile.BLOCK_LINES]),
+    chunk_bytes=st.sampled_from([1, 5, 64, popfile.CHUNK_BYTES]),
 )
-def test_read_population_matches_dense_reader(tmp_path_factory, case, block_lines):
+def test_read_population_matches_dense_reader(
+    tmp_path_factory, case, block_lines, chunk_bytes
+):
     # Rows in any order, repeated pairs and several faults in one file: the
-    # same counts, or the same message naming the same line.
+    # same counts, or the same message naming the same line. The reader's
+    # reads of a few bytes cut lines, and blocks, across reads.
     zones, records, lines, end, final_newline = case
     body = end.join(lines) + (end if final_newline and lines else "")
     path = tmp_path_factory.mktemp("pop") / "population.csv"
@@ -519,7 +523,8 @@ def test_read_population_matches_dense_reader(tmp_path_factory, case, block_line
 
     with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
         expected = outcome(lambda: dense_read_population(path, zones, records))
-        got = outcome(lambda: read_population(path, zones, records))
+        with mock.patch.object(popfile, "CHUNK_BYTES", chunk_bytes):
+            got = outcome(lambda: read_population(path, zones, records))
     if isinstance(expected, str):
         assert got == expected
     else:
