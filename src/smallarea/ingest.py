@@ -225,90 +225,118 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     constraint and external variable, the income field (blank = missing) and
     every deprivation field (0/1). Every other column is read as numbers
     (blank = NaN), or kept as None when a value does not parse as a number.
-    Lines end in LF or CRLF and blank lines are skipped. Fields are split by
-    the byte scanner unless the file holds a double quote, a NUL or a bare CR;
-    then `csv.reader` splits them and quoted fields are honoured. Errors name
-    the file and line of the first bad row."""
+    Lines end in LF or CRLF and blank lines are skipped.
+
+    The file is read in blocks of BLOCK_LINES lines, whose fields the byte
+    scanner splits, and each block is decoded straight into the returned
+    columns: category labels are encoded from their UTF-8 bytes
+    (`encode_categories`), and a deprivation field that is one byte 0 or 1
+    is read from that byte. If the file holds a double quote, a NUL or a
+    bare CR, `csv.reader` splits the whole file instead, quoted fields are
+    honoured, and its rows are decoded in blocks of as many rows.
+
+    Errors name the file and the line of the bad row. When a file holds
+    several faults, the one named is the first fault of the first block
+    that holds one, checked in this order: bytes that are not UTF-8 (the
+    UnicodeDecodeError of a text read of the file), a wrong number of
+    fields, then a bad income, deprivation flag or category. Once a block
+    holds a double quote, a NUL or a bare CR, the whole file is decoded
+    before its rows are split, so that bytes that are not UTF-8 anywhere in
+    it come first. A repeated record id, a record id that needs quoting and
+    an empty household id are named only when no block holds another fault,
+    in that order."""
     path = Path(path)
+    with path.open("rb") as fh:
+        try:
+            return _decode_survey(path, schema, _scanned_rows(fh))
+        except _Quoted:
+            pass  # the blocks decoded so far are freed with the exception
+        fh.seek(0)
+        return _decode_survey(path, schema, _quoted_rows(fh.read().decode("utf-8")))
+
+
+def _decode_survey(path, schema, rows) -> SurveyDataset:
+    """The survey of `rows`: its header, then blocks of data rows as (bytes,
+    starts, ends, lines) of `_scan_fields`."""
     variables = schema.constraint_vars + schema.external_vars
+    fields = schema.deprivation_fields
     mandatory = (
         ["record_id", schema.household_field]
         + [v.name for v in variables]
         + [schema.income_field]
-        + list(schema.deprivation_fields)
+        + list(fields)
     )
-
-    data = path.read_bytes()
-    if not data.isascii():
-        data.decode("utf-8")  # rejects what a text read would
-    quoted = b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n")
-    if quoted:
-        text = data.decode("utf-8")
-        header = next(csv.reader(io.StringIO(text, newline="")), None) or []
-    else:  # the first line, split at its commas
-        end = data.find(b"\n")
-        first = (data if end < 0 else data[:end]).removesuffix(b"\r")
-        header = first.decode("utf-8").split(",") if first else []
+    header = next(rows, [])
     missing = [c for c in mandatory if c not in header]
     if missing:
         raise IngestError(f"{path}: missing mandatory columns {missing}")
+    column = {name: j for j, name in enumerate(header)}  # the last of a name
+    income = header.index(schema.income_field)  # the first of its name
+    flagged = [column[f] for f in fields]
+    # Each column's blocks; a numeric column becomes None at the first block
+    # with a value that is not a number.
+    record_ids, household_ids = [], []
+    lines, incomes = [np.empty(0, np.intp)], [np.empty(0)]
+    flags = [np.empty((0, len(fields)), bool)]
+    codes = {v.name: [np.empty(0, np.intp)] for v in variables}
+    numeric = {name: [np.empty(0)] for name in header if name not in mandatory}
+
+    def decode(data, starts, ends, at):
+        """Append the columns of one block of rows."""
+        buf = np.frombuffer(data, np.uint8)
+        j = column["record_id"]
+        ids = _strings(data, starts[:, j], ends[:, j])
+        incomes.append(_incomes(data, starts[:, income], ends[:, income], at, path))
+        value, valid = _flags(buf, starts[:, flagged], ends[:, flagged])
+        bad = np.argwhere(~valid)
+        if bad.size:
+            i, f = bad[0]
+            raise IngestError(
+                f"{path}: line {at[i]}: deprivation field {fields[f]!r} must be 0/1"
+            )
+        flags.append(value)
+        for var in variables:
+            j = column[var.name]
+            try:
+                found = encode_categories(var, buf, starts[:, j], ends[:, j], ids)
+            except SchemaError as exc:
+                raise IngestError(f"{path}: line {at[exc.row]}: {exc}") from None
+            codes[var.name].append(found)
+        for name, blocks in numeric.items():
+            if blocks is not None:
+                j = column[name]
+                values = np.char.strip(_labels(buf, starts[:, j], ends[:, j]))
+                values = np.where(values == "", "nan", values)
+                try:
+                    blocks.append(values.astype(float))
+                except ValueError:
+                    numeric[name] = None
+        j = column[schema.household_field]
+        household_ids.extend(_strings(data, starts[:, j], ends[:, j]))
+        record_ids.extend(ids)
+        lines.append(at)
+
     try:
-        if quoted:
-            data, starts, ends, lines = _csv_fields(text, len(header))
-        else:
-            starts, ends, lines = _scan_fields(data, len(header), skip_blank=True)
+        for block in rows:
+            decode(*block)
+            del block  # not held while the next block is read
     except _FieldCountError as exc:
         raise IngestError(
             f"{path}: line {exc.line}: expected {len(header)} fields, got {exc.got}"
         ) from None
-    # Row 0 is the header.
-    starts, ends, lines = starts[1:], ends[1:], lines[1:].tolist()
-    buf = np.frombuffer(data, np.uint8)
-    is_ascii = data.isascii()
-    column = {name: j for j, name in enumerate(header)}  # the last of a name
-
-    def labels(j):
-        """Column j as a numpy str array."""
-        width = max(int((ends[:, j] - starts[:, j]).max(initial=0)), 1)
-        raw = _gather(buf, starts[:, j], ends[:, j], width)
-        if is_ascii:  # each byte is its code point
-            return raw.astype(np.uint32).view(f"U{width}").ravel()
-        return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8")
-
-    def strings(j):
-        """Column j as Python strings, which keep the trailing NULs that a
-        numpy str array drops."""
-        if b"\0" not in data:
-            return labels(j).tolist()
-        return [data[s:e].decode() for s, e in zip(starts[:, j], ends[:, j])]
-
-    incomes = _incomes(strings(header.index(schema.income_field)), lines, path)
-    fields = schema.deprivation_fields
-    flags = np.asarray([labels(column[f]) for f in fields], dtype=str)
-    flags = np.char.strip(flags.reshape(len(fields), len(lines)))
-    bad = np.argwhere(~np.isin(flags, ("0", "1")).T)
-    if bad.size:
-        i, f = bad[0]
-        raise IngestError(
-            f"{path}: line {lines[i]}: deprivation field {fields[f]!r} must be 0/1"
-        )
-    numeric = {}
-    for name in header:
-        if name not in mandatory:
-            values = np.char.strip(labels(column[name]))
-            try:
-                numeric[name] = np.where(values == "", "nan", values).astype(float)
-            except ValueError:
-                numeric[name] = None
+    lines = _joined(lines)
     try:
-        return SurveyDataset(
+        return SurveyDataset.from_codes(
             schema,
-            record_ids=strings(column["record_id"]),
-            household_ids=strings(column[schema.household_field]),
-            categories={v.name: labels(column[v.name]) for v in variables},
-            incomes=incomes,
-            deprivations=(flags == "1").T,
-            numeric=numeric,
+            record_ids,
+            household_ids,
+            codes={name: _joined(blocks) for name, blocks in codes.items()},
+            incomes=_joined(incomes),
+            deprivations=_joined(flags),
+            numeric={
+                name: None if blocks is None else _joined(blocks)
+                for name, blocks in numeric.items()
+            },
         )
     except SchemaError as exc:
         if exc.row is None:
@@ -316,10 +344,85 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
         raise IngestError(f"{path}: line {lines[exc.row]}: {exc}") from None
 
 
-def _incomes(texts, lines, path) -> np.ndarray:
-    """Incomes from their field texts, stripped: blank is NaN, anything else
-    must be a finite number >= 0 (IngestError naming the line otherwise)."""
-    raw = [t.strip() for t in texts]
+class _Quoted(Exception):
+    """The survey holds a double quote, a NUL or a bare CR, so that
+    `csv.reader` must split it."""
+
+
+def _scanned_rows(fh):
+    """The header of the binary survey file `fh`, split at its commas, then
+    its data rows in blocks of BLOCK_LINES lines as (bytes, starts, ends,
+    lines) of `_scan_fields`, without blank lines. Raises _Quoted at the
+    first block that holds a double quote, a NUL or a bare CR, and rejects
+    bytes that are not UTF-8 as a text read of the file does."""
+    header, first_line = None, 1
+    for data in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES):
+        bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+        if b'"' in data or b"\0" in data or bare_cr:
+            raise _Quoted
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                fh.seek(0)
+                fh.read().decode("utf-8")  # the same fault, at its offset in the file
+                raise
+        if header is None:
+            end = data.find(b"\n")
+            first = (data if end < 0 else data[:end]).removesuffix(b"\r")
+            header = first.decode("utf-8").split(",") if first else []
+            yield header
+        block = _scan_fields(data, len(header), first_line, skip_blank=True)
+        if first_line == 1:  # row 0 is the header
+            block = tuple(a[1:] for a in block)
+        first_line += BLOCK_LINES  # the lines of every block but the last
+        yield (data, *block)
+        del data, block  # not held while the next block is read
+
+
+def _quoted_rows(text: str):
+    """`_scanned_rows` of a survey file that `csv.reader` must split, quoted
+    fields honoured: its header, then its rows in blocks of BLOCK_LINES rows
+    as (bytes, starts, ends, lines) of `_csv_fields`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None) or []
+    yield header
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise _FieldCountError(reader.line_num, len(row))
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == BLOCK_LINES:
+                yield _csv_fields(rows, lines, len(header))
+                rows, lines = [], []
+    if rows:
+        yield _csv_fields(rows, lines, len(header))
+
+
+def _flags(buf, starts, ends):
+    """Each field buf[starts:ends] of a rows x fields matrix as a bool, and
+    whether it reads 0 or 1: a field of one byte from that byte, any other as
+    `np.char.strip` reads it, which drops padding and trailing NULs."""
+    bare = ends - starts == 1
+    byte = np.zeros(starts.shape, np.uint8)
+    byte[bare] = buf[starts[bare]]
+    value = byte == ord("1")
+    valid = value | (byte == ord("0"))
+    rest = ~valid
+    if rest.any():
+        text = np.char.strip(_labels(buf, starts[rest], ends[rest]))
+        value[rest] = text == "1"
+        valid[rest] = value[rest] | (text == "0")
+    return value, valid
+
+
+def _incomes(data, starts, ends, lines, path) -> np.ndarray:
+    """Incomes from their fields data[starts:ends], stripped: blank is NaN,
+    anything else must be a finite number >= 0 (IngestError naming the line
+    otherwise)."""
+    raw = [t.strip() for t in _strings(data, starts, ends)]
     try:
         values = np.array([float(r) if r else math.nan for r in raw])
         blank = np.array([not r for r in raw], dtype=bool)
@@ -337,8 +440,18 @@ def _incomes(texts, lines, path) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Field scanner
+# Byte-level fields
 # --------------------------------------------------------------------------
+
+# Lines parsed, or rows written, at a time, by the survey and population
+# readers and the population writer: splitting a whole file at once holds
+# every field of it as offsets or strings, which costs more memory than the
+# columns it fills, and the writer's working arrays take about 120 bytes a row.
+BLOCK_LINES = 16384
+# Bytes the readers read at a time and cut into blocks at line ends; a read
+# is allocated whole, so it adds to the reader's peak memory.
+CHUNK_BYTES = 1 << 18
+
 
 class _FieldCountError(IngestError):
     """A line holds `got` fields, not the expected number."""
@@ -383,18 +496,11 @@ def _scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
     return starts, ends, lines
 
 
-def _csv_fields(text: str, n_fields: int):
-    """`_scan_fields` for CSV text that `csv.reader` must split: the fields,
-    unquoted and UTF-8 encoded, joined into new bytes, with their offsets in
-    them and the line on which each row ends; blank lines give no row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows, lines = [], []
-    for row in reader:
-        if row:
-            if len(row) != n_fields:
-                raise _FieldCountError(reader.line_num, len(row))
-            rows.append(row)
-            lines.append(reader.line_num)
+def _csv_fields(rows, lines, n_fields: int):
+    """`_scan_fields` for rows that `csv.reader` split, each a list of
+    `n_fields` fields ending on its line of `lines`: the fields, UTF-8
+    encoded and joined into new bytes, with their offsets in them and the
+    lines as an array."""
     fields = [f.encode() for row in rows for f in row]
     lengths = np.fromiter(map(len, fields), np.intp, len(fields))
     ends = np.cumsum(lengths).reshape(len(rows), n_fields)
@@ -409,6 +515,119 @@ def _gather(buf, starts, ends, width) -> np.ndarray:
         buf = np.concatenate((buf, np.zeros(width, np.uint8)))
     out = sliding_window_view(buf, width)[starts]
     out *= np.arange(width) < (ends - starts)[:, None]
+    return out
+
+
+def _strings(data: bytes, starts, ends) -> list:
+    """The UTF-8 fields data[starts:ends] as Python strings, which keep the
+    trailing NULs that a numpy str array drops."""
+    if b"\0" not in data:
+        return _labels(np.frombuffer(data, np.uint8), starts, ends).tolist()
+    return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _labels(buf, starts, ends) -> np.ndarray:
+    """The UTF-8 fields buf[starts:ends] as a numpy str array, which drops
+    trailing NULs."""
+    width = max(int((ends - starts).max(initial=0)), 1)
+    raw = _gather(buf, starts, ends, width)
+    if raw.max(initial=0) < 128:  # ASCII: each byte is its code point
+        return raw.astype(np.uint32).view(f"U{width}").ravel()
+    return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8")
+
+
+def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.ndarray:
+    """The category code of `var`, the index in `var.categories`, of each
+    label buf[starts:ends], matching UTF-8 bytes exactly. Raises SchemaError
+    naming the first of `record_ids` whose label is not a category, with
+    its index in `row`."""
+    codes, known = _id_finder(var.categories)(buf, starts, ends)
+    if not known.all():
+        i = int(np.argmin(known))
+        label = bytes(buf[starts[i] : ends[i]]).decode("utf-8")
+        raise SchemaError(
+            f"record {record_ids[i]!r}: invalid category {label!r} for "
+            f"variable {var.name!r}",
+            i,
+        )
+    return codes
+
+
+def _id_finder(ids):
+    """A function that maps fields (buf, starts, ends) to the index of each
+    in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
+    lookup of `_id_keys`."""
+    buf, starts, ends = _id_bytes(ids)
+    width = int((ends - starts).max(initial=0))
+    keys = _id_keys(buf, starts, ends, width)
+    order = np.argsort(keys, kind="stable")
+    table = keys[order]
+
+    def find(buf, starts, ends):
+        keys = _id_keys(buf, starts, ends, width)
+        if not table.size:
+            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
+        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        return order[at], table[at] == keys
+
+    return find
+
+
+def _id_bytes(ids, suffix=""):
+    """The UTF-8 bytes of each id followed by `suffix`, as one uint8 buffer
+    and the start and end of each."""
+    lengths = np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
+    lengths += len(suffix.encode("utf-8"))
+    ends = np.cumsum(lengths)
+    buf = (suffix.join(ids) + suffix).encode("utf-8")
+    return np.frombuffer(buf, np.uint8), ends - lengths, ends
+
+
+def _id_keys(buf, starts, ends, width) -> np.ndarray:
+    """Keys equal exactly when the fields buf[starts:ends] are equal, for
+    fields of up to `width` bytes: the field's length, then its bytes. A
+    longer field gets a length that no field of `width` bytes has. Keys of
+    up to 8 bytes are uint64, with a field's bytes read from its start as
+    one big-endian word, so that fields of one length sort as bytes do."""
+    lengths = np.minimum(ends - starts, width + 1)
+    n_len = ((width + 1).bit_length() + 7) // 8
+    if n_len + width <= 8:
+        padded = np.concatenate((buf, np.zeros(8, np.uint8)))
+        words = np.ndarray(buf.size + 1, ">u8", padded, strides=(1,))[starts]
+        drop = (8 * (7 - np.minimum(lengths, width))).astype(np.uint64)
+        body = (words.astype(np.uint64) >> np.uint64(8)) >> drop
+        return lengths.astype(np.uint64) << np.uint64(8 * width) | body
+    keys = np.empty((lengths.size, n_len + width), np.uint8)
+    for b in range(n_len):
+        keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
+    keys[:, n_len:] = _gather(buf, starts, starts + np.minimum(lengths, width), width)
+    return keys.view(f"S{n_len + width}").ravel()
+
+
+def _line_blocks(fh, block_lines: int, chunk_bytes: int):
+    """The rest of the binary file `fh` in blocks of `block_lines` lines, the
+    last one possibly shorter. Reads `chunk_bytes` at a time and cuts at the
+    LF that ends each block, so no object is made per line."""
+    pieces, lines = [], 0  # the current block's bytes so far, its whole lines
+    while chunk := fh.read(chunk_bytes):
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
+        start = 0
+        for end in ends[block_lines - 1 - lines :: block_lines].tolist():
+            pieces.append(chunk[start:end])
+            block, pieces, start = b"".join(pieces), [], end
+            yield block
+            del block  # not held while the next block is read
+        pieces.append(chunk[start:])
+        lines = (lines + ends.size) % block_lines
+    if block := b"".join(pieces):
+        yield block
+
+
+def _joined(blocks: list) -> np.ndarray:
+    """The arrays of `blocks` joined into one; empties the list, so that
+    they are not held twice."""
+    out = np.concatenate(blocks)
+    blocks.clear()
     return out
 
 

@@ -145,9 +145,14 @@ class SyntheticPopulation:
         return running[self.indptr[1:]] - running[self.indptr[:-1]]
 
     def record_totals(self) -> np.ndarray:
-        """Persons per record over all zones: the pooled (metro) column."""
-        totals = np.zeros(len(self.record_ids), dtype=np.int64)
-        np.add.at(totals, self.records, self.counts.astype(np.int64, copy=False))
+        """Persons per record over all zones: the pooled (metro) column,
+        summed at the first call and then held, read-only, for the next."""
+        totals = self.__dict__.get("_record_totals")
+        if totals is None:
+            totals = np.zeros(len(self.record_ids), dtype=np.int64)
+            np.add.at(totals, self.records, self.counts.astype(np.int64, copy=False))
+            totals.flags.writeable = False
+            object.__setattr__(self, "_record_totals", totals)
         return totals
 
     def columns(self):

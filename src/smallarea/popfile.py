@@ -20,19 +20,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import IngestError, _FieldCountError, _gather, _scan_fields
+from .ingest import (
+    BLOCK_LINES,
+    CHUNK_BYTES,
+    IngestError,
+    _FieldCountError,
+    _gather,
+    _id_bytes,
+    _id_finder,
+    _joined,
+    _line_blocks,
+    _scan_fields,
+)
 from .integerize import SyntheticPopulation
 from .ipf import WeightMatrix
 
 POPULATION_HEADER = ("zone_id", "record_id", "count")
 WEIGHTS_HEADER = ("record_id", "zone_id", "weight")
-# Lines parsed, or rows written, at a time: splitting the whole file at once
-# holds every field of it as a string, which costs more memory than the count
-# matrix itself, and the writer's working arrays take about 120 bytes a row.
-BLOCK_LINES = 16384
-# Bytes the reader reads at a time and cuts into blocks at line ends; a
-# read is allocated whole, so it adds to the reader's peak memory.
-CHUNK_BYTES = 1 << 18
 
 
 class TextRows:
@@ -156,7 +160,7 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         header = fh.readline().decode("utf-8").removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
-        for block in _line_blocks(fh):
+        for block in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES):
             if not block.isascii():
                 block.decode("utf-8")  # rejects what a text read would
             try:
@@ -199,83 +203,6 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     bounds = np.arange(len(zone_ids) + 1, dtype=np.int32)
     indptr = np.searchsorted(zi, bounds).astype(np.int64)
     return SyntheticPopulation(indptr, ri, counts, zone_ids, record_ids)
-
-
-def _line_blocks(fh):
-    """The rest of the binary file `fh` in blocks of BLOCK_LINES lines, the
-    last one possibly shorter. Reads CHUNK_BYTES at a time and cuts at the
-    LF that ends each block, so no object is made per line."""
-    pieces, lines = [], 0  # the current block's bytes so far, its whole lines
-    while chunk := fh.read(CHUNK_BYTES):
-        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
-        start = 0
-        for end in ends[BLOCK_LINES - 1 - lines :: BLOCK_LINES].tolist():
-            pieces.append(chunk[start:end])
-            yield b"".join(pieces)
-            pieces, start = [], end
-        pieces.append(chunk[start:])
-        lines = (lines + ends.size) % BLOCK_LINES
-    if block := b"".join(pieces):
-        yield block
-
-
-def _joined(blocks: list) -> np.ndarray:
-    """The arrays of `blocks` joined into one; empties the list, so that
-    they are not held twice."""
-    out = np.concatenate(blocks)
-    blocks.clear()
-    return out
-
-
-def _id_finder(ids):
-    """A function that maps fields (buf, starts, ends) to the index of each
-    in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
-    lookup of `_id_keys`."""
-    buf, starts, ends = _id_bytes(ids)
-    width = int((ends - starts).max(initial=0))
-    keys = _id_keys(buf, starts, ends, width)
-    order = np.argsort(keys, kind="stable")
-    table = keys[order]
-
-    def find(buf, starts, ends):
-        keys = _id_keys(buf, starts, ends, width)
-        if not table.size:
-            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
-        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
-        return order[at], table[at] == keys
-
-    return find
-
-
-def _id_bytes(ids, suffix=""):
-    """The UTF-8 bytes of each id followed by `suffix`, as one uint8 buffer
-    and the start and end of each."""
-    lengths = np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
-    lengths += len(suffix.encode("utf-8"))
-    ends = np.cumsum(lengths)
-    buf = (suffix.join(ids) + suffix).encode("utf-8")
-    return np.frombuffer(buf, np.uint8), ends - lengths, ends
-
-
-def _id_keys(buf, starts, ends, width) -> np.ndarray:
-    """Keys equal exactly when the fields buf[starts:ends] are equal, for
-    fields of up to `width` bytes: the field's length, then its bytes. A
-    longer field gets a length that no field of `width` bytes has. Keys of
-    up to 8 bytes are uint64, with a field's bytes read from its start as
-    one big-endian word, so that fields of one length sort as bytes do."""
-    lengths = np.minimum(ends - starts, width + 1)
-    n_len = ((width + 1).bit_length() + 7) // 8
-    if n_len + width <= 8:
-        padded = np.concatenate((buf, np.zeros(8, np.uint8)))
-        words = np.ndarray(buf.size + 1, ">u8", padded, strides=(1,))[starts]
-        drop = (8 * (7 - np.minimum(lengths, width))).astype(np.uint64)
-        body = (words.astype(np.uint64) >> np.uint64(8)) >> drop
-        return lengths.astype(np.uint64) << np.uint64(8 * width) | body
-    keys = np.empty((lengths.size, n_len + width), np.uint8)
-    for b in range(n_len):
-        keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
-    keys[:, n_len:] = _gather(buf, starts, starts + np.minimum(lengths, width), width)
-    return keys.view(f"S{n_len + width}").ravel()
 
 
 def _digits(buf, starts, ends):

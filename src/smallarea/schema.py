@@ -124,12 +124,14 @@ class SurveyDataset:
 
     `categories` maps every schema variable, constraint and external, to the
     records' category labels; they are encoded as intp codes in schema
-    category order. `incomes` holds NaN for a missing income (default: all
-    missing), `deprivations` is a records x deprivation-fields bool matrix
-    (default: no items) and `numeric` maps every further survey column to
-    floats, NaN where blank, or to None when its values are not all numbers.
-    Record ids are unique and need no CSV quoting. A SchemaError about one
-    record carries its 0-based index in `row`.
+    category order by matching their UTF-8 bytes (`ingest.encode_categories`),
+    and `from_codes` takes those codes instead. `incomes` holds NaN for a
+    missing income (default: all missing), `deprivations` is a records x
+    deprivation-fields bool matrix (default: no items) and `numeric` maps
+    every further survey column to floats, NaN where blank, or to None when
+    its values are not all numbers. Record ids are unique, compared exactly,
+    and need no CSV quoting. A SchemaError about one record carries its
+    0-based index in `row`.
     """
 
     def __init__(
@@ -142,14 +144,48 @@ class SurveyDataset:
         deprivations=None,
         numeric=None,
     ):
+        from .ingest import _id_bytes, encode_categories  # ingest imports schema
+
+        self._take_ids(schema, record_ids, household_ids)
+        codes = {}
+        for var in schema.constraint_vars + schema.external_vars:
+            labels = _column(
+                categories[var.name], object, (self.n,), f"{var.name!r} labels"
+            )
+            buf, starts, ends = _id_bytes(list(map(str, labels)))
+            codes[var.name] = encode_categories(var, buf, starts, ends, self.record_ids)
+        self._take_columns(codes, incomes, deprivations, numeric)
+
+    @classmethod
+    def from_codes(
+        cls,
+        schema: Schema,
+        record_ids,
+        household_ids,
+        codes,
+        incomes=None,
+        deprivations=None,
+        numeric=None,
+    ) -> SurveyDataset:
+        """The dataset whose `codes` map every schema variable to the
+        records' category codes, as `ingest.encode_categories` gives them;
+        the other arguments as for the constructor."""
+        dataset = cls.__new__(cls)
+        dataset._take_ids(schema, record_ids, household_ids)
+        dataset._take_columns(codes, incomes, deprivations, numeric)
+        return dataset
+
+    def _take_ids(self, schema, record_ids, household_ids):
         self.schema = schema
         self.record_ids = tuple(record_ids)
         self.household_ids = tuple(household_ids)
         self.n = n = len(self.record_ids)
-        _, first = np.unique(np.asarray(self.record_ids, dtype=str), return_index=True)
-        if first.size < n:
-            i = int(np.flatnonzero(np.bincount(first, minlength=n) == 0)[0])
-            raise SchemaError(f"duplicate record id {self.record_ids[i]!r}", i)
+        if len(set(self.record_ids)) < n:
+            seen = set()
+            for i, rid in enumerate(self.record_ids):
+                if rid in seen:
+                    raise SchemaError(f"duplicate record id {rid!r}", i)
+                seen.add(rid)
         if len(self.household_ids) != n:
             raise SchemaError(f"{len(self.household_ids)} household ids, {n} records")
         if needs_quoting("".join(self.record_ids)):
@@ -162,23 +198,12 @@ class SurveyDataset:
             i = self.household_ids.index("")
             raise SchemaError(f"record {self.record_ids[i]!r}: empty household id", i)
 
-        self._codes = {}
-        for var in schema.constraint_vars + schema.external_vars:
-            labels = _column(categories[var.name], str, (n,), f"{var.name!r} labels")
-            known = np.asarray(var.categories)
-            order = np.argsort(known, kind="stable")
-            at = np.searchsorted(known, labels, sorter=order)
-            codes = order[np.minimum(at, len(known) - 1)]
-            bad = np.flatnonzero(known[codes] != labels)
-            if bad.size:
-                i = int(bad[0])
-                raise SchemaError(
-                    f"record {self.record_ids[i]!r}: invalid category "
-                    f"{str(labels[i])!r} for variable {var.name!r}",
-                    i,
-                )
-            self._codes[var.name] = _column(codes, np.intp, (n,), "codes")
-
+    def _take_columns(self, codes, incomes, deprivations, numeric):
+        n, schema = self.n, self.schema
+        self._codes = {
+            var.name: _column(codes[var.name], np.intp, (n,), "codes")
+            for var in schema.constraint_vars + schema.external_vars
+        }
         k = len(schema.deprivation_fields)
         if incomes is None:
             incomes = np.full(n, math.nan)

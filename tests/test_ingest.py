@@ -1,13 +1,17 @@
 import csv
 import math
 import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smallarea import ingest
+from smallarea.fixture import generate_example
 from smallarea.ingest import (
     IngestError,
     load_config,
@@ -251,6 +255,41 @@ class TestLoadSurvey:
         message = re.escape("line 2: invalid income '1000\\x00'")
         with pytest.raises(IngestError, match=message):
             load_survey(path, schema)
+
+    def test_nul_padded_category_rejected(self, tmp_path, schema):
+        # Labels match categories byte for byte: "M\0" is not "M", although a
+        # numpy str array would read it as "M".
+        path = self.write(
+            tmp_path, ["r1,h1,M,Married,1000,0\n", 'r2,h2,"M\0",Married,1000,0\n']
+        )
+        message = re.escape(
+            f"{path}: line 3: record 'r2': invalid category 'M\\x00' for variable 'sex'"
+        )
+        with pytest.raises(IngestError, match=message):
+            load_survey(path, schema)
+        with pytest.raises(SchemaError, match="invalid category 'M\\\\x00'") as info:
+            SurveyDataset(
+                schema,
+                record_ids=["r1", "r2"],
+                household_ids=["h1", "h2"],
+                categories={"sex": ["M", "M\0"], "marital": ["Married"] * 2},
+            )
+        assert info.value.row == 1
+
+    def test_record_ids_compared_exactly(self, tmp_path, schema):
+        # "r1" and "r1\0" are two ids, as population.csv reads and writes them.
+        path = self.write(
+            tmp_path, ["r1,h1,M,Married,1000,0\n", "r1\0,h2,F,Widowed,2000,1\n"]
+        )
+        assert load_survey(path, schema).record_ids == ("r1", "r1\0")
+        survey = SurveyDataset(
+            schema,
+            record_ids=["r1", "r1\0"],
+            household_ids=["h1", "h2"],
+            categories={"sex": ["M", "F"], "marital": ["Married", "Widowed"]},
+            deprivations=[[False], [True]],
+        )
+        assert survey.n == 2
 
     @pytest.mark.parametrize(
         "body",
@@ -540,8 +579,14 @@ def survey_files(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=survey_files())
-def test_load_survey_matches_csv_loader(tmp_path_factory, case):
+@given(
+    case=survey_files(),
+    block_lines=st.sampled_from([1, 2, 3, ingest.BLOCK_LINES]),
+)
+def test_load_survey_matches_csv_loader(tmp_path_factory, case, block_lines):
+    # With blocks of a few lines, blank lines, CRLF ends and a last line
+    # without its end fall at block edges, and a quote in a later block
+    # sends the whole file to csv.reader.
     schema, data, labels = case
     path = tmp_path_factory.mktemp("survey") / "survey.csv"
     path.write_bytes(data)
@@ -552,7 +597,9 @@ def test_load_survey_matches_csv_loader(tmp_path_factory, case):
         except IngestError as exc:
             return str(exc)
 
-    expected, got = outcome(reference_load_survey), outcome(load_survey)
+    expected = outcome(reference_load_survey)
+    with mock.patch.object(ingest, "BLOCK_LINES", block_lines):
+        got = outcome(load_survey)
     if isinstance(expected, str):
         assert got == expected
         return
@@ -562,12 +609,9 @@ def test_load_survey_matches_csv_loader(tmp_path_factory, case):
     for var in schema.constraint_vars + schema.external_vars:
         codes = got.category_codes(var.name)
         np.testing.assert_array_equal(codes, expected.category_codes(var.name))
-        # The sorted lookup gives the codes of a labels x categories compare.
-        if labels:
-            compare = np.asarray([c[var.name] for c in labels])[:, None] == np.asarray(
-                var.categories
-            )
-            np.testing.assert_array_equal(codes, compare.argmax(axis=1))
+        # The sorted lookup gives each label's index among the categories.
+        index = [var.categories.index(c[var.name]) for c in labels]
+        np.testing.assert_array_equal(codes, np.array(index, dtype=np.intp))
     np.testing.assert_array_equal(got.incomes, expected.incomes)
     np.testing.assert_array_equal(got.deprivations, expected.deprivations)
     assert got.numeric.keys() == expected.numeric.keys()
@@ -576,3 +620,19 @@ def test_load_survey_matches_csv_loader(tmp_path_factory, case):
             assert got.numeric[name] is None
         else:
             np.testing.assert_array_equal(got.numeric[name], column)
+
+
+def test_load_survey_holds_no_copy_of_the_file(tmp_path):
+    # 20000 records, 1.9 MB of CSV: one block's working set (its bytes, the
+    # field offsets and the decoded columns of BLOCK_LINES lines) takes
+    # under 8 MiB above the survey itself. A reader that splits the whole
+    # file at once peaks 16 MiB above the 3.7 MiB it returns.
+    config = load_config(generate_example(tmp_path, n_zones=5, survey_size=20000))
+    tracemalloc.start()
+    try:
+        survey = load_survey(config.survey_path, config.schema)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert survey.n == 20000
+    assert peak - held < 10 * 2**20, (peak, held)

@@ -292,3 +292,6 @@ def test_record_totals_exact(dtype):
     np.testing.assert_array_equal(totals, expected)
     if big:
         assert int(totals[1]) == 2**63 - 1
+    # Summed once per population and shared read-only by later calls.
+    assert population.record_totals() is totals
+    assert not totals.flags.writeable
