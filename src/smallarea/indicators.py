@@ -254,7 +254,7 @@ def _income_pass(population, incomes, fraction=0.6) -> IncomeIndicators:
             abs_rates[z] = ranked.below(cum, line) / cum[-1]
             lines[z] = fraction * medians[z]
             rel_rates[z] = ranked.below(cum, lines[z]) / cum[-1]
-    excluded = population.zone_totals(where=np.isnan(incomes))
+    excluded = population.zone_sums(np.isnan(incomes), 2)[:, 1]
     return IncomeIndicators(means, medians, line, abs_rates, lines, rel_rates, excluded)
 
 
@@ -288,8 +288,8 @@ def md_rate(
     at least `threshold` of the listed items."""
     lacked = deprivations.sum(axis=1)
     deprived = lacked >= threshold
-    totals = population.zone_totals().astype(float)
-    hit = population.zone_totals(where=deprived)
+    persons = population.zone_sums(deprived, 2)
+    totals, hit = persons.sum(axis=1).astype(float), persons[:, 1]
     with np.errstate(invalid="ignore"):
         rates = np.where(totals > 0, hit / np.where(totals > 0, totals, 1), math.nan)
     return rates

@@ -22,6 +22,9 @@ import numpy as np
 
 from .schema import read_only
 
+# Held counts that `zone_sums` and `record_totals` sum at a time.
+BLOCK_COUNTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -124,33 +127,42 @@ class SyntheticPopulation:
         bounds = self.indptr.tolist()
         return map(slice, bounds[:-1], bounds[1:])
 
-    def zone_blocks(self, size: int):
-        """(first, end) ranges of zones that split the held counts into runs
-        of about `size` or fewer; a zone is never split."""
+    def held_blocks(self, size: int):
+        """The held counts in runs of whole zones of about `size` or fewer
+        (a zone is never split), runs of empty zones skipped: for each run,
+        every held count's zone index, its record and the count as a new
+        int64 array."""
+        indptr = self.indptr
         starts = np.arange(size, self.counts.size, size)
-        cuts = np.searchsorted(self.indptr, starts, side="right") - 1
+        cuts = np.searchsorted(indptr, starts, side="right") - 1
         bounds = np.unique(np.concatenate(([0], cuts, [len(self.zone_ids)])))
-        return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            a, b = indptr[first], indptr[end]
+            if a < b:
+                sizes = np.diff(indptr[first : end + 1])
+                zones = np.repeat(np.arange(first, end), sizes)
+                # np.add.at adds int64 counts to int64 sums on its fast path,
+                # and the writer divides its copy in place.
+                yield zones, self.records[a:b], self.counts[a:b].astype(np.int64)
 
-    def zone_totals(self, where=None) -> np.ndarray:
-        """Persons per zone, int64; with `where`, one bool per record, only
-        the persons of the records where it holds. Differences of one running
-        sum at the zone pointers."""
-        running = np.zeros(self.counts.size + 1, dtype=np.int64)
-        if where is None:
-            running[1:] = self.counts
-        else:
-            np.multiply(self.counts, where[self.records], out=running[1:])
-        np.cumsum(running, out=running)
-        return running[self.indptr[1:]] - running[self.indptr[:-1]]
+    def zone_sums(self, codes, k: int) -> np.ndarray:
+        """Zones x k int64 sums: [z, c] counts the persons of zone z in the
+        records r with codes[r] == c, for int or bool `codes` with one entry
+        per record. Summed BLOCK_COUNTS held counts at a time, exactly."""
+        out = np.zeros((len(self.zone_ids), k), dtype=np.int64)
+        for zones, records, counts in self.held_blocks(BLOCK_COUNTS):
+            np.add.at(out.reshape(-1), zones * k + codes[records], counts)
+        return out
 
     def record_totals(self) -> np.ndarray:
         """Persons per record over all zones: the pooled (metro) column,
-        summed at the first call and then held, read-only, for the next."""
+        summed block by block at the first call and then held, read-only,
+        for the next."""
         totals = self.__dict__.get("_record_totals")
         if totals is None:
             totals = np.zeros(len(self.record_ids), dtype=np.int64)
-            np.add.at(totals, self.records, self.counts.astype(np.int64, copy=False))
+            for _, records, counts in self.held_blocks(BLOCK_COUNTS):
+                np.add.at(totals, records, counts)
             totals.flags.writeable = False
             object.__setattr__(self, "_record_totals", totals)
         return totals

@@ -70,14 +70,7 @@ def population_rows(population: SyntheticPopulation) -> TextRows:
     def blocks():
         zone_table, zone_lengths = _field_table(population.zone_ids)
         record_table, record_lengths = _field_table(population.record_ids)
-        indptr = population.indptr
-        for first, end in population.zone_blocks(BLOCK_LINES):
-            held = slice(indptr[first], indptr[end])
-            if held.start == held.stop:  # a block of empty zones
-                continue
-            zones = np.repeat(np.arange(first, end), np.diff(indptr[first : end + 1]))
-            records = population.records[held]
-            counts = population.counts[held].astype(np.int64)  # divided below
+        for zones, records, counts in population.held_blocks(BLOCK_LINES):
             zone_len, record_len = zone_lengths[zones], record_lengths[records]
             digits = np.searchsorted(_POWERS_OF_TEN, counts, side="right")
             lengths = zone_len + record_len + digits + 2
@@ -156,42 +149,48 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         stable_order(np.concatenate(zones), np.concatenate(records))
         raise IngestError(f"{path}: line {first_line + i}: {message}")
 
+    def decode(block):
+        """Append the rows of one block of lines."""
+        nonlocal in_order, last_key, first_line
+        if not block.isascii():
+            block.decode("utf-8")  # rejects what a text read would
+        try:
+            starts, ends, lines = _scan_fields(block, 3, first_line)
+        except _FieldCountError as exc:
+            fail(exc.line - first_line, "expected 3 fields")
+        buf = np.frombuffer(block, np.uint8)
+
+        def field(i, j):
+            return block[starts[i, j] : ends[i, j]].decode("utf-8")
+
+        zi, zone_known = find_zone(buf, starts[:, 0], ends[:, 0])
+        ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
+        if not (zone_known.all() and record_known.all()):
+            i = int(np.argmin(zone_known & record_known))
+            if not zone_known[i]:
+                fail(i, f"unknown zone id {field(i, 0)!r}")
+            fail(i, f"unknown record id {field(i, 1)!r}")
+        values, valid = _digits(buf, starts[:, 2], ends[:, 2])
+        if not valid.all():
+            i = int(np.argmin(valid))
+            fail(i, f"invalid count {field(i, 2)!r}")
+        key = zi * n_records + ri
+        in_order &= bool(key[0] > last_key) and bool(np.all(key[1:] > key[:-1]))
+        last_key = int(key[-1])
+        zones.append(zi.astype(np.int32))
+        records.append(ri.astype(np.int32))
+        if values.max(initial=0) < 2**31:
+            values = values.astype(np.int32)
+        counts.append(values)
+        first_line += lines.size
+
     with path.open("rb") as fh:
         header = fh.readline().decode("utf-8").removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
         for block in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES):
-            if not block.isascii():
-                block.decode("utf-8")  # rejects what a text read would
-            try:
-                starts, ends, lines = _scan_fields(block, 3, first_line)
-            except _FieldCountError as exc:
-                fail(exc.line - first_line, "expected 3 fields")
-            buf = np.frombuffer(block, np.uint8)
-
-            def field(i, j):
-                return block[starts[i, j] : ends[i, j]].decode("utf-8")
-
-            zi, zone_known = find_zone(buf, starts[:, 0], ends[:, 0])
-            ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
-            if not (zone_known.all() and record_known.all()):
-                i = int(np.argmin(zone_known & record_known))
-                if not zone_known[i]:
-                    fail(i, f"unknown zone id {field(i, 0)!r}")
-                fail(i, f"unknown record id {field(i, 1)!r}")
-            values, valid = _digits(buf, starts[:, 2], ends[:, 2])
-            if not valid.all():
-                i = int(np.argmin(valid))
-                fail(i, f"invalid count {field(i, 2)!r}")
-            key = zi * n_records + ri
-            in_order &= bool(key[0] > last_key) and bool(np.all(key[1:] > key[:-1]))
-            last_key = int(key[-1])
-            zones.append(zi.astype(np.int32))
-            records.append(ri.astype(np.int32))
-            if values.max(initial=0) < 2**31:
-                values = values.astype(np.int32)
-            counts.append(values)
-            first_line += lines.size
+            decode(block)
+            del block  # not held while the next block is read
     zi, ri, counts = _joined(zones), _joined(records), _joined(counts)
     if not in_order:  # rows with strictly rising keys name no pair twice
         order = stable_order(zi, ri)

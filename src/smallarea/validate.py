@@ -216,37 +216,22 @@ def metrics_for(actual, simulated) -> ValidationMetrics:
 # Aggregation and reports
 # --------------------------------------------------------------------------
 
-# Held counts that `aggregate` bins at a time.
-BLOCK_COUNTS = 1 << 16
-
-
 def aggregate(
     population: SyntheticPopulation,
     survey: SurveyDataset,
     variable: str,
     crosswalk: Crosswalk | None = None,
 ) -> ConstraintTable:
-    """Sum replication counts per zone per category of `variable`: one
-    bincount over (zone, category) bins per block of zones, so that the bins
-    of all counts are never held at once; with a crosswalk, fine categories
-    are pooled into their groups."""
+    """Sum replication counts per zone per category of `variable`, exactly
+    in int64 (`SyntheticPopulation.zone_sums`); with a crosswalk, each fine
+    category counts for its group."""
     codes = survey.category_codes(variable)
     categories = survey.schema.variable(variable).categories
-    k = len(categories)
-    indptr = population.indptr
-    counts = np.empty((len(population.zone_ids), k))
-    for z0, z1 in population.zone_blocks(BLOCK_COUNTS):
-        a, b = indptr[z0], indptr[z1]
-        bins = np.repeat(np.arange(z1 - z0) * k, np.diff(indptr[z0 : z1 + 1]))
-        bins += codes[population.records[a:b]]
-        block = np.bincount(bins, population.counts[a:b], (z1 - z0) * k)
-        counts[z0:z1] = block.reshape(-1, k)
     if crosswalk is not None:
         groups = crosswalk.groups()
         group_of = np.array([groups.index(crosswalk.group(c)) for c in categories])
-        member = group_of[:, None] == np.arange(len(groups))  # fine x groups
-        counts = counts @ member
-        categories = groups
+        codes, categories = group_of[codes], groups
+    counts = population.zone_sums(codes, len(categories))
     return ConstraintTable(variable, population.zone_ids, categories, counts)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smallarea import integerize
 from smallarea.integerize import (
     RngSpec,
     SyntheticPopulation,
@@ -133,7 +134,8 @@ class TestSynthesize:
         w = rng.uniform(0, 3, size=(20, 5))
         targets = round_half_up(w.sum(axis=0))
         pop = synthesize(self.matrix(w, [f"Z{i}" for i in range(5)]), targets, seed=9)
-        np.testing.assert_array_equal(pop.zone_totals(), targets)
+        persons = pop.zone_sums(np.zeros(len(pop.record_ids), np.intp), 1)
+        np.testing.assert_array_equal(persons[:, 0], targets)
 
     def test_integer_weights_identity(self):
         w = np.array([[2.0], [3.0], [0.0]])
@@ -295,3 +297,31 @@ def test_record_totals_exact(dtype):
     # Summed once per population and shared read-only by later calls.
     assert population.record_totals() is totals
     assert not totals.flags.writeable
+
+
+def dense_zone_sums(population, codes, k):
+    """Zones x k persons per code, summed from the dense count matrix."""
+    dense = dense_counts(population)
+    return np.stack([dense[codes == c].sum(axis=0) for c in range(k)], axis=1)
+
+
+@pytest.mark.parametrize("block_counts", [1, 2, 3, integerize.BLOCK_COUNTS])
+def test_zone_sums_against_dense_oracle(monkeypatch, block_counts):
+    # Zones of 0, 3, 0, 0, 2, 5 and 0 held counts: blocks of 1 to 3 counts
+    # start and end at empty zones, and some hold one zone.
+    monkeypatch.setattr(integerize, "BLOCK_COUNTS", block_counts)
+    rng = np.random.default_rng(3)
+    n, sizes = 8, (0, 3, 0, 0, 2, 5, 0)
+    counts = np.zeros((n, len(sizes)), dtype=np.int64)
+    for z, size in enumerate(sizes):
+        counts[rng.choice(n, size, replace=False), z] = rng.integers(1, 9, size)
+    population = sparse(counts)
+    codes = np.array([0, 3, 1, 0, 3, 3, 1, 0])  # no record has code 2
+    for codes, k in [(codes, 4), (codes == 3, 2)]:
+        sums = population.zone_sums(codes, k)
+        assert sums.dtype == np.int64
+        np.testing.assert_array_equal(sums, dense_zone_sums(population, codes, k))
+    # Exact in int64 past 2**53, where a float sum would round.
+    population = sparse([[0, 2**62], [5, 2**62 - 1], [0, 7]])
+    sums = population.zone_sums(np.array([1, 1, 0]), 2)
+    assert sums.tolist() == [[0, 5], [7, 2**63 - 1]]

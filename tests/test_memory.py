@@ -2,22 +2,25 @@
 
 import tracemalloc
 
+import numpy as np
+
 from smallarea.cli import write_csv
 from smallarea.fixture import generate_example
 from smallarea.indicators import (
     arop_absolute,
     arop_relative,
     equivalized_incomes,
+    income_indicators,
     income_summary,
     md_rate,
     mpi,
 )
-from smallarea.ingest import load_config, load_constraints, load_survey
-from smallarea.integerize import round_half_up, synthesize
+from smallarea.ingest import Crosswalk, load_config, load_constraints, load_survey
+from smallarea.integerize import SyntheticPopulation, round_half_up, synthesize
 from smallarea.ipf import ipf_all
 from smallarea.popfile import POPULATION_HEADER, population_rows, read_population
-from smallarea.schema import rescale_constraints
-from smallarea.validate import internal_validation
+from smallarea.schema import Schema, SurveyDataset, VariableDef, rescale_constraints
+from smallarea.validate import aggregate, internal_validation
 
 
 def test_run_holds_no_records_by_zones_array(tmp_path):
@@ -68,5 +71,56 @@ def test_run_holds_no_records_by_zones_array(tmp_path):
         for stage in stages():
             peak = tracemalloc.get_traced_memory()[1]
             assert peak < bound, f"{stage}: traced peak {peak} bytes"
+    finally:
+        tracemalloc.stop()
+
+
+def test_population_sums_hold_no_array_per_held_count():
+    # 1000 zones of 2000 held int32 counts over 20000 records: a temporary
+    # with one int64 entry per held count would take 16 MB, and each sum
+    # below must stay under 4 bytes per held count.
+    n_zones, held, n = 1000, 2000, 20000
+    rng = np.random.default_rng(0)
+    step = n // held  # zone z holds the records z % step, step + z % step, ...
+    zone = np.repeat(np.arange(n_zones), held)
+    records = (np.tile(np.arange(0, n, step), n_zones) + zone % step).astype(np.int32)
+    counts = rng.integers(1, 5, records.size, dtype=np.int32)
+    indptr = np.arange(0, records.size + 1, held, dtype=np.int64)
+    zone_ids = tuple(f"Z{i}" for i in range(n_zones))
+    record_ids = tuple(f"r{i}" for i in range(n))
+    fine = tuple("ABCDEF")
+    schema = Schema(
+        constraint_vars=(VariableDef("sex", ("M", "F")),),
+        external_vars=(VariableDef("occ", fine),),
+        deprivation_fields=("a", "b", "c"),
+    )
+    survey = SurveyDataset.from_codes(
+        schema,
+        record_ids,
+        record_ids,
+        codes={"sex": rng.integers(0, 2, n), "occ": rng.integers(0, 6, n)},
+        incomes=np.where(rng.random(n) < 0.1, np.nan, rng.uniform(0, 5e4, n)),
+        deprivations=rng.random((n, 3)) < 0.4,
+    )
+    crosswalk = Crosswalk("occ", dict(zip(fine, "xxyyzz")))
+    # record_totals sums on its first call, so it runs on a fresh population.
+    fresh, shared = (
+        SyntheticPopulation(indptr, records, counts, zone_ids, record_ids)
+        for _ in range(2)
+    )
+    sums = {
+        "record_totals": fresh.record_totals,
+        "income_indicators": lambda: income_indicators(shared, survey.incomes),
+        "md_rate": lambda: md_rate(shared, survey.deprivations),
+        "aggregate": lambda: aggregate(shared, survey, "occ", crosswalk),
+    }
+    tracemalloc.start()
+    try:
+        for name, run in sums.items():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 4 * counts.size, f"{name}: traced peak {peak} bytes"
     finally:
         tracemalloc.stop()
