@@ -123,7 +123,7 @@ def sha256_file(path: Path) -> str:
 # --------------------------------------------------------------------------
 
 class Runtime:
-    """Loaded inputs plus lazily computed stages for one configuration."""
+    """Loaded inputs, stage timings, warnings and outputs of one configuration."""
 
     def __init__(self, config: PipelineConfig, out_dir=None, seed=None):
         self.config = config

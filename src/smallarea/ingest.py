@@ -14,6 +14,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -132,22 +133,26 @@ def _nonnegative(raw: str, what: str, path, lineno: int) -> float:
 def _csv_rows(path, header):
     """Rows of the CSV file `path` as (line, row), `line` being the line on
     which the row ends. Checks that the header is `header` and that each
-    row has as many fields; blank rows are skipped."""
+    row has as many fields; blank rows are skipped. A row that `csv.reader`
+    rejects raises IngestError naming its line."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise IngestError(
-                f"{path}: expected header {','.join(header)!r}, got {got}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
+        try:
+            got = next(reader, None)
+            if got != header:
                 raise IngestError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} fields"
+                    f"{path}: expected header {','.join(header)!r}, got {got}"
                 )
-            yield reader.line_num, row
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise IngestError(
+                        f"{path}: line {reader.line_num}: expected {len(header)} fields"
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_long(path):
@@ -227,32 +232,23 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     (blank = NaN), or kept as None when a value does not parse as a number.
     Lines end in LF or CRLF and blank lines are skipped.
 
-    The file is read in blocks of BLOCK_LINES lines, whose fields the byte
-    scanner splits, and each block is decoded straight into the returned
-    columns: category labels are encoded from their UTF-8 bytes
-    (`encode_categories`), and a deprivation field that is one byte 0 or 1
-    is read from that byte. If the file holds a double quote, a NUL or a
-    bare CR, `csv.reader` splits the whole file instead, quoted fields are
-    honoured, and its rows are decoded in blocks of as many rows.
+    The file is read once, in blocks of BLOCK_LINES lines (`_survey_rows`),
+    and each block is decoded straight into the returned columns: category
+    labels are encoded from their UTF-8 bytes (`encode_categories`), and a
+    deprivation field that is one byte 0 or 1 is read from that byte. From
+    the first block that holds a double quote or a bare CR on, `csv.reader`
+    splits the rows, so that quoted fields are honoured.
 
     Errors name the file and the line of the bad row. When a file holds
     several faults, the one named is the first fault of the first block
-    that holds one, checked in this order: bytes that are not UTF-8 (the
-    UnicodeDecodeError of a text read of the file), a wrong number of
-    fields, then a bad income, deprivation flag or category. Once a block
-    holds a double quote, a NUL or a bare CR, the whole file is decoded
-    before its rows are split, so that bytes that are not UTF-8 anywhere in
-    it come first. A repeated record id, a record id that needs quoting and
-    an empty household id are named only when no block holds another fault,
-    in that order."""
+    that holds one, checked in this order: bytes that are not UTF-8, a wrong
+    number of fields or a row that `csv.reader` rejects, then a bad income,
+    deprivation flag or category. A repeated record id, a record id that
+    needs quoting and an empty household id are named only when no block
+    holds another fault, in that order."""
     path = Path(path)
     with path.open("rb") as fh:
-        try:
-            return _decode_survey(path, schema, _scanned_rows(fh))
-        except _Quoted:
-            pass  # the blocks decoded so far are freed with the exception
-        fh.seek(0)
-        return _decode_survey(path, schema, _quoted_rows(fh.read().decode("utf-8")))
+        return _decode_survey(path, schema, _survey_rows(path, fh))
 
 
 def _decode_survey(path, schema, rows) -> SurveyDataset:
@@ -344,29 +340,17 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         raise IngestError(f"{path}: line {lines[exc.row]}: {exc}") from None
 
 
-class _Quoted(Exception):
-    """The survey holds a double quote, a NUL or a bare CR, so that
-    `csv.reader` must split it."""
-
-
-def _scanned_rows(fh):
-    """The header of the binary survey file `fh`, split at its commas, then
-    its data rows in blocks of BLOCK_LINES lines as (bytes, starts, ends,
-    lines) of `_scan_fields`, without blank lines. Raises _Quoted at the
-    first block that holds a double quote, a NUL or a bare CR, and rejects
-    bytes that are not UTF-8 as a text read of the file does."""
-    header, first_line = None, 1
-    for data in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES):
-        bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-        if b'"' in data or b"\0" in data or bare_cr:
-            raise _Quoted
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError:
-                fh.seek(0)
-                fh.read().decode("utf-8")  # the same fault, at its offset in the file
-                raise
+def _survey_rows(path, fh):
+    """The header of the survey file `path`, open as the binary `fh`, then
+    its data rows in blocks as (bytes, starts, ends, lines), without blank
+    lines: blocks of BLOCK_LINES lines that `_scan_fields` splits, up to the
+    first block that holds a double quote or a bare CR; from it on, blocks
+    of BLOCK_LINES rows that `csv.reader` splits, quoted fields honoured."""
+    header = None
+    blocks = _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path)
+    for data, first_line in blocks:
+        if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):  # bare CR
+            break
         if header is None:
             end = data.find(b"\n")
             first = (data if end < 0 else data[:end]).removesuffix(b"\r")
@@ -375,30 +359,25 @@ def _scanned_rows(fh):
         block = _scan_fields(data, len(header), first_line, skip_blank=True)
         if first_line == 1:  # row 0 is the header
             block = tuple(a[1:] for a in block)
-        first_line += BLOCK_LINES  # the lines of every block but the last
         yield (data, *block)
         del data, block  # not held while the next block is read
-
-
-def _quoted_rows(text: str):
-    """`_scanned_rows` of a survey file that `csv.reader` must split, quoted
-    fields honoured: its header, then its rows in blocks of BLOCK_LINES rows
-    as (bytes, starts, ends, lines) of `_csv_fields`."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None) or []
-    yield header
-    rows, lines = [], []
-    for row in reader:
-        if row:
-            if len(row) != len(header):
-                raise _FieldCountError(reader.line_num, len(row))
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == BLOCK_LINES:
-                yield _csv_fields(rows, lines, len(header))
-                rows, lines = [], []
-    if rows:
-        yield _csv_fields(rows, lines, len(header))
+    else:
+        return
+    texts = chain([data], (d for d, _ in blocks))
+    del data  # held by `texts` only, until csv.reader is past it
+    reader = csv.reader(
+        chain.from_iterable(io.StringIO(t.decode(), newline="") for t in texts)
+    )
+    before = first_line - 1  # the lines before `texts`, each a row or blank
+    try:
+        if header is None:
+            header = next(reader, None) or []
+            yield header
+        rows = ((before + reader.line_num, row) for row in reader if row)
+        while block := list(islice(rows, BLOCK_LINES)):
+            yield _csv_fields(block, len(header))
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {before + reader.line_num}: {exc}") from None
 
 
 def _flags(buf, starts, ends):
@@ -496,16 +475,19 @@ def _scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
     return starts, ends, lines
 
 
-def _csv_fields(rows, lines, n_fields: int):
-    """`_scan_fields` for rows that `csv.reader` split, each a list of
-    `n_fields` fields ending on its line of `lines`: the fields, UTF-8
-    encoded and joined into new bytes, with their offsets in them and the
-    lines as an array."""
-    fields = [f.encode() for row in rows for f in row]
+def _csv_fields(rows, n_fields: int):
+    """`_scan_fields` for rows that `csv.reader` split, as (line, fields),
+    each ending on its line: the fields, UTF-8 encoded and joined into new
+    bytes, with their offsets in them and the lines as an array. Raises
+    _FieldCountError naming the first row that has not `n_fields` fields."""
+    for line, row in rows:
+        if len(row) != n_fields:
+            raise _FieldCountError(line, len(row))
+    fields = [f.encode() for _, row in rows for f in row]
     lengths = np.fromiter(map(len, fields), np.intp, len(fields))
     ends = np.cumsum(lengths).reshape(len(rows), n_fields)
     starts = ends - lengths.reshape(ends.shape)
-    return b"".join(fields), starts, ends, np.array(lines, dtype=np.intp)
+    return b"".join(fields), starts, ends, np.array([r[0] for r in rows], np.intp)
 
 
 def _gather(buf, starts, ends, width) -> np.ndarray:
@@ -604,10 +586,13 @@ def _id_keys(buf, starts, ends, width) -> np.ndarray:
     return keys.view(f"S{n_len + width}").ravel()
 
 
-def _line_blocks(fh, block_lines: int, chunk_bytes: int):
-    """The rest of the binary file `fh` in blocks of `block_lines` lines, the
-    last one possibly shorter. Reads `chunk_bytes` at a time and cuts at the
-    LF that ends each block, so no object is made per line."""
+def _line_blocks(fh, block_lines: int, chunk_bytes: int, path, line=1):
+    """The rest of the binary file `path`, open as `fh`, in blocks of
+    `block_lines` lines, the last one possibly shorter, each with the number
+    of its first line, the first block's being `line`. Reads `chunk_bytes`
+    at a time and cuts at the LF that ends each block, so no object is made
+    per line. Raises IngestError naming the line of the first bytes that
+    are not UTF-8."""
     pieces, lines = [], 0  # the current block's bytes so far, its whole lines
     while chunk := fh.read(chunk_bytes):
         ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
@@ -615,12 +600,25 @@ def _line_blocks(fh, block_lines: int, chunk_bytes: int):
         for end in ends[block_lines - 1 - lines :: block_lines].tolist():
             pieces.append(chunk[start:end])
             block, pieces, start = b"".join(pieces), [], end
-            yield block
+            yield _utf8(block, path, line), line
             del block  # not held while the next block is read
+            line += block_lines
         pieces.append(chunk[start:])
         lines = (lines + ends.size) % block_lines
     if block := b"".join(pieces):
-        yield block
+        yield _utf8(block, path, line), line
+
+
+def _utf8(block: bytes, path, line: int) -> bytes:
+    """`block`, whose first line is line `line` of `path`, if it is UTF-8;
+    IngestError naming the line of its first bytes that are not."""
+    try:
+        if not block.isascii():
+            block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line += block.count(b"\n", 0, exc.start)
+        raise IngestError(f"{path}: line {line}: bytes that are not UTF-8") from None
+    return block
 
 
 def _joined(blocks: list) -> np.ndarray:

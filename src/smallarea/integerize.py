@@ -82,9 +82,9 @@ class SyntheticPopulation:
         unordered[starts[(starts > 0) & (starts < nnz)] - 1] = False
         if (
             np.any(unordered)
-            or np.any(counts <= 0)
-            or np.any(records < 0)
-            or np.any(records >= len(self.record_ids))
+            or counts.min(initial=1) <= 0
+            or records.min(initial=0) < 0
+            or records.max(initial=-1) >= len(self.record_ids)
         ):
             raise ValueError(
                 "counts must be positive, of known records, in record order"

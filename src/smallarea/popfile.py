@@ -31,6 +31,7 @@ from .ingest import (
     _joined,
     _line_blocks,
     _scan_fields,
+    _utf8,
 )
 from .integerize import SyntheticPopulation
 from .ipf import WeightMatrix
@@ -113,11 +114,12 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     may come in any order. Lines end in LF or CRLF.
 
     Parses blocks of BLOCK_LINES lines, cut from byte reads, and matches
-    each block's ids as byte keys. Rejects, naming the file and line, a row
-    that has not 3 fields, an unknown zone or record id, a count that is not
-    a non-negative integer written in digits, and a repeated (zone, record)
-    pair. When a file holds several faults, the one named is that of the
-    first block with a fault, and in it a bad row before a repeated pair."""
+    each block's ids as byte keys. Rejects, naming the file and line, bytes
+    that are not UTF-8, a row that has not 3 fields, an unknown zone or
+    record id, a count that is not a non-negative integer written in digits,
+    and a repeated (zone, record) pair. When a file holds several faults,
+    the one named is that of the first block with a fault, and in it a bad
+    row before a repeated pair."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
@@ -126,7 +128,6 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     # Per block read: each row's zone and record index and its count.
     zones, records, counts = ([np.empty(0, np.int32)] for _ in range(3))
     in_order, last_key = True, -1  # whether the keys so far rise strictly
-    first_line = 2  # line number of the current block's first line
 
     def stable_order(zi, ri):
         """The stable (zone, record) order of rows; raises for the first
@@ -144,20 +145,18 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
             )
         return order
 
-    def fail(i, message):
+    def fail(line, message):
         # A pair repeated in an earlier block is the first fault.
         stable_order(np.concatenate(zones), np.concatenate(records))
-        raise IngestError(f"{path}: line {first_line + i}: {message}")
+        raise IngestError(f"{path}: line {line}: {message}")
 
-    def decode(block):
-        """Append the rows of one block of lines."""
-        nonlocal in_order, last_key, first_line
-        if not block.isascii():
-            block.decode("utf-8")  # rejects what a text read would
+    def decode(block, first_line):
+        """Append the rows of one block of lines, the first `first_line`."""
+        nonlocal in_order, last_key
         try:
-            starts, ends, lines = _scan_fields(block, 3, first_line)
+            starts, ends, _ = _scan_fields(block, 3, first_line)
         except _FieldCountError as exc:
-            fail(exc.line - first_line, "expected 3 fields")
+            fail(exc.line, "expected 3 fields")
         buf = np.frombuffer(block, np.uint8)
 
         def field(i, j):
@@ -168,12 +167,12 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         if not (zone_known.all() and record_known.all()):
             i = int(np.argmin(zone_known & record_known))
             if not zone_known[i]:
-                fail(i, f"unknown zone id {field(i, 0)!r}")
-            fail(i, f"unknown record id {field(i, 1)!r}")
+                fail(first_line + i, f"unknown zone id {field(i, 0)!r}")
+            fail(first_line + i, f"unknown record id {field(i, 1)!r}")
         values, valid = _digits(buf, starts[:, 2], ends[:, 2])
         if not valid.all():
             i = int(np.argmin(valid))
-            fail(i, f"invalid count {field(i, 2)!r}")
+            fail(first_line + i, f"invalid count {field(i, 2)!r}")
         key = zi * n_records + ri
         in_order &= bool(key[0] > last_key) and bool(np.all(key[1:] > key[:-1]))
         last_key = int(key[-1])
@@ -182,14 +181,14 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         if values.max(initial=0) < 2**31:
             values = values.astype(np.int32)
         counts.append(values)
-        first_line += lines.size
 
     with path.open("rb") as fh:
-        header = fh.readline().decode("utf-8").removesuffix("\n").removesuffix("\r")
+        header = _utf8(fh.readline(), path, 1).decode()
+        header = header.removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
-        for block in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES):
-            decode(block)
+        for block, first_line in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path, 2):
+            decode(block, first_line)
             del block  # not held while the next block is read
     zi, ri, counts = _joined(zones), _joined(records), _joined(counts)
     if not in_order:  # rows with strictly rising keys name no pair twice

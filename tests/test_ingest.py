@@ -184,6 +184,16 @@ class TestLoadConstraints:
         with pytest.raises(IngestError, match="line 3: zone id .* holds a comma"):
             load_constraints(path, schema)
 
+    def test_field_past_csv_limit_names_line(self, tmp_path, schema):
+        # csv.reader's own error names the file and line.
+        zone = "Z" * (csv.field_size_limit() + 1)
+        path = tmp_path / "c.csv"
+        path.write_text(
+            f"zone_id,variable,category,count\nZ01,sex,M,5\n{zone},sex,M,6\n"
+        )
+        with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: field")):
+            load_constraints(path, schema)
+
     def test_round_trip_bit_equal(self, tmp_path, schema):
         rng = np.random.default_rng(3)
         tables = [
@@ -300,15 +310,23 @@ class TestLoadSurvey:
         ],
     )
     def test_bytes_not_utf8_rejected(self, tmp_path, schema, body):
-        # As a UTF-8 text read rejects them: the same error and message.
-        data = b"record_id,household_id,sex,marital,income,lacks_tv\n" + body
+        # Named by the line of the file that holds them: 3, 3 and 2.
+        line = 2 + body[: body.index(b"\xff")].count(b"\n")
         path = tmp_path / "s.csv"
-        path.write_bytes(data)
-        with pytest.raises(UnicodeDecodeError) as expected:
-            data.decode("utf-8")
-        with pytest.raises(UnicodeDecodeError) as got:
+        path.write_bytes(b"record_id,household_id,sex,marital,income,lacks_tv\n" + body)
+        message = re.escape(f"{path}: line {line}: bytes that are not UTF-8")
+        with pytest.raises(IngestError, match=message):
             load_survey(path, schema)
-        assert str(got.value) == str(expected.value)
+
+    def test_field_past_csv_limit_names_line(self, tmp_path, schema):
+        # csv.reader's own error, on a quoted survey, names the file and line.
+        long_id = "r" * (csv.field_size_limit() + 1)
+        path = self.write(
+            tmp_path,
+            ["r1,h1,M,Married,1000,0\n", f'"{long_id}",h2,F,Widowed,2000,1\n'],
+        )
+        with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: field")):
+            load_survey(path, schema)
 
     def test_short_row_names_line(self, tmp_path, schema):
         path = self.write(tmp_path, ["r1,h1,M,Married,1000,0\n", "r2,h2,F,1\n"])
@@ -585,8 +603,8 @@ def survey_files(draw):
 )
 def test_load_survey_matches_csv_loader(tmp_path_factory, case, block_lines):
     # With blocks of a few lines, blank lines, CRLF ends and a last line
-    # without its end fall at block edges, and a quote in a later block
-    # sends the whole file to csv.reader.
+    # without its end fall at block edges, and from a block that holds a
+    # quote on, the rest of the file goes to csv.reader.
     schema, data, labels = case
     path = tmp_path_factory.mktemp("survey") / "survey.csv"
     path.write_bytes(data)

@@ -364,6 +364,17 @@ class TestReadPopulation:
         with pytest.raises(IngestError, match="line 6: duplicate row"):
             read_text(tmp_path, "Z1,r1,2\nZ2,r1,1\nZ1,r2,1\nZ1,r3,1\nZ2,r1,4\n")
 
+    def test_bytes_not_utf8_in_a_later_block(self, tmp_path, monkeypatch):
+        # The line is counted from the start of the file, not of the block.
+        monkeypatch.setattr(popfile, "BLOCK_LINES", 2)
+        path = tmp_path / "population.csv"
+        path.write_bytes(
+            b"zone_id,record_id,count\nZ1,r1,2\nZ2,r1,1\nZ1,r2,1\nZ1,r\xff3,1\n"
+        )
+        message = f"{path}: line 5: bytes that are not UTF-8"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            read_population(path, ZONES, RECORDS)
+
     def test_later_block_reads_like_one(self, tmp_path, monkeypatch):
         body = "Z1,r1,2\nZ2,r1,1\nZ1,r2,1\nZ1,r3,1\nZ2,r3,4\n"
         whole = read_text(tmp_path, body)
