@@ -43,6 +43,7 @@ from .indicators import (
 from .ingest import (
     IngestError,
     PipelineConfig,
+    _csv_rows,
     load_config,
     load_constraints,
     load_crosswalks,
@@ -410,16 +411,20 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
 
 
 def _read_indicator_csv(path: Path):
+    """An earlier indicators.csv as {zone: {metric: value}}, a blank value
+    None; IngestError naming the line of a value that is not a number."""
     if not path.exists():
         raise IngestError(f"{path}: comparison indicators file not found")
     out = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["zone_id"]] = {
-                k: (float(v) if v not in ("", None) else None)
-                for k, v in row.items()
-                if k != "zone_id"
-            }
+    for line, (zone, *texts) in _csv_rows(path, INDICATOR_COLUMNS):
+        row = out[zone] = {}
+        for metric, text in zip(INDICATOR_COLUMNS[1:], texts):
+            try:
+                row[metric] = float(text) if text else None
+            except ValueError:
+                raise IngestError(
+                    f"{path}: line {line}: invalid {metric} {text!r}"
+                ) from None
     return out
 
 

@@ -132,27 +132,20 @@ def _nonnegative(raw: str, what: str, path, lineno: int) -> float:
 
 def _csv_rows(path, header):
     """Rows of the CSV file `path` as (line, row), `line` being the line on
-    which the row ends. Checks that the header is `header` and that each
-    row has as many fields; blank rows are skipped. A row that `csv.reader`
-    rejects raises IngestError naming its line."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader, None)
-            if got != header:
-                raise IngestError(
-                    f"{path}: expected header {','.join(header)!r}, got {got}"
-                )
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise IngestError(
-                        f"{path}: line {reader.line_num}: expected {len(header)} fields"
-                    )
-                yield reader.line_num, row
-        except csv.Error as exc:
-            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+    which the row ends, read by `_csv_blocks`. Checks that the header is
+    `header`; blank rows are skipped."""
+    n = len(header)
+    with path.open("rb") as fh:
+        blocks = _csv_blocks(path, fh)
+        got = next(blocks, None)
+        if got != header:
+            raise IngestError(
+                f"{path}: expected header {','.join(header)!r}, got {got}"
+            )
+        for data, starts, ends, lines in blocks:
+            fields = _strings(data, starts.ravel(), ends.ravel())
+            for i, line in enumerate(lines.tolist()):
+                yield line, fields[n * i : n * (i + 1)]
 
 
 def _read_long(path):
@@ -232,28 +225,28 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     (blank = NaN), or kept as None when a value does not parse as a number.
     Lines end in LF or CRLF and blank lines are skipped.
 
-    The file is read once, in blocks of BLOCK_LINES lines (`_survey_rows`),
+    The file is read once, in blocks of BLOCK_LINES lines (`_csv_blocks`),
     and each block is decoded straight into the returned columns: category
     labels are encoded from their UTF-8 bytes (`encode_categories`), and a
     deprivation field that is one byte 0 or 1 is read from that byte. From
-    the first block that holds a double quote or a bare CR on, `csv.reader`
-    splits the rows, so that quoted fields are honoured.
+    the first block that holds a double quote or a bare CR on, the `csv`
+    module splits the rows, so that quoted fields are honoured.
 
     Errors name the file and the line of the bad row. When a file holds
     several faults, the one named is the first fault of the first block
     that holds one, checked in this order: bytes that are not UTF-8, a wrong
-    number of fields or a row that `csv.reader` rejects, then a bad income,
+    number of fields or a row that the `csv` module rejects, then a bad income,
     deprivation flag or category. A repeated record id, a record id that
     needs quoting and an empty household id are named only when no block
     holds another fault, in that order."""
     path = Path(path)
     with path.open("rb") as fh:
-        return _decode_survey(path, schema, _survey_rows(path, fh))
+        return _decode_survey(path, schema, _csv_blocks(path, fh))
 
 
 def _decode_survey(path, schema, rows) -> SurveyDataset:
     """The survey of `rows`: its header, then blocks of data rows as (bytes,
-    starts, ends, lines) of `_scan_fields`."""
+    starts, ends, lines) of `_csv_blocks`."""
     variables = schema.constraint_vars + schema.external_vars
     fields = schema.deprivation_fields
     mandatory = (
@@ -283,7 +276,7 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         j = column["record_id"]
         ids = _strings(data, starts[:, j], ends[:, j])
         incomes.append(_incomes(data, starts[:, income], ends[:, income], at, path))
-        value, valid = _flags(buf, starts[:, flagged], ends[:, flagged])
+        value, valid = _flags(data, starts[:, flagged], ends[:, flagged])
         bad = np.argwhere(~valid)
         if bad.size:
             i, f = bad[0]
@@ -301,10 +294,9 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         for name, blocks in numeric.items():
             if blocks is not None:
                 j = column[name]
-                values = np.char.strip(_labels(buf, starts[:, j], ends[:, j]))
-                values = np.where(values == "", "nan", values)
+                texts = [t.strip() for t in _strings(data, starts[:, j], ends[:, j])]
                 try:
-                    blocks.append(values.astype(float))
+                    blocks.append(_floats(texts))
                 except ValueError:
                     numeric[name] = None
         j = column[schema.household_field]
@@ -312,14 +304,9 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         record_ids.extend(ids)
         lines.append(at)
 
-    try:
-        for block in rows:
-            decode(*block)
-            del block  # not held while the next block is read
-    except _FieldCountError as exc:
-        raise IngestError(
-            f"{path}: line {exc.line}: expected {len(header)} fields, got {exc.got}"
-        ) from None
+    for block in rows:
+        decode(*block)
+        del block  # not held while the next block is read
     lines = _joined(lines)
     try:
         return SurveyDataset.from_codes(
@@ -340,61 +327,74 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         raise IngestError(f"{path}: line {lines[exc.row]}: {exc}") from None
 
 
-def _survey_rows(path, fh):
-    """The header of the survey file `path`, open as the binary `fh`, then
-    its data rows in blocks as (bytes, starts, ends, lines), without blank
+def _csv_blocks(path, fh):
+    """The header of the CSV file `path`, open as the binary `fh`, then its
+    data rows in blocks as (bytes, starts, ends, lines), without blank
     lines: blocks of BLOCK_LINES lines that `_scan_fields` splits, up to the
     first block that holds a double quote or a bare CR; from it on, blocks
-    of BLOCK_LINES rows that `csv.reader` splits, quoted fields honoured."""
+    of BLOCK_LINES rows that the `csv` module splits, quoted fields
+    honoured. Yields nothing for an empty file. Raises IngestError naming
+    the line of a row whose width is not the header's, or that the `csv`
+    module rejects."""
     header = None
     blocks = _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path)
-    for data, first_line in blocks:
-        if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):  # bare CR
-            break
-        if header is None:
-            end = data.find(b"\n")
-            first = (data if end < 0 else data[:end]).removesuffix(b"\r")
-            header = first.decode("utf-8").split(",") if first else []
-            yield header
-        block = _scan_fields(data, len(header), first_line, skip_blank=True)
-        if first_line == 1:  # row 0 is the header
-            block = tuple(a[1:] for a in block)
-        yield (data, *block)
-        del data, block  # not held while the next block is read
-    else:
-        return
-    texts = chain([data], (d for d, _ in blocks))
-    del data  # held by `texts` only, until csv.reader is past it
-    reader = csv.reader(
-        chain.from_iterable(io.StringIO(t.decode(), newline="") for t in texts)
-    )
-    before = first_line - 1  # the lines before `texts`, each a row or blank
     try:
+        for data, first_line in blocks:
+            if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):  # bare CR
+                break
+            if header is None:
+                end = data.find(b"\n")
+                first = (data if end < 0 else data[:end]).removesuffix(b"\r")
+                header = first.decode("utf-8").split(",") if first else []
+                yield header
+            block = _scan_fields(data, len(header), first_line, skip_blank=True)
+            if first_line == 1:  # row 0 is the header
+                block = tuple(a[1:] for a in block)
+            yield (data, *block)
+            del data, block  # not held while the next block is read
+        else:
+            return
+        texts = chain([data], (d for d, _ in blocks))
+        del data  # held by `texts` only, until the reader is past it
+        reader = csv.reader(
+            chain.from_iterable(io.StringIO(t.decode(), newline="") for t in texts)
+        )
+        before = first_line - 1  # the lines before `texts`, each a row or blank
         if header is None:
             header = next(reader, None) or []
             yield header
         rows = ((before + reader.line_num, row) for row in reader if row)
         while block := list(islice(rows, BLOCK_LINES)):
             yield _csv_fields(block, len(header))
+    except _FieldCountError as exc:
+        raise IngestError(
+            f"{path}: line {exc.line}: expected {len(header)} fields, got {exc.got}"
+        ) from None
     except csv.Error as exc:
         raise IngestError(f"{path}: line {before + reader.line_num}: {exc}") from None
 
 
-def _flags(buf, starts, ends):
-    """Each field buf[starts:ends] of a rows x fields matrix as a bool, and
-    whether it reads 0 or 1: a field of one byte from that byte, any other as
-    `np.char.strip` reads it, which drops padding and trailing NULs."""
+def _flags(data, starts, ends):
+    """Each field data[starts:ends] of a rows x fields matrix as a bool, and
+    whether it reads 0 or 1: a field of one byte from that byte, any other
+    stripped of white space."""
     bare = ends - starts == 1
     byte = np.zeros(starts.shape, np.uint8)
-    byte[bare] = buf[starts[bare]]
+    byte[bare] = np.frombuffer(data, np.uint8)[starts[bare]]
     value = byte == ord("1")
     valid = value | (byte == ord("0"))
     rest = ~valid
     if rest.any():
-        text = np.char.strip(_labels(buf, starts[rest], ends[rest]))
-        value[rest] = text == "1"
-        valid[rest] = value[rest] | (text == "0")
+        texts = [t.strip() for t in _strings(data, starts[rest], ends[rest])]
+        value[rest] = [t == "1" for t in texts]
+        valid[rest] = [t in ("0", "1") for t in texts]
     return value, valid
+
+
+def _floats(texts) -> np.ndarray:
+    """The stripped fields `texts` as numbers, blank as NaN; ValueError if
+    one is not a number."""
+    return np.array([float(t) if t else math.nan for t in texts], float)
 
 
 def _incomes(data, starts, ends, lines, path) -> np.ndarray:
@@ -403,9 +403,9 @@ def _incomes(data, starts, ends, lines, path) -> np.ndarray:
     otherwise)."""
     raw = [t.strip() for t in _strings(data, starts, ends)]
     try:
-        values = np.array([float(r) if r else math.nan for r in raw])
-        blank = np.array([not r for r in raw], dtype=bool)
-        if (blank | (np.isfinite(values) & (values >= 0))).all():
+        values = _floats(raw)
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+        if not any(raw[i] for i in bad.tolist()):
             return values
     except ValueError:
         pass
@@ -476,7 +476,7 @@ def _scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
 
 
 def _csv_fields(rows, n_fields: int):
-    """`_scan_fields` for rows that `csv.reader` split, as (line, fields),
+    """`_scan_fields` for rows that the `csv` module split, as (line, fields),
     each ending on its line: the fields, UTF-8 encoded and joined into new
     bytes, with their offsets in them and the lines as an array. Raises
     _FieldCountError naming the first row that has not `n_fields` fields."""
@@ -501,21 +501,17 @@ def _gather(buf, starts, ends, width) -> np.ndarray:
 
 
 def _strings(data: bytes, starts, ends) -> list:
-    """The UTF-8 fields data[starts:ends] as Python strings, which keep the
-    trailing NULs that a numpy str array drops."""
-    if b"\0" not in data:
-        return _labels(np.frombuffer(data, np.uint8), starts, ends).tolist()
-    return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
-
-
-def _labels(buf, starts, ends) -> np.ndarray:
-    """The UTF-8 fields buf[starts:ends] as a numpy str array, which drops
-    trailing NULs."""
+    """The UTF-8 fields data[starts:ends] as Python strings. They are
+    gathered into one numpy str array, unless `data` holds a NUL, which such
+    an array drops from a field's end, or a long field would make the array
+    far larger than `data`."""
     width = max(int((ends - starts).max(initial=0)), 1)
-    raw = _gather(buf, starts, ends, width)
+    if b"\0" in data or starts.size * width > 4 * len(data) + 4096:
+        return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+    raw = _gather(np.frombuffer(data, np.uint8), starts, ends, width)
     if raw.max(initial=0) < 128:  # ASCII: each byte is its code point
-        return raw.astype(np.uint32).view(f"U{width}").ravel()
-    return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8")
+        return raw.astype(np.uint32).view(f"U{width}").ravel().tolist()
+    return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8").tolist()
 
 
 def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.ndarray:
@@ -689,15 +685,16 @@ def _warn_unknown(mapping, known, context):
 
 def load_config(path) -> PipelineConfig:
     """Parse the YAML configuration into a fully defaulted PipelineConfig.
-    Unknown keys warn; invalid values raise IngestError."""
+    Unknown keys warn; invalid values, missing keys, a section of the wrong
+    type, bad YAML and bytes that are not UTF-8 raise IngestError naming the
+    file."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise IngestError(f"{path}: configuration must be a mapping")
-    _warn_unknown(raw, _KNOWN_TOP, "")
-
+    data = _utf8(path.read_bytes(), path, 1)
     try:
+        raw = yaml.safe_load(data)
+        if not isinstance(raw, dict):
+            raise IngestError("configuration must be a mapping")
+        _warn_unknown(raw, _KNOWN_TOP, "")
         schema = _parse_schema(raw.get("schema") or {})
         paths = raw.get("paths") or {}
         _warn_unknown(
@@ -741,10 +738,9 @@ def load_config(path) -> PipelineConfig:
             md_threshold=int(pov.get("md_threshold", 3)),
             mpi_spec=mpi_spec,
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, IngestError):
-            raise
-        raise IngestError(f"{path}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise IngestError(f"{path}: {what}") from exc
 
 
 def _parse_schema(raw) -> Schema:
@@ -763,10 +759,7 @@ def _parse_schema(raw) -> Schema:
         raise IngestError("schema.constraint_variables is required")
 
     def vardefs(items):
-        out = []
-        for item in items:
-            out.append(VariableDef(item["name"], tuple(item["categories"])))
-        return tuple(out)
+        return tuple(VariableDef(i["name"], tuple(i["categories"])) for i in items)
 
     try:
         return Schema(
@@ -788,25 +781,12 @@ def _parse_mpi(raw) -> MpiSpec:
         inds = []
         for i in d.get("indicators", []):
             if "below" in i:
-                inds.append(
-                    MpiIndicator(
-                        i["field"],
-                        kind="below",
-                        threshold=float(i["below"]),
-                        weight=i.get("weight"),
-                    )
-                )
+                kind = {"kind": "below", "threshold": float(i["below"])}
             elif "in" in i:
-                inds.append(
-                    MpiIndicator(
-                        i["field"],
-                        kind="in",
-                        values=tuple(i["in"]),
-                        weight=i.get("weight"),
-                    )
-                )
+                kind = {"kind": "in", "values": tuple(i["in"])}
             else:
-                inds.append(MpiIndicator(i["field"], weight=i.get("weight")))
+                kind = {}
+            inds.append(MpiIndicator(i["field"], weight=i.get("weight"), **kind))
         weight = d.get("weight", 1.0 / len(raw_dims))
         dims.append(MpiDimension(d["name"], float(weight), tuple(inds)))
     try:

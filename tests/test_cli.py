@@ -339,6 +339,31 @@ class TestPipeline:
         assert diff[0] == "zone_id,metric,earlier,later,pct_change"
         assert len(diff) > 1
 
+    @pytest.mark.parametrize(
+        "line, field, text, message",
+        [
+            (3, 1, "abc", "line 3: invalid mean_income 'abc'"),
+            (1, 5, "md", "expected header"),
+        ],
+    )
+    def test_compare_with_malformed_indicators_names_file(
+        self, example_dir, tmp_path, capsys, line, field, text, message
+    ):
+        # The earlier indicators.csv has one field replaced by `text`.
+        d, config = example_dir
+        out, earlier = tmp_path / "out", tmp_path / "earlier"
+        main(["pipeline", "--config", str(config), "--out", str(out)])
+        rows = (out / "indicators.csv").read_text().splitlines()
+        fields = rows[line - 1].split(",")
+        fields[field] = text
+        rows[line - 1] = ",".join(fields)
+        earlier.mkdir()
+        (earlier / "indicators.csv").write_text("\n".join(rows) + "\n")
+        argv = ["indicators", "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--compare", str(earlier)]) == 1
+        err = capsys.readouterr().err
+        assert f"{earlier / 'indicators.csv'}: {message}" in err
+
     def test_validate_without_population_fails(self, tmp_path):
         config = write_mini(tmp_path)
         assert main(["validate", "--config", str(config)]) == 1

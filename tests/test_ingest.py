@@ -185,11 +185,11 @@ class TestLoadConstraints:
             load_constraints(path, schema)
 
     def test_field_past_csv_limit_names_line(self, tmp_path, schema):
-        # csv.reader's own error names the file and line.
+        # csv.reader's own error, on a quoted table, names the file and line.
         zone = "Z" * (csv.field_size_limit() + 1)
         path = tmp_path / "c.csv"
         path.write_text(
-            f"zone_id,variable,category,count\nZ01,sex,M,5\n{zone},sex,M,6\n"
+            f'zone_id,variable,category,count\nZ01,sex,M,5\n"{zone}",sex,M,6\n'
         )
         with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: field")):
             load_constraints(path, schema)
@@ -285,6 +285,23 @@ class TestLoadSurvey:
                 categories={"sex": ["M", "M\0"], "marital": ["Married"] * 2},
             )
         assert info.value.row == 1
+
+    def test_nul_padded_flag_names_line(self, tmp_path, schema):
+        # Flags and numeric columns are read from the field's bytes, so "1\0"
+        # is neither 1 nor a number.
+        path = self.write(
+            tmp_path, ["r1,h1,M,Married,1000,1\n", "r2,h2,F,Widowed,2000,1\0\n"]
+        )
+        message = f"{path}: line 3: deprivation field 'lacks_tv' must be 0/1"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            load_survey(path, schema)
+        path.write_text(
+            "record_id,household_id,sex,marital,income,lacks_tv,n_adults\n"
+            "r1,h1,M,Married,1000,0,2\nr2,h2,F,Widowed,2000, 1 ,2\0\n"
+        )
+        survey = load_survey(path, schema)
+        assert survey.deprivations.tolist() == [[False], [True]]
+        assert survey.numeric["n_adults"] is None
 
     def test_record_ids_compared_exactly(self, tmp_path, schema):
         # "r1" and "r1\0" are two ids, as population.csv reads and writes them.
@@ -442,6 +459,34 @@ class TestLoadConfig:
         with pytest.raises(IngestError, match="sum"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # An MPI dimension without a name; an indicator without a field.
+            "poverty:\n  mpi:\n    dimensions:\n"
+            "      - {weight: 1, indicators: [{field: income, below: 1}]}\n",
+            "poverty:\n  mpi:\n    dimensions:\n"
+            "      - {name: a, weight: 1, indicators: [{below: 1}]}\n",
+            "poverty:\n  mpi:\n    dimensions: oops\n",  # not a list
+            "seed: [1\n",  # not YAML
+        ],
+        ids=["dimension_name", "indicator_field", "dimensions_oops", "bad_yaml"],
+    )
+    def test_config_fault_names_file(self, tmp_path, body):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(CONFIG_MINIMAL + body)
+        with pytest.raises(IngestError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_config_bytes_not_utf8_name_file_and_line(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(CONFIG_MINIMAL.encode() + b"seed: 1\xff\n")
+        line = CONFIG_MINIMAL.count("\n") + 1
+        message = re.escape(f"{path}: line {line}: bytes that are not UTF-8")
+        with pytest.raises(IngestError, match=message):
+            load_config(path)
+
 
 class TestLoadCrosswalks:
     def test_grouping(self, tmp_path):
@@ -480,7 +525,7 @@ class TestLoadCrosswalks:
         )
         with pytest.raises(IngestError) as info:
             load_crosswalks(path)
-        assert str(info.value) == f"{path}: line 5: expected 3 fields"
+        assert str(info.value) == f"{path}: line 5: expected 3 fields, got 2"
 
     def test_line_numbers_count_quoted_line_breaks(self, tmp_path):
         # Line 2's quoted category spans two lines, so the conflict is on
@@ -492,6 +537,88 @@ class TestLoadCrosswalks:
         )
         with pytest.raises(IngestError, match="line 5: 'G' mapped to both"):
             load_crosswalks(path)
+
+
+def _table(t):
+    return t.variable, t.zones, t.categories, t.counts.tolist()
+
+
+# Each long-format input: its header, data rows and loader, the loaded
+# tables made comparable.
+LONG_TABLES = {
+    "constraints": (
+        "zone_id,variable,category,count",
+        [
+            "Z1,sex,M,5", "Z1,sex,F,6", "Z1,marital,Married,7",
+            "Z1,marital,Widowed,4", "Z2,sex,M,1.5", "Z2,sex,F,0",
+            "Z2,marital,Married,1", "Z2,marital,Widowed,0.5",
+        ],
+        lambda path, schema: [_table(t) for t in load_constraints(path, schema)],
+    ),
+    "external": (
+        "zone_id,variable,category,count",
+        [
+            "Z2,nace,G,1", "Z1,nace,C,2", "Z2,nace,C,3", "Z1,nace,G,4",
+            "Z3,nace,C,0", "Z3,nace,G,2.5", "Z4,nace,Q,1", "Z4,nace,C,8",
+        ],
+        lambda path, schema: _table(load_external_actual(path)),
+    ),
+    "crosswalk": (
+        "variable,fine_category,group_category",
+        [
+            "nace,C,C+D+E", "nace,D,C+D+E", "nace,E,C+D+E", "nace,G,G",
+            "isco,1,1-3", "isco,2,1-3", "isco,3,1-3", "isco,9,9",
+        ],
+        lambda path, schema: load_crosswalks(path),
+    ),
+}
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, ingest.BLOCK_LINES])
+@pytest.mark.parametrize("kind", sorted(LONG_TABLES))
+def test_long_table_read_by_block_reader(tmp_path, schema, kind, block_lines):
+    # Quoted fields, CRLF ends and blank lines read as the plain file does,
+    # whether the quotes start on the header or on the last row, and bytes
+    # that are not UTF-8 on a later line are named by their file and line.
+    header, rows, load = LONG_TABLES[kind]
+
+    def quoted(line):  # a blank line stays blank
+        return ",".join(f'"{f}"' for f in line.split(",")) if line else ""
+
+    files = {
+        "plain": "\n".join([header, *rows, ""]),
+        "quote_all": "\r\n".join(
+            map(quoted, [header, *rows[:3], "", *rows[3:5], "", "", *rows[5:]])
+        ),
+        "quote_last": "\r\n".join([header, *rows[:-1], "", quoted(rows[-1]), ""]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode())
+    bad = tmp_path / "bad"
+    bad.write_bytes(files["plain"].replace(rows[4], rows[4] + "\xff").encode("latin1"))
+    with mock.patch.object(ingest, "BLOCK_LINES", block_lines):
+        expected = load(tmp_path / "plain", schema)
+        for name in ("quote_all", "quote_last"):
+            assert load(tmp_path / name, schema) == expected, name
+        message = re.escape(f"{bad}: line 6: bytes that are not UTF-8")
+        with pytest.raises(IngestError, match=message):
+            load(bad, schema)
+
+
+def test_strings_of_a_long_field_gather_no_padded_copy():
+    # One field of 50000 bytes among 400 short ones: padding every field to
+    # its width would take 20 MB, and 80 MB as a str array.
+    data = b",".join([b"Z" * 50000] + [b"r%d" % i for i in range(400)])
+    ends = np.cumsum([len(f) + 1 for f in data.split(b",")]) - 1
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tracemalloc.start()
+    try:
+        got = ingest._strings(data, starts, ends)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == data.decode().split(",")
+    assert peak < 2**20, peak
 
 
 # --------------------------------------------------------------------------
