@@ -8,6 +8,15 @@ census aggregates, and computes zone-level income and poverty measures.
 
 __version__ = "0.1.0"
 
+import os
+
+# numpy starts OpenBLAS's thread pool when it is imported, and the package
+# makes no BLAS call (`grep -nE " @ |np\.dot|matmul|einsum|linalg"` finds
+# none in src/smallarea), so one thread saves the pool's start-up in every
+# process. This runs before the submodules import numpy; a value already in
+# the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .schema import (
     Schema,
     VariableDef,

@@ -180,7 +180,7 @@ def load_constraints(path, schema: Schema):
             raise IngestError(f"{path}: unknown variable {var!r} at line {lineno}")
         if cat not in vardefs[var].categories:
             raise IngestError(f"{path}: unknown category {cat!r} at line {lineno}")
-        if needs_quoting(zone):
+        if zone not in zone_index and needs_quoting(zone):
             raise IngestError(
                 f"{path}: line {lineno}: zone id {zone!r} holds a comma, quote "
                 "or line break"
@@ -687,35 +687,37 @@ def load_config(path) -> PipelineConfig:
     """Parse the YAML configuration into a fully defaulted PipelineConfig.
     Unknown keys warn; invalid values, missing keys, a section of the wrong
     type, bad YAML and bytes that are not UTF-8 raise IngestError naming the
-    file."""
+    file, and the key or line where it can."""
     path = Path(path)
-    data = _utf8(path.read_bytes(), path, 1)
+    # A stream named by the path makes PyYAML's marks name the file.
+    stream = io.StringIO(_utf8(path.read_bytes(), path, 1).decode("utf-8"))
+    stream.name = str(path)
     try:
-        raw = yaml.safe_load(data)
-        if not isinstance(raw, dict):
-            raise IngestError("configuration must be a mapping")
+        raw = _mapping(yaml.safe_load(stream), "configuration")
         _warn_unknown(raw, _KNOWN_TOP, "")
-        schema = _parse_schema(raw.get("schema") or {})
-        paths = raw.get("paths") or {}
+        schema = _parse_schema(
+            _mapping(raw.get("schema") or {}, "schema", ("constraint_variables",))
+        )
+        paths = _mapping(
+            raw.get("paths") or {}, "paths", ("constraints", "survey", "output_dir")
+        )
         _warn_unknown(
             paths,
             {"constraints", "survey", "output_dir", "external_actual", "crosswalk"},
             "paths",
         )
-        for key in ("constraints", "survey", "output_dir"):
-            if key not in paths:
-                raise IngestError(f"paths.{key} is required")
         base = path.parent
 
         def resolve(p):
             p = Path(p)
             return p if p.is_absolute() else base / p
 
-        ipf_cfg = raw.get("ipf") or {}
+        ipf_cfg = _mapping(raw.get("ipf") or {}, "ipf")
         _warn_unknown(ipf_cfg, {"max_iterations", "tolerance"}, "ipf")
-        pov = raw.get("poverty") or {}
+        pov = _mapping(raw.get("poverty") or {}, "poverty")
         _warn_unknown(pov, {"arop_fraction", "md_threshold", "mpi"}, "poverty")
-        mpi_spec = _parse_mpi(pov.get("mpi")) if pov.get("mpi") else None
+        mpi = pov.get("mpi")
+        mpi_spec = _parse_mpi(_mapping(mpi, "poverty.mpi")) if mpi else None
 
         return PipelineConfig(
             schema=schema,
@@ -738,9 +740,36 @@ def load_config(path) -> PipelineConfig:
             md_threshold=int(pov.get("md_threshold", 3)),
             mpi_spec=mpi_spec,
         )
-    except (AttributeError, KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise IngestError(f"{path}: {what}") from exc
+    except (TypeError, ValueError, yaml.YAMLError) as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+
+
+def _mapping(value, key: str, required=()) -> dict:
+    """`value`, read at config key `key`, if it is a mapping that holds every
+    key of `required`; IngestError naming the key if not."""
+    if not isinstance(value, dict):
+        raise IngestError(f"{key} must be a mapping")
+    for name in required:
+        if name not in value:
+            raise IngestError(f"{key} has no {name!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    """`value`, read at config key `key`, if it is a list; IngestError naming
+    the key if not."""
+    if not isinstance(value, list):
+        raise IngestError(f"{key} must be a list")
+    return value
+
+
+def _items(value, key: str, required) -> list:
+    """(key, item) for each item of the list `value` read at config key `key`,
+    each item a mapping that holds every key of `required`."""
+    return [
+        (f"{key}[{n}]", _mapping(item, f"{key}[{n}]", required))
+        for n, item in enumerate(_list(value, key))
+    ]
 
 
 def _parse_schema(raw) -> Schema:
@@ -755,35 +784,39 @@ def _parse_schema(raw) -> Schema:
         },
         "schema",
     )
-    if "constraint_variables" not in raw:
-        raise IngestError("schema.constraint_variables is required")
 
-    def vardefs(items):
-        return tuple(VariableDef(i["name"], tuple(i["categories"])) for i in items)
+    def vardefs(key):
+        items = _items(raw.get(key, []), f"schema.{key}", ("name", "categories"))
+        return tuple(
+            VariableDef(i["name"], tuple(_list(i["categories"], f"{at}.categories")))
+            for at, i in items
+        )
 
     try:
         return Schema(
-            constraint_vars=vardefs(raw["constraint_variables"]),
-            external_vars=vardefs(raw.get("external_variables", [])),
+            constraint_vars=vardefs("constraint_variables"),
+            external_vars=vardefs("external_variables"),
             income_field=raw.get("income_field", "income"),
-            deprivation_fields=tuple(raw.get("deprivation_fields", [])),
+            deprivation_fields=tuple(
+                _list(raw.get("deprivation_fields", []), "schema.deprivation_fields")
+            ),
             household_field=raw.get("household_field", "household_id"),
         )
-    except (KeyError, SchemaError) as exc:
+    except SchemaError as exc:
         raise IngestError(f"bad schema section: {exc}") from exc
 
 
 def _parse_mpi(raw) -> MpiSpec:
     _warn_unknown(raw, {"cutoff", "dimensions"}, "poverty.mpi")
     dims = []
-    raw_dims = raw.get("dimensions") or []
-    for d in raw_dims:
+    raw_dims = _items(raw.get("dimensions") or [], "poverty.mpi.dimensions", ("name",))
+    for where, d in raw_dims:
         inds = []
-        for i in d.get("indicators", []):
+        for at, i in _items(d.get("indicators", []), f"{where}.indicators", ("field",)):
             if "below" in i:
                 kind = {"kind": "below", "threshold": float(i["below"])}
             elif "in" in i:
-                kind = {"kind": "in", "values": tuple(i["in"])}
+                kind = {"kind": "in", "values": tuple(_list(i["in"], f"{at}.in"))}
             else:
                 kind = {}
             inds.append(MpiIndicator(i["field"], weight=i.get("weight"), **kind))

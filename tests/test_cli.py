@@ -377,11 +377,16 @@ class TestPipeline:
         assert text[-1].startswith("METRO,")
 
 
-def run_python(code, timeout=60):
-    """Run `code` in a fresh interpreter that imports this source tree."""
+# The OS threads of the process, one entry each (Linux).
+TASKS = "/proc/self/task"
+
+
+def run_python(code, timeout=60, environ=os.environ):
+    """Run `code` in a fresh interpreter that imports this source tree, in
+    the environment `environ`."""
     src = str(Path(smallarea.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    env = dict(environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -412,6 +417,20 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert rows[0] == "variable,category,r2,sei,t,p" and len(rows) > 1
 
 
+@pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"no {TASKS} to count threads")
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+def test_import_starts_one_blas_thread_unless_told(setting, threads):
+    """Importing smallarea sets OPENBLAS_NUM_THREADS to 1 before numpy
+    starts its BLAS pool; a value already set wins."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        environ["OPENBLAS_NUM_THREADS"] = setting
+    code = f"import os, smallarea.cli; print(len(os.listdir({TASKS!r})))"
+    proc = run_python(code, environ=environ)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == threads
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot product of more than 10000 terms across its
     # threads, which changes the order of the sum and so its last bits; the
@@ -423,9 +442,13 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         argv = ["pipeline", "--config", config, "--out", str(out)]
+        # Each process checks that it runs the pool it asked for, so that the
+        # comparison is not 1 thread against 1.
         code = (
             f"import os, sys; os.environ['OPENBLAS_NUM_THREADS'] = {threads!r}\n"
             "from smallarea.cli import main\n"
+            f"tasks = {TASKS!r}\n"
+            f"assert not os.path.isdir(tasks) or len(os.listdir(tasks)) == {threads}\n"
             f"sys.exit(main({argv!r}))\n"
         )
         proc = run_python(code, timeout=120)

@@ -115,6 +115,8 @@ paths:
   output_dir: out
 """
 
+MPI_CONFIG = CONFIG_MINIMAL + "poverty:\n  mpi:\n    dimensions:\n"
+
 
 @pytest.fixture
 def schema():
@@ -183,6 +185,15 @@ class TestLoadConstraints:
         )
         with pytest.raises(IngestError, match="line 3: zone id .* holds a comma"):
             load_constraints(path, schema)
+
+    def test_zone_id_checked_once_per_zone(self, tmp_path, schema):
+        path = tmp_path / "c.csv"
+        rows = "".join(f"{z},sex,{c},5\n" for z in ("Z1", "Z2") for c in "MF")
+        path.write_text("zone_id,variable,category,count\n" + rows)
+        spy = mock.patch.object(ingest, "needs_quoting", wraps=ingest.needs_quoting)
+        with spy as check:
+            load_constraints(path, schema)
+        assert [call.args for call in check.call_args_list] == [("Z1",), ("Z2",)]
 
     def test_field_past_csv_limit_names_line(self, tmp_path, schema):
         # csv.reader's own error, on a quoted table, names the file and line.
@@ -335,6 +346,15 @@ class TestLoadSurvey:
         with pytest.raises(IngestError, match=message):
             load_survey(path, schema)
 
+    def test_zone_id_checked_once_per_zone(self, tmp_path, schema):
+        path = tmp_path / "c.csv"
+        rows = "".join(f"{z},sex,{c},5\n" for z in ("Z1", "Z2") for c in "MF")
+        path.write_text("zone_id,variable,category,count\n" + rows)
+        spy = mock.patch.object(ingest, "needs_quoting", wraps=ingest.needs_quoting)
+        with spy as check:
+            load_constraints(path, schema)
+        assert [call.args for call in check.call_args_list] == [("Z1",), ("Z2",)]
+
     def test_field_past_csv_limit_names_line(self, tmp_path, schema):
         # csv.reader's own error, on a quoted survey, names the file and line.
         long_id = "r" * (csv.field_size_limit() + 1)
@@ -460,24 +480,90 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "body",
+        "text, message",
         [
-            # An MPI dimension without a name; an indicator without a field.
-            "poverty:\n  mpi:\n    dimensions:\n"
-            "      - {weight: 1, indicators: [{field: income, below: 1}]}\n",
-            "poverty:\n  mpi:\n    dimensions:\n"
-            "      - {name: a, weight: 1, indicators: [{below: 1}]}\n",
-            "poverty:\n  mpi:\n    dimensions: oops\n",  # not a list
-            "seed: [1\n",  # not YAML
+            pytest.param(
+                MPI_CONFIG
+                + "      - {weight: 1, indicators: [{field: income, below: 1}]}\n",
+                "poverty.mpi.dimensions[0] has no 'name'",
+                id="dimension_name",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - {name: a, weight: 1, indicators: [{below: 1}]}\n",
+                "poverty.mpi.dimensions[0].indicators[0] has no 'field'",
+                id="indicator_field",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "poverty:\n  mpi:\n    dimensions: oops\n",
+                "poverty.mpi.dimensions must be a list",
+                id="dimensions_oops",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "seed: [1\n",
+                "while parsing a flow sequence",
+                id="bad_yaml",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL.replace(
+                    "    - name: sex\n      categories: [M, F]\n", "    - {name: a}\n"
+                ),
+                "schema.constraint_variables[0] has no 'categories'",
+                id="variable_categories",
+            ),
+            pytest.param(
+                # A string of categories would be split into its characters.
+                CONFIG_MINIMAL.replace("[Y, O]", "YO"),
+                "schema.constraint_variables[1].categories must be a list",
+                id="categories_string",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL.replace(
+                    "  income_field: income\n",
+                    "  income_field: income\n  deprivation_fields: lacks_tv\n",
+                ),
+                "schema.deprivation_fields must be a list",
+                id="deprivation_fields_string",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - {name: a, weight: 1, indicators: [{field: sex, in: M}]}\n",
+                "poverty.mpi.dimensions[0].indicators[0].in must be a list",
+                id="indicator_in_string",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "poverty: 0.6\n",
+                "poverty must be a mapping",
+                id="poverty_scalar",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "poverty:\n  mpi: oops\n",
+                "poverty.mpi must be a mapping",
+                id="mpi_scalar",
+            ),
+            pytest.param(
+                "- schema\n", "configuration must be a mapping", id="not_a_mapping"
+            ),
+            pytest.param(
+                CONFIG_MINIMAL.replace("  survey: survey.csv\n", ""),
+                "paths has no 'survey'",
+                id="path_missing",
+            ),
         ],
-        ids=["dimension_name", "indicator_field", "dimensions_oops", "bad_yaml"],
     )
-    def test_config_fault_names_file(self, tmp_path, body):
+    def test_config_fault_names_file(self, tmp_path, text, message):
         path = tmp_path / "cfg.yaml"
-        path.write_text(CONFIG_MINIMAL + body)
+        path.write_text(text)
         with pytest.raises(IngestError) as info:
             load_config(path)
-        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_yaml_syntax_error_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("schema: [1")
+        with pytest.raises(IngestError) as info:
+            load_config(path)
+        assert f'in "{path}", line 1, column 9' in str(info.value)
 
     def test_config_bytes_not_utf8_name_file_and_line(self, tmp_path):
         path = tmp_path / "cfg.yaml"
