@@ -18,7 +18,7 @@ import resource
 import sys
 import tempfile
 import time
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -43,7 +43,7 @@ from .indicators import (
 from .ingest import (
     IngestError,
     PipelineConfig,
-    _csv_rows,
+    csv_rows,
     load_config,
     load_constraints,
     load_crosswalks,
@@ -126,10 +126,9 @@ def sha256_file(path: Path) -> str:
 class Runtime:
     """Loaded inputs, stage timings, warnings and outputs of one configuration."""
 
-    def __init__(self, config: PipelineConfig, out_dir=None, seed=None):
+    def __init__(self, config: PipelineConfig):
         self.config = config
-        self.out_dir = Path(out_dir) if out_dir else config.output_dir
-        self.seed = config.seed if seed is None else int(seed)
+        self.out_dir = config.output_dir
         self.schema = config.schema
         self.timings: dict[str, float] = {}
         self.tables, self.survey = self.timed(
@@ -214,24 +213,16 @@ def run_check(rt: Runtime, allow_inconsistent: bool = False) -> int:
 # synthesize
 # --------------------------------------------------------------------------
 
-def run_synthesize(rt: Runtime, dump_weights=False, strict=False, max_iters=None):
+def run_synthesize(rt: Runtime, dump_weights=False, strict=False):
     cfg = rt.config
     reference = rt.schema.constraint_vars[0].name
     tables = rescale_constraints(rt.tables, reference)
     matrix, convergence = rt.timed(
-        "ipf",
-        lambda: ipf_all(
-            rt.survey,
-            tables,
-            max_iterations=max_iters or cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        ),
+        "ipf", lambda: ipf_all(rt.survey, tables, cfg.max_iterations, cfg.tolerance)
     )
     ref_table = next(t for t in tables if t.variable == reference)
     zone_pops = round_half_up(ref_table.zone_totals())
-    population = rt.timed(
-        "trs", lambda: synthesize(matrix, zone_pops, rt.seed)
-    )
+    population = rt.timed("trs", lambda: synthesize(matrix, zone_pops, cfg.seed))
 
     rt.write(
         "convergence.csv",
@@ -416,7 +407,7 @@ def _read_indicator_csv(path: Path):
     if not path.exists():
         raise IngestError(f"{path}: comparison indicators file not found")
     out = {}
-    for line, (zone, *texts) in _csv_rows(path, INDICATOR_COLUMNS):
+    for line, (zone, *texts) in csv_rows(path, INDICATOR_COLUMNS):
         row = out[zone] = {}
         for metric, text in zip(INDICATOR_COLUMNS[1:], texts):
             try:
@@ -436,7 +427,7 @@ def write_manifest(rt: Runtime, convergence=None) -> None:
     cfg = rt.config
     lines = [
         f"engine_version={__version__}",
-        f"seed={rt.seed}",
+        f"seed={cfg.seed}",
         f"rng={RngSpec.generator}",
         f"ipf.max_iterations={cfg.max_iterations}",
         f"ipf.tolerance={cfg.tolerance!r}",
@@ -480,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="YAML configuration path")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", type=Path, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument(
             "--allow-inconsistent",
@@ -531,7 +522,11 @@ def main(argv=None) -> int:
             print(f"example written; run: smallarea pipeline --config {config_path}")
             return EXIT_OK
 
-        rt = Runtime(load_config(args.config), out_dir=args.out, seed=args.seed)
+        # Each flag replaces its config key and is checked like it.
+        flags = {"output_dir": args.out, "seed": args.seed}
+        flags["max_iterations"] = getattr(args, "max_iters", None)
+        given = {key: value for key, value in flags.items() if value is not None}
+        rt = Runtime(replace(load_config(args.config), **given))
         rt.out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "check":
@@ -542,9 +537,7 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "synthesize":
-            _, convergence, scode = run_synthesize(
-                rt, args.dump_weights, args.strict, args.max_iters
-            )
+            _, convergence, scode = run_synthesize(rt, args.dump_weights, args.strict)
             write_manifest(rt, convergence)
             return max(code, scode) if scode != EXIT_ERROR else EXIT_ERROR
 
@@ -560,7 +553,7 @@ def main(argv=None) -> int:
 
         # pipeline
         population, convergence, scode = run_synthesize(
-            rt, args.dump_weights, args.strict, args.max_iters
+            rt, args.dump_weights, args.strict
         )
         if scode == EXIT_ERROR:
             return EXIT_ERROR

@@ -3,8 +3,9 @@ reference tables and the pipeline configuration.
 
 All files are UTF-8 CSV with comma separators. Zone ids and record ids may
 not contain a comma, a double quote or a line break, because the population
-files are written unquoted (`schema.needs_quoting`). The configuration is
-YAML with the key paths documented on PipelineConfig.
+files are written unquoted (`schema.needs_quoting`). The files are read as
+bytes through `csvbytes`. The configuration is YAML with the key paths
+documented on PipelineConfig.
 """
 
 from __future__ import annotations
@@ -13,53 +14,37 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 import yaml
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .csvbytes import (
+    BLOCK_LINES,
+    CHUNK_BYTES,
+    FieldCountError,
+    IngestError,
+    gather,
+    joined,
+    line_blocks,
+    scan_fields,
+    utf8,
+)
 from .indicators import MpiDimension, MpiIndicator, MpiSpec
 from .schema import (
     ConstraintTable,
+    Crosswalk,
     Schema,
     SchemaError,
     SurveyDataset,
     VariableDef,
+    encode_categories,
     needs_quoting,
 )
 
 log = logging.getLogger(__name__)
-
-
-class IngestError(ValueError):
-    """Malformed input file or configuration."""
-
-
-@dataclass(frozen=True)
-class Crosswalk:
-    """Many-to-one mapping from fine categories to grouped categories for one
-    variable (e.g. industry sections aggregated for external validation)."""
-
-    variable: str
-    mapping: dict  # fine category -> group category
-
-    def group(self, fine: str) -> str:
-        try:
-            return self.mapping[fine]
-        except KeyError:
-            raise IngestError(
-                f"category {fine!r} missing from crosswalk for {self.variable!r}"
-            ) from None
-
-    def groups(self) -> tuple[str, ...]:
-        seen = []
-        for g in self.mapping.values():
-            if g not in seen:
-                seen.append(g)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -130,7 +115,7 @@ def _nonnegative(raw: str, what: str, path, lineno: int) -> float:
     return value
 
 
-def _csv_rows(path, header):
+def csv_rows(path, header):
     """Rows of the CSV file `path` as (line, row), `line` being the line on
     which the row ends, read by `_csv_blocks`. Checks that the header is
     `header`; blank rows are skipped."""
@@ -156,7 +141,7 @@ def _read_long(path):
     rows = []
     seen = set()
     header = ["zone_id", "variable", "category", "count"]
-    for lineno, (zone, var, cat, raw) in _csv_rows(path, header):
+    for lineno, (zone, var, cat, raw) in csv_rows(path, header):
         count = _nonnegative(raw, "count", path, lineno)
         if (zone, var, cat) in seen:
             raise IngestError(
@@ -307,17 +292,17 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
     for block in rows:
         decode(*block)
         del block  # not held while the next block is read
-    lines = _joined(lines)
+    lines = joined(lines)
     try:
         return SurveyDataset.from_codes(
             schema,
             record_ids,
             household_ids,
-            codes={name: _joined(blocks) for name, blocks in codes.items()},
-            incomes=_joined(incomes),
-            deprivations=_joined(flags),
+            codes={name: joined(blocks) for name, blocks in codes.items()},
+            incomes=joined(incomes),
+            deprivations=joined(flags),
             numeric={
-                name: None if blocks is None else _joined(blocks)
+                name: None if blocks is None else joined(blocks)
                 for name, blocks in numeric.items()
             },
         )
@@ -330,14 +315,14 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
 def _csv_blocks(path, fh):
     """The header of the CSV file `path`, open as the binary `fh`, then its
     data rows in blocks as (bytes, starts, ends, lines), without blank
-    lines: blocks of BLOCK_LINES lines that `_scan_fields` splits, up to the
+    lines: blocks of BLOCK_LINES lines that `scan_fields` splits, up to the
     first block that holds a double quote or a bare CR; from it on, blocks
     of BLOCK_LINES rows that the `csv` module splits, quoted fields
     honoured. Yields nothing for an empty file. Raises IngestError naming
     the line of a row whose width is not the header's, or that the `csv`
     module rejects."""
     header = None
-    blocks = _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path)
+    blocks = line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path)
     try:
         for data, first_line in blocks:
             if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):  # bare CR
@@ -347,7 +332,7 @@ def _csv_blocks(path, fh):
                 first = (data if end < 0 else data[:end]).removesuffix(b"\r")
                 header = first.decode("utf-8").split(",") if first else []
                 yield header
-            block = _scan_fields(data, len(header), first_line, skip_blank=True)
+            block = scan_fields(data, len(header), first_line, skip_blank=True)
             if first_line == 1:  # row 0 is the header
                 block = tuple(a[1:] for a in block)
             yield (data, *block)
@@ -366,7 +351,7 @@ def _csv_blocks(path, fh):
         rows = ((before + reader.line_num, row) for row in reader if row)
         while block := list(islice(rows, BLOCK_LINES)):
             yield _csv_fields(block, len(header))
-    except _FieldCountError as exc:
+    except FieldCountError as exc:
         raise IngestError(
             f"{path}: line {exc.line}: expected {len(header)} fields, got {exc.got}"
         ) from None
@@ -419,85 +404,22 @@ def _incomes(data, starts, ends, lines, path) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Byte-level fields
+# Fields of a block of rows
 # --------------------------------------------------------------------------
 
-# Lines parsed, or rows written, at a time, by the survey and population
-# readers and the population writer: splitting a whole file at once holds
-# every field of it as offsets or strings, which costs more memory than the
-# columns it fills, and the writer's working arrays take about 120 bytes a row.
-BLOCK_LINES = 16384
-# Bytes the readers read at a time and cut into blocks at line ends; a read
-# is allocated whole, so it adds to the reader's peak memory.
-CHUNK_BYTES = 1 << 18
-
-
-class _FieldCountError(IngestError):
-    """A line holds `got` fields, not the expected number."""
-
-    def __init__(self, line: int, got: int):
-        super().__init__(f"line {line}: {got} fields")
-        self.line, self.got = line, got
-
-
-def _scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
-    """Field offsets of `data`: lines of `n_fields` comma-separated,
-    unquoted fields, ending in LF or CRLF (the last line may lack its end).
-
-    Returns (starts, ends, lines): rows x n_fields arrays of the byte offset
-    of each field's first byte and of the byte after its last, and each
-    row's line number, the first line of `data` being `first_line`. With
-    `skip_blank`, an empty line gives no row. Raises _FieldCountError naming
-    the first line that holds another number of fields."""
-    buf = np.frombuffer(data, np.uint8)
-    breaks = np.flatnonzero(buf == ord("\n"))
-    if buf.size and buf[-1] != ord("\n"):
-        breaks = np.append(breaks, buf.size)
-    begins = np.empty_like(breaks)
-    begins[:1] = 0
-    begins[1:] = breaks[:-1] + 1
-    stops = breaks - ((breaks > begins) & (buf[breaks - 1] == ord("\r")))
-    commas = np.flatnonzero(buf == ord(","))
-    widths = np.diff(np.searchsorted(commas, breaks), prepend=0) + 1
-    lines = np.arange(first_line, first_line + breaks.size)
-    if skip_blank:
-        keep = stops > begins
-        begins, stops, widths, lines = (a[keep] for a in (begins, stops, widths, lines))
-    bad = np.flatnonzero(widths != n_fields)
-    if bad.size:
-        raise _FieldCountError(int(lines[bad[0]]), int(widths[bad[0]]))
-    # Every row holds n_fields - 1 commas, and a skipped line none.
-    commas = commas.reshape(lines.size, n_fields - 1)
-    starts = np.empty((lines.size, n_fields), np.intp)
-    ends = np.empty_like(starts)
-    starts[:, 0], starts[:, 1:] = begins, commas + 1
-    ends[:, :-1], ends[:, -1] = commas, stops
-    return starts, ends, lines
-
-
 def _csv_fields(rows, n_fields: int):
-    """`_scan_fields` for rows that the `csv` module split, as (line, fields),
+    """`scan_fields` for rows that the `csv` module split, as (line, fields),
     each ending on its line: the fields, UTF-8 encoded and joined into new
     bytes, with their offsets in them and the lines as an array. Raises
-    _FieldCountError naming the first row that has not `n_fields` fields."""
+    FieldCountError naming the first row that has not `n_fields` fields."""
     for line, row in rows:
         if len(row) != n_fields:
-            raise _FieldCountError(line, len(row))
+            raise FieldCountError(line, len(row))
     fields = [f.encode() for _, row in rows for f in row]
     lengths = np.fromiter(map(len, fields), np.intp, len(fields))
     ends = np.cumsum(lengths).reshape(len(rows), n_fields)
     starts = ends - lengths.reshape(ends.shape)
     return b"".join(fields), starts, ends, np.array([r[0] for r in rows], np.intp)
-
-
-def _gather(buf, starts, ends, width) -> np.ndarray:
-    """rows x width uint8 matrix of the fields buf[starts:ends], each
-    zero-padded to `width` bytes; no field may be longer."""
-    if buf.size < starts.max(initial=0) + width:
-        buf = np.concatenate((buf, np.zeros(width, np.uint8)))
-    out = sliding_window_view(buf, width)[starts]
-    out *= np.arange(width) < (ends - starts)[:, None]
-    return out
 
 
 def _strings(data: bytes, starts, ends) -> list:
@@ -508,121 +430,10 @@ def _strings(data: bytes, starts, ends) -> list:
     width = max(int((ends - starts).max(initial=0)), 1)
     if b"\0" in data or starts.size * width > 4 * len(data) + 4096:
         return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
-    raw = _gather(np.frombuffer(data, np.uint8), starts, ends, width)
+    raw = gather(np.frombuffer(data, np.uint8), starts, ends, width)
     if raw.max(initial=0) < 128:  # ASCII: each byte is its code point
         return raw.astype(np.uint32).view(f"U{width}").ravel().tolist()
     return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8").tolist()
-
-
-def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.ndarray:
-    """The category code of `var`, the index in `var.categories`, of each
-    label buf[starts:ends], matching UTF-8 bytes exactly. Raises SchemaError
-    naming the first of `record_ids` whose label is not a category, with
-    its index in `row`."""
-    codes, known = _id_finder(var.categories)(buf, starts, ends)
-    if not known.all():
-        i = int(np.argmin(known))
-        label = bytes(buf[starts[i] : ends[i]]).decode("utf-8")
-        raise SchemaError(
-            f"record {record_ids[i]!r}: invalid category {label!r} for "
-            f"variable {var.name!r}",
-            i,
-        )
-    return codes
-
-
-def _id_finder(ids):
-    """A function that maps fields (buf, starts, ends) to the index of each
-    in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
-    lookup of `_id_keys`."""
-    buf, starts, ends = _id_bytes(ids)
-    width = int((ends - starts).max(initial=0))
-    keys = _id_keys(buf, starts, ends, width)
-    order = np.argsort(keys, kind="stable")
-    table = keys[order]
-
-    def find(buf, starts, ends):
-        keys = _id_keys(buf, starts, ends, width)
-        if not table.size:
-            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
-        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
-        return order[at], table[at] == keys
-
-    return find
-
-
-def _id_bytes(ids, suffix=""):
-    """The UTF-8 bytes of each id followed by `suffix`, as one uint8 buffer
-    and the start and end of each."""
-    lengths = np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
-    lengths += len(suffix.encode("utf-8"))
-    ends = np.cumsum(lengths)
-    buf = (suffix.join(ids) + suffix).encode("utf-8")
-    return np.frombuffer(buf, np.uint8), ends - lengths, ends
-
-
-def _id_keys(buf, starts, ends, width) -> np.ndarray:
-    """Keys equal exactly when the fields buf[starts:ends] are equal, for
-    fields of up to `width` bytes: the field's length, then its bytes. A
-    longer field gets a length that no field of `width` bytes has. Keys of
-    up to 8 bytes are uint64, with a field's bytes read from its start as
-    one big-endian word, so that fields of one length sort as bytes do."""
-    lengths = np.minimum(ends - starts, width + 1)
-    n_len = ((width + 1).bit_length() + 7) // 8
-    if n_len + width <= 8:
-        padded = np.concatenate((buf, np.zeros(8, np.uint8)))
-        words = np.ndarray(buf.size + 1, ">u8", padded, strides=(1,))[starts]
-        drop = (8 * (7 - np.minimum(lengths, width))).astype(np.uint64)
-        body = (words.astype(np.uint64) >> np.uint64(8)) >> drop
-        return lengths.astype(np.uint64) << np.uint64(8 * width) | body
-    keys = np.empty((lengths.size, n_len + width), np.uint8)
-    for b in range(n_len):
-        keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
-    keys[:, n_len:] = _gather(buf, starts, starts + np.minimum(lengths, width), width)
-    return keys.view(f"S{n_len + width}").ravel()
-
-
-def _line_blocks(fh, block_lines: int, chunk_bytes: int, path, line=1):
-    """The rest of the binary file `path`, open as `fh`, in blocks of
-    `block_lines` lines, the last one possibly shorter, each with the number
-    of its first line, the first block's being `line`. Reads `chunk_bytes`
-    at a time and cuts at the LF that ends each block, so no object is made
-    per line. Raises IngestError naming the line of the first bytes that
-    are not UTF-8."""
-    pieces, lines = [], 0  # the current block's bytes so far, its whole lines
-    while chunk := fh.read(chunk_bytes):
-        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1
-        start = 0
-        for end in ends[block_lines - 1 - lines :: block_lines].tolist():
-            pieces.append(chunk[start:end])
-            block, pieces, start = b"".join(pieces), [], end
-            yield _utf8(block, path, line), line
-            del block  # not held while the next block is read
-            line += block_lines
-        pieces.append(chunk[start:])
-        lines = (lines + ends.size) % block_lines
-    if block := b"".join(pieces):
-        yield _utf8(block, path, line), line
-
-
-def _utf8(block: bytes, path, line: int) -> bytes:
-    """`block`, whose first line is line `line` of `path`, if it is UTF-8;
-    IngestError naming the line of its first bytes that are not."""
-    try:
-        if not block.isascii():
-            block.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line += block.count(b"\n", 0, exc.start)
-        raise IngestError(f"{path}: line {line}: bytes that are not UTF-8") from None
-    return block
-
-
-def _joined(blocks: list) -> np.ndarray:
-    """The arrays of `blocks` joined into one; empties the list, so that
-    they are not held twice."""
-    out = np.concatenate(blocks)
-    blocks.clear()
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -635,7 +446,7 @@ def load_crosswalks(path):
     path = Path(path)
     maps: dict[str, dict] = {}
     header = ["variable", "fine_category", "group_category"]
-    for lineno, (var, fine, group) in _csv_rows(path, header):
+    for lineno, (var, fine, group) in csv_rows(path, header):
         m = maps.setdefault(var, {})
         if fine in m and m[fine] != group:
             raise IngestError(
@@ -690,7 +501,7 @@ def load_config(path) -> PipelineConfig:
     file, and the key or line where it can."""
     path = Path(path)
     # A stream named by the path makes PyYAML's marks name the file.
-    stream = io.StringIO(_utf8(path.read_bytes(), path, 1).decode("utf-8"))
+    stream = io.StringIO(utf8(path.read_bytes(), path, 1).decode("utf-8"))
     stream.name = str(path)
     try:
         raw = _mapping(yaml.safe_load(stream), "configuration")
@@ -744,22 +555,22 @@ def load_config(path) -> PipelineConfig:
         raise IngestError(f"{path}: {exc}") from exc
 
 
-def _mapping(value, key: str, required=()) -> dict:
-    """`value`, read at config key `key`, if it is a mapping that holds every
-    key of `required`; IngestError naming the key if not."""
-    if not isinstance(value, dict):
-        raise IngestError(f"{key} must be a mapping")
-    for name in required:
-        if name not in value:
-            raise IngestError(f"{key} has no {name!r}")
+def _of(kind, value, key: str):
+    """`value`, read at config key `key`, if it is a `kind` (dict, list or
+    str); IngestError naming the key if not."""
+    if not isinstance(value, kind):
+        name = {dict: "a mapping", list: "a list", str: "a string"}[kind]
+        raise IngestError(f"{key} must be {name}")
     return value
 
 
-def _list(value, key: str) -> list:
-    """`value`, read at config key `key`, if it is a list; IngestError naming
-    the key if not."""
-    if not isinstance(value, list):
-        raise IngestError(f"{key} must be a list")
+def _mapping(value, key: str, required=()) -> dict:
+    """`value`, read at config key `key`, if it is a mapping that holds every
+    key of `required`; IngestError naming the key if not."""
+    value = _of(dict, value, key)
+    for name in required:
+        if name not in value:
+            raise IngestError(f"{key} has no {name!r}")
     return value
 
 
@@ -768,8 +579,14 @@ def _items(value, key: str, required) -> list:
     each item a mapping that holds every key of `required`."""
     return [
         (f"{key}[{n}]", _mapping(item, f"{key}[{n}]", required))
-        for n, item in enumerate(_list(value, key))
+        for n, item in enumerate(_of(list, value, key))
     ]
+
+
+def _texts(value, key: str) -> tuple:
+    """The list of strings `value`, read at config key `key`."""
+    items = enumerate(_of(list, value, key))
+    return tuple(_of(str, v, f"{key}[{n}]") for n, v in items)
 
 
 def _parse_schema(raw) -> Schema:
@@ -788,19 +605,25 @@ def _parse_schema(raw) -> Schema:
     def vardefs(key):
         items = _items(raw.get(key, []), f"schema.{key}", ("name", "categories"))
         return tuple(
-            VariableDef(i["name"], tuple(_list(i["categories"], f"{at}.categories")))
+            VariableDef(
+                _of(str, i["name"], f"{at}.name"),
+                _texts(i["categories"], f"{at}.categories"),
+            )
             for at, i in items
         )
+
+    def text(key, default):
+        return _of(str, raw.get(key, default), f"schema.{key}")
 
     try:
         return Schema(
             constraint_vars=vardefs("constraint_variables"),
             external_vars=vardefs("external_variables"),
-            income_field=raw.get("income_field", "income"),
-            deprivation_fields=tuple(
-                _list(raw.get("deprivation_fields", []), "schema.deprivation_fields")
+            income_field=text("income_field", "income"),
+            deprivation_fields=_texts(
+                raw.get("deprivation_fields", []), "schema.deprivation_fields"
             ),
-            household_field=raw.get("household_field", "household_id"),
+            household_field=text("household_field", "household_id"),
         )
     except SchemaError as exc:
         raise IngestError(f"bad schema section: {exc}") from exc
@@ -816,7 +639,7 @@ def _parse_mpi(raw) -> MpiSpec:
             if "below" in i:
                 kind = {"kind": "below", "threshold": float(i["below"])}
             elif "in" in i:
-                kind = {"kind": "in", "values": tuple(_list(i["in"], f"{at}.in"))}
+                kind = {"kind": "in", "values": tuple(_of(list, i["in"], f"{at}.in"))}
             else:
                 kind = {}
             inds.append(MpiIndicator(i["field"], weight=i.get("weight"), **kind))

@@ -20,18 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import (
+from .csvbytes import (
     BLOCK_LINES,
     CHUNK_BYTES,
+    FieldCountError,
     IngestError,
-    _FieldCountError,
-    _gather,
-    _id_bytes,
-    _id_finder,
-    _joined,
-    _line_blocks,
-    _scan_fields,
-    _utf8,
+    gather,
+    id_bytes,
+    id_finder,
+    joined,
+    line_blocks,
+    scan_fields,
+    utf8,
 )
 from .integerize import SyntheticPopulation
 from .ipf import WeightMatrix
@@ -119,11 +119,12 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     record id, a count that is not a non-negative integer written in digits,
     and a repeated (zone, record) pair. When a file holds several faults,
     the one named is that of the first block with a fault, and in it a bad
-    row before a repeated pair."""
+    row before a repeated pair. Not read by `ingest._csv_blocks`: here a blank
+    line is a fault, not skipped, and a double quote is part of an id."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
-    find_zone, find_record = _id_finder(zone_ids), _id_finder(record_ids)
+    find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
     n_records = len(record_ids)
     # Per block read: each row's zone and record index and its count.
     zones, records, counts = ([np.empty(0, np.int32)] for _ in range(3))
@@ -154,8 +155,8 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         """Append the rows of one block of lines, the first `first_line`."""
         nonlocal in_order, last_key
         try:
-            starts, ends, _ = _scan_fields(block, 3, first_line)
-        except _FieldCountError as exc:
+            starts, ends, _ = scan_fields(block, 3, first_line)
+        except FieldCountError as exc:
             fail(exc.line, "expected 3 fields")
         buf = np.frombuffer(block, np.uint8)
 
@@ -183,14 +184,14 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         counts.append(values)
 
     with path.open("rb") as fh:
-        header = _utf8(fh.readline(), path, 1).decode()
+        header = utf8(fh.readline(), path, 1).decode()
         header = header.removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
-        for block, first_line in _line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path, 2):
+        for block, first_line in line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path, 2):
             decode(block, first_line)
             del block  # not held while the next block is read
-    zi, ri, counts = _joined(zones), _joined(records), _joined(counts)
+    zi, ri, counts = joined(zones), joined(records), joined(counts)
     if not in_order:  # rows with strictly rising keys name no pair twice
         order = stable_order(zi, ri)
         zi, ri, counts = zi[order], ri[order], counts[order]
@@ -210,7 +211,7 @@ def _digits(buf, starts, ends):
     lengths = ends - starts
     valid = (lengths > 0) & (lengths <= 19)  # 19 digits fit in uint64
     width = int(lengths[valid].max(initial=0))
-    digits = _gather(buf, starts, starts + np.minimum(lengths, width), width)
+    digits = gather(buf, starts, starts + np.minimum(lengths, width), width)
     digits = (digits - np.uint8(ord("0"))).astype(np.uint64)
     value = np.zeros(lengths.size, np.uint64)
     for j in range(width):
@@ -229,9 +230,9 @@ _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 def _field_table(ids):
     """The UTF-8 bytes of "<id>," for each of `ids`, zero-padded to the
     longest, as one row per byte column; and the length of each."""
-    buf, starts, ends = _id_bytes(ids, ",")
+    buf, starts, ends = id_bytes(ids, ",")
     lengths = ends - starts
-    table = _gather(buf, starts, ends, int(lengths.max(initial=0)))
+    table = gather(buf, starts, ends, int(lengths.max(initial=0)))
     return np.ascontiguousarray(table.T), lengths
 
 

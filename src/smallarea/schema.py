@@ -1,4 +1,4 @@
-"""Shared data model: constraint variables, census tables, survey microdata.
+"""Shared data model: variables, census tables, crosswalks, survey microdata.
 
 Everything here is immutable after construction and safe to share across
 threads. Zone ids and category labels are case-sensitive exact strings.
@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .csvbytes import IngestError, id_bytes, id_finder
 
 
 class SchemaError(ValueError):
@@ -78,12 +80,6 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError("variable names must be unique")
 
-    def constraint_var(self, name: str) -> VariableDef:
-        for v in self.constraint_vars:
-            if v.name == name:
-                return v
-        raise SchemaError(f"unknown constraint variable {name!r}")
-
     def variable(self, name: str) -> VariableDef:
         for v in self.constraint_vars + self.external_vars:
             if v.name == name:
@@ -118,13 +114,33 @@ class ConstraintTable:
         return self.counts.sum(axis=1)
 
 
+@dataclass(frozen=True)
+class Crosswalk:
+    """Many-to-one mapping from fine categories to grouped categories for one
+    variable (e.g. industry sections aggregated for external validation)."""
+
+    variable: str
+    mapping: dict  # fine category -> group category
+
+    def group(self, fine: str) -> str:
+        try:
+            return self.mapping[fine]
+        except KeyError:
+            raise IngestError(
+                f"category {fine!r} missing from crosswalk for {self.variable!r}"
+            ) from None
+
+    def groups(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.mapping.values()))  # first-appearance order
+
+
 class SurveyDataset:
     """Survey microdata as read-only columns with one entry per record,
     checked at construction.
 
     `categories` maps every schema variable, constraint and external, to the
     records' category labels; they are encoded as intp codes in schema
-    category order by matching their UTF-8 bytes (`ingest.encode_categories`),
+    category order by matching their UTF-8 bytes (`encode_categories`),
     and `from_codes` takes those codes instead. `incomes` holds NaN for a
     missing income (default: all missing), `deprivations` is a records x
     deprivation-fields bool matrix (default: no items) and `numeric` maps
@@ -144,15 +160,13 @@ class SurveyDataset:
         deprivations=None,
         numeric=None,
     ):
-        from .ingest import _id_bytes, encode_categories  # ingest imports schema
-
         self._take_ids(schema, record_ids, household_ids)
         codes = {}
         for var in schema.constraint_vars + schema.external_vars:
             labels = _column(
                 categories[var.name], object, (self.n,), f"{var.name!r} labels"
             )
-            buf, starts, ends = _id_bytes(list(map(str, labels)))
+            buf, starts, ends = id_bytes(list(map(str, labels)))
             codes[var.name] = encode_categories(var, buf, starts, ends, self.record_ids)
         self._take_columns(codes, incomes, deprivations, numeric)
 
@@ -168,7 +182,7 @@ class SurveyDataset:
         numeric=None,
     ) -> SurveyDataset:
         """The dataset whose `codes` map every schema variable to the
-        records' category codes, as `ingest.encode_categories` gives them;
+        records' category codes, as `encode_categories` gives them;
         the other arguments as for the constructor."""
         dataset = cls.__new__(cls)
         dataset._take_ids(schema, record_ids, household_ids)
@@ -240,6 +254,23 @@ class SurveyDataset:
         if self.numeric.get(name) is None:
             raise SchemaError(f"no numeric survey column {name!r}")
         return self.numeric[name]
+
+
+def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.ndarray:
+    """The category code of `var`, the index in `var.categories`, of each
+    label buf[starts:ends], matching UTF-8 bytes exactly. Raises SchemaError
+    naming the first of `record_ids` whose label is not a category, with
+    its index in `row`."""
+    codes, known = id_finder(var.categories)(buf, starts, ends)
+    if not known.all():
+        i = int(np.argmin(known))
+        label = bytes(buf[starts[i] : ends[i]]).decode("utf-8")
+        raise SchemaError(
+            f"record {record_ids[i]!r}: invalid category {label!r} for "
+            f"variable {var.name!r}",
+            i,
+        )
+    return codes
 
 
 def _column(values, dtype, shape, what) -> np.ndarray:

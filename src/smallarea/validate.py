@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Crosswalk
 from .integerize import SyntheticPopulation
-from .schema import ConstraintTable, SchemaError, SurveyDataset
+from .schema import ConstraintTable, Crosswalk, SchemaError, SurveyDataset
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from smallarea import popfile
-from smallarea.ingest import IngestError, _FieldCountError, _scan_fields
+from smallarea.csvbytes import FieldCountError, IngestError, id_finder, scan_fields
 from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
 from smallarea.ipf import WeightMatrix
 
@@ -72,8 +72,8 @@ def dense_read_population(path, zone_ids, record_ids) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
-    find_zone = popfile._id_finder(zone_ids)
-    find_record = popfile._id_finder(record_ids)
+    find_zone = id_finder(zone_ids)
+    find_record = id_finder(record_ids)
     n_records = len(record_ids)
     counts = np.full((n_records, len(zone_ids)), -1, dtype=np.int64, order="F")
     cells = counts.reshape(-1, order="F")  # a view: zone-major cell index
@@ -90,8 +90,8 @@ def dense_read_population(path, zone_ids, record_ids) -> np.ndarray:
             if not block.isascii():
                 block.decode("utf-8")
             try:
-                starts, ends, lines = _scan_fields(block, 3, first_line)
-            except _FieldCountError as exc:
+                starts, ends, lines = scan_fields(block, 3, first_line)
+            except FieldCountError as exc:
                 fail(exc.line - first_line, "expected 3 fields")
             buf = np.frombuffer(block, np.uint8)
 

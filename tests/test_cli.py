@@ -252,6 +252,44 @@ class TestSynthesize:
             assert seen[name] == len(lines) - 1 > 0
 
 
+class TestFlagOverrides:
+    """--out, --seed and --max-iters replace their config keys: the manifest
+    records the values that ran, and bad values are refused like bad config
+    values, before any file is written."""
+
+    @pytest.mark.parametrize("command", ["synthesize", "pipeline"])
+    def test_manifest_records_each_override(self, tmp_path, command):
+        config = write_mini(tmp_path)  # seed 11, ipf.max_iterations 100
+        out = tmp_path / "elsewhere"
+        flags = ["--out", str(out), "--seed", "5", "--max-iters", "2"]
+        assert main([command, "--config", str(config), *flags]) in (0, 2)
+        assert not (tmp_path / "out").exists()
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert "seed=5" in lines
+        assert "ipf.max_iterations=2" in lines
+        with open(out / "convergence.csv", newline="") as fh:
+            iterations = [int(row["iterations"]) for row in csv.DictReader(fh)]
+        assert max(iterations) <= 2
+
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--max-iters", "0"], "ipf.max_iterations"),
+            (["--max-iters", "-3"], "ipf.max_iterations"),
+            (["--seed", "-1"], "seed"),
+            (["--seed", str(2**64)], "seed"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["synthesize", "pipeline"])
+    def test_bad_value_fails_before_any_output(
+        self, tmp_path, capsys, command, flags, setting
+    ):
+        config = write_mini(tmp_path)
+        assert main([command, "--config", str(config), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {setting} must ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestPipeline:
     def test_outputs_and_manifest(self, example_dir):
         d, config = example_dir

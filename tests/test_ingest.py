@@ -573,6 +573,63 @@ class TestLoadConfig:
         with pytest.raises(IngestError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            pytest.param(
+                "- name: sex",
+                "- name: [sex]",
+                "schema.constraint_variables[0].name",
+                id="name_list",
+            ),
+            pytest.param(
+                "[Y, O]",
+                "[Y, [O]]",
+                "schema.constraint_variables[1].categories[1]",
+                id="category_list",
+            ),
+            pytest.param(
+                "[M, F]",
+                "[M, 2]",
+                "schema.constraint_variables[0].categories[1]",
+                id="category_number",
+            ),
+            pytest.param(
+                "income_field: income",
+                "income_field: {a: 1}",
+                "schema.income_field",
+                id="income_field_mapping",
+            ),
+            pytest.param(
+                "income_field: income",
+                "income_field: income\n  household_field: 7",
+                "schema.household_field",
+                id="household_field_number",
+            ),
+            pytest.param(
+                "income_field: income",
+                "income_field: income\n  deprivation_fields: [tv, [car]]",
+                "schema.deprivation_fields[1]",
+                id="deprivation_field_list",
+            ),
+            pytest.param(
+                "income_field: income",
+                "income_field: income\n  external_variables:\n"
+                "    - {name: 1, categories: [a, b]}",
+                "schema.external_variables[0].name",
+                id="external_name_number",
+            ),
+        ],
+    )
+    def test_schema_scalar_must_be_a_string(self, tmp_path, old, new, key):
+        # A list where a name belongs once failed as "unhashable type: 'list'".
+        path = tmp_path / "cfg.yaml"
+        assert CONFIG_MINIMAL.count(old) == 1
+        path.write_text(CONFIG_MINIMAL.replace(old, new))
+        with pytest.raises(IngestError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: {key} must be a string"
+
 
 class TestLoadCrosswalks:
     def test_grouping(self, tmp_path):
