@@ -1,8 +1,9 @@
 """The byte layer under every CSV reader and the population writer: files
 are read as bytes and cut into blocks of whole lines (`line_blocks`, with
 its UTF-8 check), fields are found as offsets (`scan_fields`), and ids are
-matched as exact byte keys (`id_finder`). Faults are IngestErrors naming
-the file and line. This module imports no other module of the package.
+matched as exact byte keys (`id_keys`, `id_finder`). Faults are
+IngestErrors naming the file and line. This module imports no other module
+of the package.
 """
 
 from __future__ import annotations
@@ -125,15 +126,15 @@ def id_bytes(ids, suffix=""):
 def id_finder(ids):
     """A function that maps fields (buf, starts, ends) to the index of each
     in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
-    lookup of `_id_keys`."""
+    lookup of `id_keys`."""
     buf, starts, ends = id_bytes(ids)
     width = int((ends - starts).max(initial=0))
-    keys = _id_keys(buf, starts, ends, width)
+    keys = id_keys(buf, starts, ends, width)
     order = np.argsort(keys, kind="stable")
     table = keys[order]
 
     def find(buf, starts, ends):
-        keys = _id_keys(buf, starts, ends, width)
+        keys = id_keys(buf, starts, ends, width)
         if not table.size:
             return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
         at = np.minimum(np.searchsorted(table, keys), table.size - 1)
@@ -142,7 +143,7 @@ def id_finder(ids):
     return find
 
 
-def _id_keys(buf, starts, ends, width) -> np.ndarray:
+def id_keys(buf, starts, ends, width) -> np.ndarray:
     """Keys equal exactly when the fields buf[starts:ends] are equal, for
     fields of up to `width` bytes: the field's length, then its bytes. A
     longer field gets a length that no field of `width` bytes has. Keys of

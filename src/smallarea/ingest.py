@@ -325,7 +325,7 @@ def _csv_blocks(path, fh):
     blocks = line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path)
     try:
         for data, first_line in blocks:
-            if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):  # bare CR
+            if b'"' in data or (b"\r" in data and _bare_cr(data)):
                 break
             if header is None:
                 end = data.find(b"\n")
@@ -357,6 +357,14 @@ def _csv_blocks(path, fh):
         ) from None
     except csv.Error as exc:
         raise IngestError(f"{path}: line {before + reader.line_num}: {exc}") from None
+
+
+def _bare_cr(data: bytes) -> bool:
+    """Whether `data` holds a CR that no LF follows, its last byte a CR too."""
+    if data.endswith(b"\r"):
+        return True
+    buf = np.frombuffer(data, np.uint8)
+    return bool(np.any((buf[:-1] == ord("\r")) & (buf[1:] != ord("\n"))))
 
 
 def _flags(data, starts, ends):
@@ -486,6 +494,10 @@ def load_external_actual(path) -> ConstraintTable:
 # --------------------------------------------------------------------------
 
 _KNOWN_TOP = {"schema", "paths", "ipf", "seed", "equivalize", "poverty"}
+_KIND_NAMES = {
+    dict: "a mapping", list: "a list", str: "a string",
+    bool: "a boolean", int: "an integer",
+}
 
 
 def _warn_unknown(mapping, known, context):
@@ -543,12 +555,14 @@ def load_config(path) -> PipelineConfig:
             crosswalk_path=(
                 resolve(paths["crosswalk"]) if "crosswalk" in paths else None
             ),
-            max_iterations=int(ipf_cfg.get("max_iterations", 100)),
+            max_iterations=_of(
+                int, ipf_cfg.get("max_iterations", 100), "ipf.max_iterations"
+            ),
             tolerance=float(ipf_cfg.get("tolerance", 1e-6)),
-            seed=int(raw.get("seed", 0)),
-            equivalize=bool(raw.get("equivalize", False)),
+            seed=_of(int, raw.get("seed", 0), "seed"),
+            equivalize=_of(bool, raw.get("equivalize", False), "equivalize"),
             arop_fraction=float(pov.get("arop_fraction", 0.6)),
-            md_threshold=int(pov.get("md_threshold", 3)),
+            md_threshold=_of(int, pov.get("md_threshold", 3), "poverty.md_threshold"),
             mpi_spec=mpi_spec,
         )
     except (TypeError, ValueError, yaml.YAMLError) as exc:
@@ -556,11 +570,11 @@ def load_config(path) -> PipelineConfig:
 
 
 def _of(kind, value, key: str):
-    """`value`, read at config key `key`, if it is a `kind` (dict, list or
-    str); IngestError naming the key if not."""
-    if not isinstance(value, kind):
-        name = {dict: "a mapping", list: "a list", str: "a string"}[kind]
-        raise IngestError(f"{key} must be {name}")
+    """`value`, read at config key `key`, if it is a `kind` (dict, list, str,
+    bool or int, a YAML boolean not counting as an int); IngestError naming
+    the key if not."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise IngestError(f"{key} must be {_KIND_NAMES[kind]}")
     return value
 
 
@@ -642,9 +656,11 @@ def _parse_mpi(raw) -> MpiSpec:
                 kind = {"kind": "in", "values": tuple(_of(list, i["in"], f"{at}.in"))}
             else:
                 kind = {}
-            inds.append(MpiIndicator(i["field"], weight=i.get("weight"), **kind))
+            field = _of(str, i["field"], f"{at}.field")
+            inds.append(MpiIndicator(field, weight=i.get("weight"), **kind))
         weight = d.get("weight", 1.0 / len(raw_dims))
-        dims.append(MpiDimension(d["name"], float(weight), tuple(inds)))
+        name = _of(str, d["name"], f"{where}.name")
+        dims.append(MpiDimension(name, float(weight), tuple(inds)))
     try:
         return MpiSpec(tuple(dims), cutoff=float(raw.get("cutoff", 1.0 / 3.0)))
     except SchemaError as exc:

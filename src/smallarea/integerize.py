@@ -135,7 +135,8 @@ class SyntheticPopulation:
         indptr = self.indptr
         starts = np.arange(size, self.counts.size, size)
         cuts = np.searchsorted(indptr, starts, side="right") - 1
-        bounds = np.unique(np.concatenate(([0], cuts, [len(self.zone_ids)])))
+        bounds = np.concatenate(([0], cuts, [len(self.zone_ids)]))
+        bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # sorted: drop repeats
         for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             a, b = indptr[first], indptr[end]
             if a < b:

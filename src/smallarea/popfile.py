@@ -8,7 +8,9 @@ record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `csv.writer` would write, with CRLF line ends. `population_rows` fills the
 bytes of a block of whole zones with numpy passes over byte tables of the
 ids and the digits of the counts, and makes no Python string per row;
-`weights_rows` makes one string join per zone. Ids are written and split
+`weights_rows` makes one string join per zone. `read_population` splits
+rows at the commas and LFs found in one pass and looks up a zone id once
+per run of rows with the same zone field. Ids are written and split
 unquoted, which is exact because ingest rejects zone and record ids that
 `csv.writer` would quote (`schema.needs_quoting`).
 """
@@ -28,6 +30,7 @@ from .csvbytes import (
     gather,
     id_bytes,
     id_finder,
+    id_keys,
     joined,
     line_blocks,
     scan_fields,
@@ -113,21 +116,30 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     `record_ids`; absent (zone, record) pairs and counts of 0 count 0. Rows
     may come in any order. Lines end in LF or CRLF.
 
-    Parses blocks of BLOCK_LINES lines, cut from byte reads, and matches
-    each block's ids as byte keys. Rejects, naming the file and line, bytes
-    that are not UTF-8, a row that has not 3 fields, an unknown zone or
-    record id, a count that is not a non-negative integer written in digits,
-    and a repeated (zone, record) pair. When a file holds several faults,
-    the one named is that of the first block with a fault, and in it a bad
-    row before a repeated pair. Not read by `ingest._csv_blocks`: here a blank
-    line is a fault, not skipped, and a double quote is part of an id."""
+    Reads blocks of BLOCK_LINES lines, cut from byte reads. One pass over a
+    block's commas and LFs finds each row's two commas and line end;
+    `scan_fields` runs only to name the line where that pattern breaks.
+    Record ids are matched as byte keys row by row, zone ids once per run
+    of equal zone fields (about one run per zone in a file the package
+    wrote). Each run's zone and length give `indptr` and show whether the
+    rows are in order; rows out of order are sorted stably by (zone,
+    record). Rejects, naming the file and line, bytes that are not UTF-8, a
+    row that has not 3 fields, an unknown zone (on the first row of its
+    run) or record id, a count that is not a non-negative integer written
+    in digits, and a repeated (zone, record) pair. When a file holds several
+    faults, the one named is that of the first block with a fault, and in
+    it a bad row before a repeated pair. Not read by `ingest._csv_blocks`:
+    here a blank line is a fault, not skipped, and a double quote is part of
+    an id."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
     find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
+    zone_width = max(map(len, map(str.encode, zone_ids)), default=0)
     n_records = len(record_ids)
-    # Per block read: each row's zone and record index and its count.
-    zones, records, counts = ([np.empty(0, np.int32)] for _ in range(3))
+    # Per block read: each run's zone index and length, and each row's
+    # record index and count.
+    zones, runs, records, counts = ([np.empty(0, np.int32)] for _ in range(4))
     in_order, last_key = True, -1  # whether the keys so far rise strictly
 
     def stable_order(zi, ri):
@@ -135,7 +147,7 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         line that repeats the pair of an earlier line."""
         key = zi.astype(np.int64) * n_records + ri
         order = np.argsort(key, kind="stable")
-        key = key[order]
+        key.sort()  # as key[order], without a second sorted copy
         later = order[1:][key[1:] == key[:-1]]
         if later.size:
             i = int(later.min())
@@ -148,36 +160,52 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
 
     def fail(line, message):
         # A pair repeated in an earlier block is the first fault.
-        stable_order(np.concatenate(zones), np.concatenate(records))
+        zi = np.repeat(np.concatenate(zones), np.concatenate(runs))
+        stable_order(zi, np.concatenate(records))
         raise IngestError(f"{path}: line {line}: {message}")
 
     def decode(block, first_line):
         """Append the rows of one block of lines, the first `first_line`."""
         nonlocal in_order, last_key
-        try:
-            starts, ends, _ = scan_fields(block, 3, first_line)
-        except FieldCountError as exc:
-            fail(exc.line, "expected 3 fields")
+        if not block.endswith(b"\n"):
+            block += b"\n"  # the file's last line
         buf = np.frombuffer(block, np.uint8)
+        seps = _row_separators(buf)
+        if seps is None:  # scan_fields names the first line of other width
+            try:
+                scan_fields(block, 3, first_line)
+            except FieldCountError as exc:
+                fail(exc.line, "expected 3 fields")
+        first, second, ends = seps
+        begins = np.empty_like(ends)
+        begins[0], begins[1:] = 0, ends[:-1] + 1
+        stops = ends - (buf[ends - 1] == ord("\r"))
 
-        def field(i, j):
-            return block[starts[i, j] : ends[i, j]].decode("utf-8")
+        def text(a, b):
+            return block[a:b].decode("utf-8")
 
-        zi, zone_known = find_zone(buf, starts[:, 0], ends[:, 0])
-        ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
+        keys = id_keys(buf, begins, first, zone_width)
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        lengths = np.diff(heads, append=ends.size).astype(np.int32)
+        zi, zone_known = find_zone(buf, begins[heads], first[heads])
+        ri, record_known = find_record(buf, first + 1, second)
         if not (zone_known.all() and record_known.all()):
+            zone_known = np.repeat(zone_known, lengths)
             i = int(np.argmin(zone_known & record_known))
             if not zone_known[i]:
-                fail(first_line + i, f"unknown zone id {field(i, 0)!r}")
-            fail(first_line + i, f"unknown record id {field(i, 1)!r}")
-        values, valid = _digits(buf, starts[:, 2], ends[:, 2])
+                fail(first_line + i, f"unknown zone id {text(begins[i], first[i])!r}")
+            fail(first_line + i, f"unknown record id {text(first[i] + 1, second[i])!r}")
+        values, valid = _digits(buf, second + 1, stops)
         if not valid.all():
             i = int(np.argmin(valid))
-            fail(first_line + i, f"invalid count {field(i, 2)!r}")
-        key = zi * n_records + ri
-        in_order &= bool(key[0] > last_key) and bool(np.all(key[1:] > key[:-1]))
-        last_key = int(key[-1])
+            fail(first_line + i, f"invalid count {text(second[i] + 1, stops[i])!r}")
+        if in_order:  # keys rise: records within each run, zones between runs
+            rising = ri[1:] > ri[:-1]
+            rising[heads[1:] - 1] = zi[1:] > zi[:-1]
+            in_order = int(zi[0]) * n_records + int(ri[0]) > last_key and rising.all()
+        last_key = int(zi[-1]) * n_records + int(ri[-1])
         zones.append(zi.astype(np.int32))
+        runs.append(lengths)
         records.append(ri.astype(np.int32))
         if values.max(initial=0) < 2**31:
             values = values.astype(np.int32)
@@ -191,33 +219,51 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         for block, first_line in line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path, 2):
             decode(block, first_line)
             del block  # not held while the next block is read
-    zi, ri, counts = joined(zones), joined(records), joined(counts)
+    zi, lengths = joined(zones), joined(runs)
+    ri, counts = joined(records), joined(counts)
+    sizes = np.zeros(len(zone_ids), np.int64)
+    np.add.at(sizes, zi, lengths)
     if not in_order:  # rows with strictly rising keys name no pair twice
+        zi = np.repeat(zi, lengths)
+        del lengths
         order = stable_order(zi, ri)
-        zi, ri, counts = zi[order], ri[order], counts[order]
+        del zi
+        ri, counts = ri[order], counts[order]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
     if not counts.all():
         held = counts != 0
-        zi, ri, counts = zi[held], ri[held], counts[held]
-    # zi rises: zone z's rows start where zi first reaches z.
-    bounds = np.arange(len(zone_ids) + 1, dtype=np.int32)
-    indptr = np.searchsorted(zi, bounds).astype(np.int64)
+        indptr -= np.searchsorted(np.flatnonzero(~held), indptr)  # 0s before
+        ri, counts = ri[held], counts[held]
     return SyntheticPopulation(indptr, ri, counts, zone_ids, record_ids)
+
+
+def _row_separators(buf):
+    """The offsets of each line's first and second comma and of its LF, for
+    a block of whole lines ending in LF; None unless every line holds two
+    commas."""
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    lfs = buf[seps] == ord("\n")
+    # Every third separator an LF, and no other one: comma, comma, LF.
+    if np.count_nonzero(lfs) * 3 != seps.size or not lfs[2::3].all():
+        return None
+    return seps.reshape(-1, 3).T
 
 
 def _digits(buf, starts, ends):
     """Each field buf[starts:ends] as an int64 when it is a non-negative
-    integer below 2**63 written in ASCII digits, decoded digit by digit, and
-    whether it is one."""
+    integer below 2**63 written in ASCII digits, decoded digit by digit from
+    its last, and whether it is one."""
     lengths = ends - starts
     valid = (lengths > 0) & (lengths <= 19)  # 19 digits fit in uint64
-    width = int(lengths[valid].max(initial=0))
-    digits = gather(buf, starts, starts + np.minimum(lengths, width), width)
-    digits = (digits - np.uint8(ord("0"))).astype(np.uint64)
     value = np.zeros(lengths.size, np.uint64)
-    for j in range(width):
-        inside = j < lengths
-        valid &= ~inside | (digits[:, j] <= 9)
-        value = np.where(inside, value * np.uint64(10) + digits[:, j], value)
+    scale = np.uint64(1)
+    for j in range(int(lengths[valid].max(initial=0))):
+        inside = lengths > j
+        digit = buf[ends - 1 - j].astype(np.uint64) - np.uint64(ord("0"))
+        valid &= (digit <= 9) | ~inside
+        digit[~inside] = 0
+        value += digit * scale
+        scale *= np.uint64(10)
     valid &= value < np.uint64(2**63)
     return value.astype(np.int64), valid
 

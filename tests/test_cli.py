@@ -455,6 +455,23 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert rows[0] == "variable,category,r2,sei,t,p" and len(rows) > 1
 
 
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    """No command imports numpy.ma, which adds time and memory to every
+    process; in numpy 2.4 `np.unique` of one array imports it."""
+    config = str(tmp_path / "config.yaml")
+    code = (
+        "import sys\n"
+        "from smallarea.cli import main\n"
+        f"assert main(['example', '--out', {str(tmp_path)!r}]) == 0\n"
+        "for command in ('pipeline', 'validate', 'indicators'):\n"
+        f"    assert main([command, '--config', {config!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = run_python(code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"no {TASKS} to count threads")
 @pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
 def test_import_starts_one_blas_thread_unless_told(setting, threads):

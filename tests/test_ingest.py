@@ -21,7 +21,7 @@ from smallarea.ingest import (
     load_survey,
     save_constraints,
 )
-from smallarea.schema import SchemaError, SurveyDataset, VariableDef
+from smallarea.schema import Crosswalk, SchemaError, SurveyDataset, VariableDef
 
 from conftest import make_schema, make_table
 
@@ -455,6 +455,17 @@ class TestLoadConfig:
         assert cfg.tolerance == 1e-6
         assert cfg.constraints_path == tmp_path / "constraints.csv"
 
+    def test_typed_scalars(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            CONFIG_MINIMAL
+            + "seed: 7\nequivalize: true\nipf:\n  max_iterations: 5\n"
+            + "poverty:\n  md_threshold: 2\n"
+        )
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.equivalize) == (7, True)
+        assert (cfg.max_iterations, cfg.md_threshold) == (5, 2)
+
     def test_invalid_tolerance(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(CONFIG_MINIMAL + "ipf:\n  tolerance: -1\n")
@@ -548,6 +559,49 @@ class TestLoadConfig:
                 CONFIG_MINIMAL.replace("  survey: survey.csv\n", ""),
                 "paths has no 'survey'",
                 id="path_missing",
+            ),
+            # Scalars are not coerced: bool("false") is True and int(7.9) is 7.
+            pytest.param(
+                CONFIG_MINIMAL + "equivalize: 'false'\n",
+                "equivalize must be a boolean",
+                id="equivalize_string",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "seed: 7.9\n",
+                "seed must be an integer",
+                id="seed_float",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "seed: true\n",
+                "seed must be an integer",
+                id="seed_boolean",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "seed: abc\n",
+                "seed must be an integer",
+                id="seed_string",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "ipf:\n  max_iterations: 2.5\n",
+                "ipf.max_iterations must be an integer",
+                id="max_iterations_float",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "poverty:\n  md_threshold: 2.9\n",
+                "poverty.md_threshold must be an integer",
+                id="md_threshold_float",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - {name: a, indicators: [{field: [lacks_tv], below: 1}]}\n",
+                "poverty.mpi.dimensions[0].indicators[0].field must be a string",
+                id="indicator_field_list",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - {name: [a], indicators: [{field: income, below: 1}]}\n",
+                "poverty.mpi.dimensions[0].name must be a string",
+                id="dimension_name_list",
             ),
         ],
     )
@@ -680,6 +734,40 @@ class TestLoadCrosswalks:
         )
         with pytest.raises(IngestError, match="line 5: 'G' mapped to both"):
             load_crosswalks(path)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, ingest.BLOCK_LINES])
+    @pytest.mark.parametrize(
+        "end",
+        [
+            pytest.param("\rnace,G,G\n", id="bare_cr_in_last_block"),
+            pytest.param("\nnace,G,G\r", id="lone_cr_at_end"),
+        ],
+    )
+    def test_bare_cr_ends_a_row(self, tmp_path, monkeypatch, block_lines, end):
+        # The csv module reads a CR that no LF follows as a line end, and
+        # the block that holds it goes to csv.reader: the CR ends a row and
+        # is counted in line numbers. With blocks of 2 lines, line 3 that
+        # holds the first CR starts a later block.
+        head = "variable,fine_category,group_category\nnace,C,C+D\nnace,D,C+D"
+        path = tmp_path / "cw.csv"
+        path.write_bytes((head + end).encode())
+        monkeypatch.setattr(ingest, "BLOCK_LINES", block_lines)
+        mapping = {"C": "C+D", "D": "C+D", "G": "G"}
+        assert load_crosswalks(path) == {"nace": Crosswalk("nace", mapping)}
+        path.write_bytes((head + end.replace("G,G", "G")).encode())
+        with pytest.raises(IngestError) as info:
+            load_crosswalks(path)
+        assert str(info.value) == f"{path}: line 4: expected 3 fields, got 2"
+
+    def test_crlf_file_stays_on_the_byte_path(self, tmp_path):
+        path = tmp_path / "cw.csv"
+        path.write_bytes(
+            b"variable,fine_category,group_category\r\nnace,C,C+D\r\nnace,G,G\r\n"
+        )
+        with mock.patch.object(ingest.csv, "reader", side_effect=AssertionError):
+            crosswalks = load_crosswalks(path)
+        mapping = {"C": "C+D", "G": "G"}
+        assert crosswalks == {"nace": Crosswalk("nace", mapping)}
 
 
 def _table(t):

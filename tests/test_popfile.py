@@ -509,9 +509,46 @@ def shuffled_files(draw):
     return zones, records, lines, end, final_newline
 
 
+@st.composite
+def run_files(draw):
+    """(zones, records, data lines, line end, final newline) of a population
+    file written as runs of rows of one zone: in (zone, record) order, so
+    that a zone's run crosses block edges, or with zones that come back
+    after another zone and records in any order; counts of 0 fall on a
+    run's first and last rows, and a run may be of an unknown zone."""
+    zones = draw(st.lists(long_ids, min_size=1, max_size=3, unique=True))
+    records = draw(st.lists(long_ids, min_size=4, max_size=10, unique=True))
+    unknown = draw(long_ids.filter(lambda z: z not in zones))
+    order = draw(st.sampled_from(["sorted", "any", "comes back"]))
+    ordered = order == "sorted"
+    n_runs = draw(st.integers(1, 5))
+    run_zones = draw(st.lists(st.sampled_from(zones), min_size=n_runs, max_size=n_runs))
+    if ordered:
+        run_zones.sort(key=zones.index)
+    elif order == "comes back":
+        run_zones = [*zones, zones[0]]
+        n_runs = len(run_zones)
+    at = draw(st.sampled_from([None, None, *range(n_runs)]))
+    if at is not None:  # a run of an unknown zone
+        run_zones[at] = unknown
+    lines, pairs = [], set()  # no pair repeats: other tests cover that
+    for zone in run_zones:
+        rows = st.lists(st.sampled_from(records), min_size=1, max_size=4, unique=True)
+        rows = draw(rows)
+        if ordered:
+            rows.sort(key=records.index)
+        counts = st.sampled_from(["0", "1", "2", "12"])
+        for record in rows:
+            if (zone, record) not in pairs:
+                pairs.add((zone, record))
+                lines.append(f"{zone},{record},{draw(counts)}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return zones, records, lines, end, draw(st.booleans())
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    case=shuffled_files(),
+    case=shuffled_files() | run_files(),
     block_lines=st.sampled_from([1, 2, 3, popfile.BLOCK_LINES]),
     chunk_bytes=st.sampled_from([1, 5, 64, popfile.CHUNK_BYTES]),
 )
@@ -520,7 +557,9 @@ def test_read_population_matches_dense_reader(
 ):
     # Rows in any order, repeated pairs and several faults in one file: the
     # same counts, or the same message naming the same line. The reader's
-    # reads of a few bytes cut lines, and blocks, across reads.
+    # reads of a few bytes cut lines, and blocks, across reads. Zones are
+    # looked up once per run of rows: an unknown zone is named on the first
+    # row of its run, as the dense reader, which looks up every row, names it.
     zones, records, lines, end, final_newline = case
     body = end.join(lines) + (end if final_newline and lines else "")
     path = tmp_path_factory.mktemp("pop") / "population.csv"
