@@ -1,9 +1,13 @@
 """The byte layer under every CSV reader and the population writer: files
 are read as bytes and cut into blocks of whole lines (`line_blocks`, with
 its UTF-8 check), fields are found as offsets (`scan_fields`), and ids are
-matched as exact byte keys (`id_keys`, `id_finder`). Faults are
-IngestErrors naming the file and line. This module imports no other module
-of the package.
+matched by their bytes (`id_finder`): each field is read in place as
+little-endian 8-byte words (`field_words`) and hashed with its length into
+a table of ids, and it matches an id only when its length and every word
+are equal. No sorted table of byte-string keys is kept and no field is
+gathered into one (the `id_keys` of earlier versions is gone). Faults are
+IngestErrors naming the file and line. This module imports no other
+module of the package.
 """
 
 from __future__ import annotations
@@ -73,10 +77,11 @@ def scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
     unquoted fields, ending in LF or CRLF (the last line may lack its end).
 
     Returns (starts, ends, lines): rows x n_fields arrays of the byte offset
-    of each field's first byte and of the byte after its last, and each
-    row's line number, the first line of `data` being `first_line`. With
-    `skip_blank`, an empty line gives no row. Raises FieldCountError naming
-    the first line that holds another number of fields."""
+    of each field's first byte and of the byte after its last, int32 when
+    `data` is shorter than 2 GiB, and each row's line number, the first
+    line of `data` being `first_line`. With `skip_blank`, an empty line
+    gives no row. Raises FieldCountError naming the first line that holds
+    another number of fields."""
     buf = np.frombuffer(data, np.uint8)
     breaks = np.flatnonzero(buf == ord("\n"))
     if buf.size and buf[-1] != ord("\n"):
@@ -96,7 +101,8 @@ def scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
         raise FieldCountError(int(lines[bad[0]]), int(widths[bad[0]]))
     # Every row holds n_fields - 1 commas, and a skipped line none.
     commas = commas.reshape(lines.size, n_fields - 1)
-    starts = np.empty((lines.size, n_fields), np.intp)
+    offset = np.int32 if buf.size < 2**31 else np.intp
+    starts = np.empty((lines.size, n_fields), offset)
     ends = np.empty_like(starts)
     starts[:, 0], starts[:, 1:] = begins, commas + 1
     ends[:, :-1], ends[:, -1] = commas, stops
@@ -123,45 +129,118 @@ def id_bytes(ids, suffix=""):
     return np.frombuffer(buf, np.uint8), ends - lengths, ends
 
 
+def field_bytes(buf, starts, ends) -> np.ndarray:
+    """The bytes of the fields buf[starts:ends], one after another, as one
+    uint8 array."""
+    lengths = ends - starts
+    total = int(lengths.sum())
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return buf[shift + np.arange(total, dtype=shift.dtype)]
+
+
+def field_words(buf, starts, ends, n_words: int) -> np.ndarray:
+    """n_words x fields uint64 matrix: word k of the field buf[starts:ends]
+    is its bytes 8k to 8k + 8 read as a little-endian number, with the
+    bytes past the field's end zero. The words are read in place, those
+    that would run past the end of `buf` shifted down from its last 8
+    bytes."""
+    lengths = ends - starts
+    out = np.empty((n_words, lengths.size), np.uint64)
+    if buf.size < 8:
+        buf = np.concatenate((buf, np.zeros(8, np.uint8)))
+    last = buf.size - 8  # the offset of the last whole word
+    words = np.ndarray(last + 1, "<u8", buf, strides=(1,))
+    for k in range(n_words):
+        at = starts + 8 * k
+        word = words[np.minimum(at, last)]
+        late = np.flatnonzero(at > last)
+        word[late] >>= ((at[late] - last) * 8).astype(np.uint64)
+        np.bitwise_and(word, _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)], out=out[k])
+    return out
+
+
+# _LOW_BYTES[b]: a uint64 of b low bytes 0xff, for b = 0..8.
+_LOW_BYTES = np.array([(1 << (8 * b)) - 1 for b in range(9)], np.uint64)
+# An odd multiplier with no pattern in its bits (2**64 over the golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _slots(lengths, words, salt: int, bits: int) -> np.ndarray:
+    """The slot in a table of 2**bits of each field of `lengths` and
+    `words`: a multiplicative hash of its length, `salt` and its words."""
+    h = lengths.astype(np.uint64)
+    h += np.uint64(salt)
+    h *= _MIX
+    for word in words:
+        h ^= word
+        h *= _MIX
+    h ^= h >> np.uint64(29)
+    h *= _MIX
+    h >>= np.uint64(64 - bits)
+    return h.view(np.intp)
+
+
 def id_finder(ids):
     """A function that maps fields (buf, starts, ends) to the index of each
-    in `ids` and whether it is one of them, comparing UTF-8 bytes: a sorted
-    lookup of `id_keys`."""
+    in `ids` and whether it is one of them, comparing UTF-8 bytes; an id
+    given twice maps to its first index.
+
+    Each id is hashed with its length and words (`field_words`) into an
+    int32 table of 2 to 4 slots per id (a power of two); the first id to
+    reach a slot holds it, and the others that reach it, unless equal to
+    it, go to a further table with another salt. A field is looked up table
+    by table: it is that id when its length and every word equal those of
+    the id in its slot, is none when the slot is empty, and is looked up in
+    the next table when the slot holds another id. A hash alone never
+    decides a match."""
     buf, starts, ends = id_bytes(ids)
-    width = int((ends - starts).max(initial=0))
-    keys = id_keys(buf, starts, ends, width)
-    order = np.argsort(keys, kind="stable")
-    table = keys[order]
+    lengths = ends - starts
+    n = lengths.size
+    n_words = -(-int(lengths.max(initial=0)) // 8)
+    words = field_words(buf, starts, ends, n_words)
+    # Row n marks an empty slot: a length no field has.
+    id_lengths = np.append(lengths, -1)
+    id_words = np.concatenate((words, np.zeros((n_words, 1), np.uint64)), axis=1)
+    tables = []  # (salt, bits, slot table) per level
+    rows = np.arange(n, dtype=np.int32)  # the ids still to place
+    while rows.size or not tables:
+        salt, bits = len(tables), (2 * rows.size - 1).bit_length()
+        slots = _slots(lengths[rows], words[:, rows], salt, bits)
+        table = np.full(1 << bits, n, np.int32)
+        np.minimum.at(table, slots, rows)
+        holder = table[slots]
+        rows = rows[
+            (id_lengths[holder] != lengths[rows])
+            | (id_words[:, holder] != words[:, rows]).any(axis=0)
+        ]
+        tables.append((salt, bits, table))
+
+    def look(level, lengths, words):
+        """The id that each field is in the table `level`, n where none, and
+        the fields whose slot there holds another id."""
+        salt, bits, table = level
+        at = table[_slots(lengths, words, salt, bits)].astype(np.intp)
+        miss = id_lengths[at] != lengths
+        for k in range(n_words):
+            miss |= id_words[k, at] != words[k]
+        other = np.flatnonzero(miss & (at != n))
+        np.copyto(at, n, where=miss)
+        return at, other
 
     def find(buf, starts, ends):
-        keys = id_keys(buf, starts, ends, width)
-        if not table.size:
-            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
-        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
-        return order[at], table[at] == keys
+        lengths = ends - starts
+        words = field_words(buf, starts, ends, n_words)
+        index, rows = look(tables[0], lengths, words)
+        for level in tables[1:]:
+            if not rows.size:
+                break
+            index[rows], other = look(level, lengths[rows], words[:, rows])
+            rows = rows[other]
+        known = index != n
+        np.copyto(index, 0, where=~known)
+        return index, known
 
     return find
-
-
-def id_keys(buf, starts, ends, width) -> np.ndarray:
-    """Keys equal exactly when the fields buf[starts:ends] are equal, for
-    fields of up to `width` bytes: the field's length, then its bytes. A
-    longer field gets a length that no field of `width` bytes has. Keys of
-    up to 8 bytes are uint64, with a field's bytes read from its start as
-    one big-endian word, so that fields of one length sort as bytes do."""
-    lengths = np.minimum(ends - starts, width + 1)
-    n_len = ((width + 1).bit_length() + 7) // 8
-    if n_len + width <= 8:
-        padded = np.concatenate((buf, np.zeros(8, np.uint8)))
-        words = np.ndarray(buf.size + 1, ">u8", padded, strides=(1,))[starts]
-        drop = (8 * (7 - np.minimum(lengths, width))).astype(np.uint64)
-        body = (words.astype(np.uint64) >> np.uint64(8)) >> drop
-        return lengths.astype(np.uint64) << np.uint64(8 * width) | body
-    keys = np.empty((lengths.size, n_len + width), np.uint8)
-    for b in range(n_len):
-        keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
-    keys[:, n_len:] = gather(buf, starts, starts + np.minimum(lengths, width), width)
-    return keys.view(f"S{n_len + width}").ravel()
 
 
 def joined(blocks: list) -> np.ndarray:

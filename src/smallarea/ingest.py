@@ -26,6 +26,7 @@ from .csvbytes import (
     CHUNK_BYTES,
     FieldCountError,
     IngestError,
+    field_bytes,
     gather,
     joined,
     line_blocks,
@@ -39,6 +40,7 @@ from .schema import (
     Schema,
     SchemaError,
     SurveyDataset,
+    TextColumn,
     VariableDef,
     encode_categories,
     needs_quoting,
@@ -211,11 +213,14 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     Lines end in LF or CRLF and blank lines are skipped.
 
     The file is read once, in blocks of BLOCK_LINES lines (`_csv_blocks`),
-    and each block is decoded straight into the returned columns: category
-    labels are encoded from their UTF-8 bytes (`encode_categories`), and a
-    deprivation field that is one byte 0 or 1 is read from that byte. From
-    the first block that holds a double quote or a bare CR on, the `csv`
-    module splits the rows, so that quoted fields are honoured.
+    and each block is decoded straight into the returned columns, each in
+    its narrowest form: category labels are encoded from their UTF-8 bytes
+    (`encode_categories`) into one-byte codes where they fit, household ids
+    are kept as their bytes, incomes are cast from their bytes at once
+    (`_incomes`), and a deprivation field that is one byte 0 or 1 is read
+    from that byte. From the first block that holds a double quote or a
+    bare CR on, the `csv` module splits the rows, so that quoted fields are
+    honoured.
 
     Errors name the file and the line of the bad row. When a file holds
     several faults, the one named is the first fault of the first block
@@ -249,10 +254,11 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
     flagged = [column[f] for f in fields]
     # Each column's blocks; a numeric column becomes None at the first block
     # with a value that is not a number.
-    record_ids, household_ids = [], []
+    record_ids = []
+    households, household_lengths = [np.empty(0, np.uint8)], [np.empty(0, np.intp)]
     lines, incomes = [np.empty(0, np.intp)], [np.empty(0)]
     flags = [np.empty((0, len(fields)), bool)]
-    codes = {v.name: [np.empty(0, np.intp)] for v in variables}
+    codes = {v.name: [np.empty(0, v.code_dtype)] for v in variables}
     numeric = {name: [np.empty(0)] for name in header if name not in mandatory}
 
     def decode(data, starts, ends, at):
@@ -285,7 +291,8 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
                 except ValueError:
                     numeric[name] = None
         j = column[schema.household_field]
-        household_ids.extend(_strings(data, starts[:, j], ends[:, j]))
+        households.append(field_bytes(buf, starts[:, j], ends[:, j]))
+        household_lengths.append(ends[:, j] - starts[:, j])
         record_ids.extend(ids)
         lines.append(at)
 
@@ -297,7 +304,7 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         return SurveyDataset.from_codes(
             schema,
             record_ids,
-            household_ids,
+            TextColumn(joined(households), np.cumsum(joined(household_lengths))),
             codes={name: joined(blocks) for name, blocks in codes.items()},
             incomes=joined(incomes),
             deprivations=joined(flags),
@@ -393,16 +400,28 @@ def _floats(texts) -> np.ndarray:
 def _incomes(data, starts, ends, lines, path) -> np.ndarray:
     """Incomes from their fields data[starts:ends], stripped: blank is NaN,
     anything else must be a finite number >= 0 (IngestError naming the line
-    otherwise)."""
-    raw = [t.strip() for t in _strings(data, starts, ends)]
-    try:
-        values = _floats(raw)
-        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-        if not any(raw[i] for i in bad.tolist()):
+    otherwise). The fields are gathered into one bytes array and cast to
+    float at once, which reads a field as `float` does; they are read one
+    by one, to keep `float`'s reading and name the line, when the cast
+    refuses one (white space alone, digits that are not ASCII), when one is
+    negative or not finite, when `data` holds a NUL, which a bytes array
+    drops from a field's end, or when a long field would make the array far
+    larger than `data`."""
+    lengths = ends - starts
+    width = max(int(lengths.max(initial=0)), 1)
+    if b"\0" not in data and starts.size * width <= 4 * len(data) + 4096:
+        raw = gather(np.frombuffer(data, np.uint8), starts, ends, width)
+        raw = raw.view(f"S{width}").ravel()
+        blank = lengths == 0
+        raw[blank] = b"0"
+        try:
+            values = raw.astype(float)
+        except ValueError:
+            values = None
+        if values is not None and np.all(np.isfinite(values) & (values >= 0)):
+            values[blank] = math.nan
             return values
-    except ValueError:
-        pass
-    # Some income is bad: check them one by one to name its line.
+    raw = [t.strip() for t in _strings(data, starts, ends)]
     return np.array(
         [
             _nonnegative(r, "income", path, line) if r else math.nan
@@ -558,10 +577,12 @@ def load_config(path) -> PipelineConfig:
             max_iterations=_of(
                 int, ipf_cfg.get("max_iterations", 100), "ipf.max_iterations"
             ),
-            tolerance=float(ipf_cfg.get("tolerance", 1e-6)),
+            tolerance=_number(ipf_cfg.get("tolerance", 1e-6), "ipf.tolerance"),
             seed=_of(int, raw.get("seed", 0), "seed"),
             equivalize=_of(bool, raw.get("equivalize", False), "equivalize"),
-            arop_fraction=float(pov.get("arop_fraction", 0.6)),
+            arop_fraction=_number(
+                pov.get("arop_fraction", 0.6), "poverty.arop_fraction"
+            ),
             md_threshold=_of(int, pov.get("md_threshold", 3), "poverty.md_threshold"),
             mpi_spec=mpi_spec,
         )
@@ -576,6 +597,15 @@ def _of(kind, value, key: str):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise IngestError(f"{key} must be {_KIND_NAMES[kind]}")
     return value
+
+
+def _number(value, key: str) -> float:
+    """`value`, read at config key `key`, as a float if it is a YAML number,
+    integer or not (a boolean does not count); IngestError naming the key
+    if not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise IngestError(f"{key} must be a number")
+    return float(value)
 
 
 def _mapping(value, key: str, required=()) -> dict:
@@ -651,17 +681,22 @@ def _parse_mpi(raw) -> MpiSpec:
         inds = []
         for at, i in _items(d.get("indicators", []), f"{where}.indicators", ("field",)):
             if "below" in i:
-                kind = {"kind": "below", "threshold": float(i["below"])}
+                threshold = _number(i["below"], f"{at}.below")
+                kind = {"kind": "below", "threshold": threshold}
             elif "in" in i:
                 kind = {"kind": "in", "values": tuple(_of(list, i["in"], f"{at}.in"))}
             else:
                 kind = {}
             field = _of(str, i["field"], f"{at}.field")
-            inds.append(MpiIndicator(field, weight=i.get("weight"), **kind))
-        weight = d.get("weight", 1.0 / len(raw_dims))
+            weight = i.get("weight")
+            if weight is not None:
+                weight = _number(weight, f"{at}.weight")
+            inds.append(MpiIndicator(field, weight=weight, **kind))
+        weight = _number(d.get("weight", 1.0 / len(raw_dims)), f"{where}.weight")
         name = _of(str, d["name"], f"{where}.name")
-        dims.append(MpiDimension(name, float(weight), tuple(inds)))
+        dims.append(MpiDimension(name, weight, tuple(inds)))
+    cutoff = _number(raw.get("cutoff", 1.0 / 3.0), "poverty.mpi.cutoff")
     try:
-        return MpiSpec(tuple(dims), cutoff=float(raw.get("cutoff", 1.0 / 3.0)))
+        return MpiSpec(tuple(dims), cutoff=cutoff)
     except SchemaError as exc:
         raise IngestError(f"bad poverty.mpi section: {exc}") from exc

@@ -27,10 +27,10 @@ from .csvbytes import (
     CHUNK_BYTES,
     FieldCountError,
     IngestError,
+    field_words,
     gather,
     id_bytes,
     id_finder,
-    id_keys,
     joined,
     line_blocks,
     scan_fields,
@@ -119,23 +119,23 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     Reads blocks of BLOCK_LINES lines, cut from byte reads. One pass over a
     block's commas and LFs finds each row's two commas and line end;
     `scan_fields` runs only to name the line where that pattern breaks.
-    Record ids are matched as byte keys row by row, zone ids once per run
-    of equal zone fields (about one run per zone in a file the package
-    wrote). Each run's zone and length give `indptr` and show whether the
-    rows are in order; rows out of order are sorted stably by (zone,
-    record). Rejects, naming the file and line, bytes that are not UTF-8, a
-    row that has not 3 fields, an unknown zone (on the first row of its
-    run) or record id, a count that is not a non-negative integer written
-    in digits, and a repeated (zone, record) pair. When a file holds several
-    faults, the one named is that of the first block with a fault, and in
-    it a bad row before a repeated pair. Not read by `ingest._csv_blocks`:
-    here a blank line is a fault, not skipped, and a double quote is part of
-    an id."""
+    Record ids are looked up row by row (`id_finder`), zone ids once per run
+    of zone fields of equal length and words (about one run per zone in a
+    file the package wrote). Each run's zone and length give `indptr` and
+    show whether the rows are in order; rows out of order are sorted stably
+    by (zone, record). Rejects, naming the file and line, bytes that are not
+    UTF-8, a row that has not 3 fields, an unknown zone (on the first row of
+    its run) or record id, a count that is not a non-negative integer
+    written in digits, and a repeated (zone, record) pair. When a file holds
+    several faults, the one named is that of the first block with a fault,
+    and in it a bad row before a repeated pair. Not read by
+    `ingest._csv_blocks`: here a blank line is a fault, not skipped, and a
+    double quote is part of an id."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
     find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
-    zone_width = max(map(len, map(str.encode, zone_ids)), default=0)
+    zone_words = -(-max(map(len, map(str.encode, zone_ids)), default=0) // 8)
     n_records = len(record_ids)
     # Per block read: each run's zone index and length, and each row's
     # record index and count.
@@ -184,8 +184,14 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         def text(a, b):
             return block[a:b].decode("utf-8")
 
-        keys = id_keys(buf, begins, first, zone_width)
-        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        # A run starts where a zone field's length or a word differs from the
+        # row before's. Words past the longest zone id are not compared: such
+        # fields are unknown, and their run's first row is named.
+        zone_len = first - begins
+        change = zone_len[1:] != zone_len[:-1]
+        for word in field_words(buf, begins, first, zone_words):
+            change |= word[1:] != word[:-1]
+        heads = np.flatnonzero(np.concatenate(([True], change)))
         lengths = np.diff(heads, append=ends.size).astype(np.int32)
         zi, zone_known = find_zone(buf, begins[heads], first[heads])
         ri, record_known = find_record(buf, first + 1, second)

@@ -47,6 +47,12 @@ class VariableDef:
         if len(set(self.categories)) != len(self.categories):
             raise SchemaError(f"variable {self.name!r} has duplicate categories")
 
+    @property
+    def code_dtype(self):
+        """The dtype of the variable's category codes: int8 for up to 127
+        categories, intp for more."""
+        return np.int8 if len(self.categories) <= 127 else np.intp
+
     def index(self, category: str) -> int:
         try:
             return self.categories.index(category)
@@ -134,20 +140,44 @@ class Crosswalk:
         return tuple(dict.fromkeys(self.mapping.values()))  # first-appearance order
 
 
+class TextColumn:
+    """A column of strings held as their UTF-8 bytes, one after another in
+    the uint8 array `data`, and the offset in it where each ends: one array
+    instead of a Python string per entry."""
+
+    def __init__(self, data, ends):
+        self.data, self.ends = read_only(data, np.uint8), read_only(ends, np.intp)
+
+    @classmethod
+    def of(cls, texts) -> TextColumn:
+        buf, _, ends = id_bytes(texts)
+        return cls(buf, ends)
+
+    def strings(self) -> tuple:
+        """The strings, decoded."""
+        raw = self.data.tobytes()
+        ends = self.ends.tolist()
+        return tuple(raw[a:b].decode() for a, b in zip([0] + ends[:-1], ends))
+
+
 class SurveyDataset:
     """Survey microdata as read-only columns with one entry per record,
     checked at construction.
 
     `categories` maps every schema variable, constraint and external, to the
-    records' category labels; they are encoded as intp codes in schema
-    category order by matching their UTF-8 bytes (`encode_categories`),
-    and `from_codes` takes those codes instead. `incomes` holds NaN for a
-    missing income (default: all missing), `deprivations` is a records x
+    records' category labels; they are encoded as codes in schema category
+    order by matching their UTF-8 bytes (`encode_categories`), and
+    `from_codes` takes those codes instead. A variable's codes are int8
+    when it has at most 127 categories and intp otherwise
+    (`VariableDef.code_dtype`). `incomes` holds NaN for a missing income
+    (default: all missing), `deprivations` is a records x
     deprivation-fields bool matrix (default: no items) and `numeric` maps
     every further survey column to floats, NaN where blank, or to None when
     its values are not all numbers. Record ids are unique, compared exactly,
-    and need no CSV quoting. A SchemaError about one record carries its
-    0-based index in `row`.
+    and need no CSV quoting. Household ids are held as UTF-8 bytes (a
+    TextColumn), and `household_ids` decodes them into a new tuple of str at
+    each access. A SchemaError about one record carries its 0-based index
+    in `row`.
     """
 
     def __init__(
@@ -168,7 +198,7 @@ class SurveyDataset:
             )
             buf, starts, ends = id_bytes(list(map(str, labels)))
             codes[var.name] = encode_categories(var, buf, starts, ends, self.record_ids)
-        self._take_columns(codes, incomes, deprivations, numeric)
+        self._take_columns(codes, incomes, deprivations, numeric, copy=True)
 
     @classmethod
     def from_codes(
@@ -183,16 +213,25 @@ class SurveyDataset:
     ) -> SurveyDataset:
         """The dataset whose `codes` map every schema variable to the
         records' category codes, as `encode_categories` gives them;
-        the other arguments as for the constructor."""
+        `household_ids` may be a TextColumn; the other arguments as for the
+        constructor. An array that already has its column's dtype is held
+        as a read-only view, not copied, so the caller must not change it."""
         dataset = cls.__new__(cls)
         dataset._take_ids(schema, record_ids, household_ids)
-        dataset._take_columns(codes, incomes, deprivations, numeric)
+        dataset._take_columns(codes, incomes, deprivations, numeric, copy=False)
         return dataset
+
+    @property
+    def household_ids(self) -> tuple:
+        """Each record's household id, decoded anew at each access."""
+        return self._households.strings()
 
     def _take_ids(self, schema, record_ids, household_ids):
         self.schema = schema
         self.record_ids = tuple(record_ids)
-        self.household_ids = tuple(household_ids)
+        if not isinstance(household_ids, TextColumn):
+            household_ids = TextColumn.of(list(map(str, household_ids)))
+        self._households = household_ids
         self.n = n = len(self.record_ids)
         if len(set(self.record_ids)) < n:
             seen = set()
@@ -200,33 +239,39 @@ class SurveyDataset:
                 if rid in seen:
                     raise SchemaError(f"duplicate record id {rid!r}", i)
                 seen.add(rid)
-        if len(self.household_ids) != n:
-            raise SchemaError(f"{len(self.household_ids)} household ids, {n} records")
+        if household_ids.ends.size != n:
+            raise SchemaError(f"{household_ids.ends.size} household ids, {n} records")
         if needs_quoting("".join(self.record_ids)):
             i = next(i for i, rid in enumerate(self.record_ids) if needs_quoting(rid))
             raise SchemaError(
                 f"record id {self.record_ids[i]!r} holds a comma, quote or line break",
                 i,
             )
-        if "" in self.household_ids:
-            i = self.household_ids.index("")
+        empty = np.flatnonzero(np.diff(household_ids.ends, prepend=0) == 0)
+        if empty.size:
+            i = int(empty[0])
             raise SchemaError(f"record {self.record_ids[i]!r}: empty household id", i)
 
-    def _take_columns(self, codes, incomes, deprivations, numeric):
+    def _take_columns(self, codes, incomes, deprivations, numeric, copy):
         n, schema = self.n, self.schema
-        self._codes = {
-            var.name: _column(codes[var.name], np.intp, (n,), "codes")
-            for var in schema.constraint_vars + schema.external_vars
-        }
+        self._codes = {}
+        for var in schema.constraint_vars + schema.external_vars:
+            values = np.asarray(codes[var.name])
+            k = len(var.categories)
+            if values.size and not (0 <= values.min() and values.max() < k):
+                raise SchemaError(f"codes of {var.name!r} must lie in [0, {k})")
+            self._codes[var.name] = _column(values, var.code_dtype, (n,), "codes", copy)
         k = len(schema.deprivation_fields)
         if incomes is None:
             incomes = np.full(n, math.nan)
         if deprivations is None:
-            deprivations = np.zeros((n, 0))
-        self.incomes = _column(incomes, float, (n,), "incomes")
-        self.deprivations = _column(deprivations, bool, (n, k), "deprivations")
+            deprivations = np.zeros((n, 0), bool)
+        self.incomes = _column(incomes, float, (n,), "incomes", copy)
+        self.deprivations = _column(deprivations, bool, (n, k), "deprivations", copy)
         self.numeric = {
-            name: None if v is None else _column(v, float, (n,), f"column {name!r}")
+            name: None
+            if v is None
+            else _column(v, float, (n,), f"column {name!r}", copy)
             for name, v in (numeric or {}).items()
         }
 
@@ -257,10 +302,10 @@ class SurveyDataset:
 
 
 def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.ndarray:
-    """The category code of `var`, the index in `var.categories`, of each
-    label buf[starts:ends], matching UTF-8 bytes exactly. Raises SchemaError
-    naming the first of `record_ids` whose label is not a category, with
-    its index in `row`."""
+    """The category code of `var`, the index in `var.categories` as a
+    `var.code_dtype`, of each label buf[starts:ends], matching UTF-8 bytes
+    exactly. Raises SchemaError naming the first of `record_ids` whose label
+    is not a category, with its index in `row`."""
     codes, known = id_finder(var.categories)(buf, starts, ends)
     if not known.all():
         i = int(np.argmin(known))
@@ -270,15 +315,15 @@ def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.nda
             f"variable {var.name!r}",
             i,
         )
-    return codes
+    return codes.astype(var.code_dtype, copy=False)
 
 
-def _column(values, dtype, shape, what) -> np.ndarray:
-    """Read-only array copy of `values`; SchemaError unless it has `shape`."""
-    out = np.array(values, dtype=dtype)
+def _column(values, dtype, shape, what, copy=True) -> np.ndarray:
+    """Read-only `dtype` array of `values`: a copy, or with `copy` false a
+    view when `values` is already one; SchemaError unless it has `shape`."""
+    out = read_only(np.array(values, dtype=dtype) if copy else values, dtype)
     if out.shape != shape:
         raise SchemaError(f"{what} have shape {out.shape}, expected {shape}")
-    out.flags.writeable = False
     return out
 
 

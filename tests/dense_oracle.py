@@ -1,7 +1,8 @@
 """Dense records x zones reference code: the weight expansion, `synthesize`
 and population reader that each held a full records x zones matrix, kept as
 oracles for the compressed representations, and conversions between the two
-layouts."""
+layouts. Also the sorted byte-key id lookup that the hashed
+`csvbytes.id_finder` replaced."""
 
 from itertools import islice
 from pathlib import Path
@@ -9,7 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from smallarea import popfile
-from smallarea.csvbytes import FieldCountError, IngestError, id_finder, scan_fields
+from smallarea.csvbytes import (
+    FieldCountError,
+    IngestError,
+    gather,
+    id_bytes,
+    id_finder,
+    scan_fields,
+)
 from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
 from smallarea.ipf import WeightMatrix
 
@@ -124,3 +132,43 @@ def dense_read_population(path, zone_ids, record_ids) -> np.ndarray:
             first_line += lines.size
     np.maximum(counts, 0, out=counts)
     return counts
+
+
+def sorted_id_finder(ids):
+    """`csvbytes.id_finder` as a sorted lookup of byte keys: the keys of
+    `ids` are sorted once and each field's key is found by binary search."""
+    buf, starts, ends = id_bytes(ids)
+    width = int((ends - starts).max(initial=0))
+    keys = _id_keys(buf, starts, ends, width)
+    order = np.argsort(keys, kind="stable")
+    table = keys[order]
+
+    def find(buf, starts, ends):
+        keys = _id_keys(buf, starts, ends, width)
+        if not table.size:
+            return np.zeros(keys.size, np.intp), np.zeros(keys.size, bool)
+        at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        return order[at], table[at] == keys
+
+    return find
+
+
+def _id_keys(buf, starts, ends, width) -> np.ndarray:
+    """Keys equal exactly when the fields buf[starts:ends] are equal, for
+    fields of up to `width` bytes: the field's length, then its bytes. A
+    longer field gets a length that no field of `width` bytes has. Keys of
+    up to 8 bytes are uint64, with a field's bytes read from its start as
+    one big-endian word, so that fields of one length sort as bytes do."""
+    lengths = np.minimum(ends - starts, width + 1)
+    n_len = ((width + 1).bit_length() + 7) // 8
+    if n_len + width <= 8:
+        padded = np.concatenate((buf, np.zeros(8, np.uint8)))
+        words = np.ndarray(buf.size + 1, ">u8", padded, strides=(1,))[starts]
+        drop = (8 * (7 - np.minimum(lengths, width))).astype(np.uint64)
+        body = (words.astype(np.uint64) >> np.uint64(8)) >> drop
+        return lengths.astype(np.uint64) << np.uint64(8 * width) | body
+    keys = np.empty((lengths.size, n_len + width), np.uint8)
+    for b in range(n_len):
+        keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
+    keys[:, n_len:] = gather(buf, starts, starts + np.minimum(lengths, width), width)
+    return keys.view(f"S{n_len + width}").ravel()

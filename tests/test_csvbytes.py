@@ -1,0 +1,85 @@
+"""The byte-level kernels of `csvbytes` against plain references: the hashed
+id lookup against the sorted byte-key lookup it replaced, and the field
+offsets and words against Python slicing."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smallarea.csvbytes import field_bytes, field_words, id_finder, scan_fields
+
+from dense_oracle import sorted_id_finder
+
+# Letters of 1 to 4 UTF-8 bytes, NUL among them.
+letters = st.sampled_from(["a", "b", "\0", "é", "Α", "θ", "€", "😀"])
+# Shared heads, so that ids agree in their first 8 or 16 bytes.
+heads = st.sampled_from(["", "abcdefgh", "Αθήνα/a", "abcdefghijklmnop"])
+
+
+def utf8_len(text: str) -> int:
+    return len(text.encode())
+
+
+ids_40 = st.builds(str.__add__, heads, st.text(letters, max_size=24)).filter(
+    lambda t: utf8_len(t) <= 40
+)
+
+
+@st.composite
+def lookups(draw):
+    """(ids, fields, buffer bytes, starts, ends): fields that are ids, ids
+    with a byte more or less, or other text, laid out in one buffer with
+    bytes between them, the last field ending at its last byte or not."""
+    ids = draw(st.lists(ids_40, max_size=12))
+    if ids and draw(st.booleans()):
+        ids += draw(st.lists(st.sampled_from(ids), max_size=3))  # repeats
+    others = ids_40 | st.text(letters, max_size=6)
+    if ids:
+        chosen = st.sampled_from(ids)
+        others = others | chosen.map(lambda t: t + "a") | chosen.map(lambda t: t[:-1])
+    fields = draw(st.lists((st.sampled_from(ids) if ids else others) | others))
+    data, starts, ends = b"", [], []
+    for field in fields:
+        data += draw(st.sampled_from([b"", b",", b"\0", b"xyz\n"]))
+        starts.append(len(data))
+        data += field.encode()
+        ends.append(len(data))
+    if not draw(st.booleans()):  # the last field ends at the buffer's last byte
+        data += b"\n"
+    return ids, fields, data, starts, ends
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=lookups(), offset=st.sampled_from([np.int32, np.intp]))
+def test_id_finder_matches_sorted_keys(case, offset):
+    ids, fields, data, starts, ends = case
+    buf = np.frombuffer(data, np.uint8)
+    starts, ends = np.array(starts, offset), np.array(ends, offset)
+    index, known = id_finder(ids)(buf, starts, ends)
+    expected_index, expected_known = sorted_id_finder(ids)(buf, starts, ends)
+    np.testing.assert_array_equal(known, expected_known)
+    np.testing.assert_array_equal(index[known], expected_index[known])
+    # Each field in `ids` maps to its first index there.
+    assert known.tolist() == [f in ids for f in fields]
+    assert index[known].tolist() == [ids.index(f) for f in fields if f in ids]
+    assert index.dtype == np.intp
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lookups(), n_words=st.integers(0, 6))
+def test_field_words_and_bytes_read_each_field(case, n_words):
+    _, fields, data, starts, ends = case
+    buf = np.frombuffer(data, np.uint8)
+    starts, ends = np.array(starts, np.int32), np.array(ends, np.int32)
+    words = field_words(buf, starts, ends, n_words)
+    for f, field in enumerate(fields):
+        raw = field.encode().ljust(8 * n_words, b"\0")[: 8 * n_words]
+        assert words[:, f].tolist() == np.frombuffer(raw, "<u8").tolist()
+    assert field_bytes(buf, starts, ends).tobytes() == "".join(fields).encode()
+
+
+def test_scan_fields_offsets_are_int32():
+    starts, ends, lines = scan_fields(b"a,bc\r\nd,\n", 2)
+    assert starts.dtype == ends.dtype == np.int32
+    assert (starts.tolist(), ends.tolist()) == ([[0, 2], [6, 8]], [[1, 4], [7, 8]])
+    assert lines.tolist() == [1, 2]

@@ -460,11 +460,19 @@ class TestLoadConfig:
         path.write_text(
             CONFIG_MINIMAL
             + "seed: 7\nequivalize: true\nipf:\n  max_iterations: 5\n"
-            + "poverty:\n  md_threshold: 2\n"
+            + "  tolerance: 1\npoverty:\n  md_threshold: 2\n"
+            + "  arop_fraction: 0.5\n  mpi:\n    cutoff: 1\n    dimensions:\n"
+            + "      - name: a\n        weight: 1\n"
+            + "        indicators: [{field: income, below: 8000}]\n"
         )
         cfg = load_config(path)
         assert (cfg.seed, cfg.equivalize) == (7, True)
         assert (cfg.max_iterations, cfg.md_threshold) == (5, 2)
+        # A YAML integer is a number too, read as a float.
+        assert (cfg.tolerance, cfg.arop_fraction, cfg.mpi_spec.cutoff) == (1, 0.5, 1)
+        assert type(cfg.tolerance) is type(cfg.mpi_spec.cutoff) is float
+        (dimension,) = cfg.mpi_spec.dimensions
+        assert (dimension.weight, dimension.indicators[0].threshold) == (1, 8000)
 
     def test_invalid_tolerance(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -596,6 +604,45 @@ class TestLoadConfig:
                 + "      - {name: a, indicators: [{field: [lacks_tv], below: 1}]}\n",
                 "poverty.mpi.dimensions[0].indicators[0].field must be a string",
                 id="indicator_field_list",
+            ),
+            # Numbers are not coerced either: float(True) is 1.0 and
+            # float("0.6") is 0.6.
+            pytest.param(
+                CONFIG_MINIMAL + "ipf:\n  tolerance: true\n",
+                "ipf.tolerance must be a number",
+                id="tolerance_boolean",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL + "poverty:\n  arop_fraction: '0.6'\n",
+                "poverty.arop_fraction must be a number",
+                id="arop_fraction_string",
+            ),
+            pytest.param(
+                CONFIG_MINIMAL
+                + "poverty:\n  mpi:\n    cutoff: '0.3'\n    dimensions:\n"
+                + "      - {name: a, indicators: [{field: income, below: 1}]}\n",
+                "poverty.mpi.cutoff must be a number",
+                id="cutoff_string",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - name: a\n        weight: '1'\n"
+                + "        indicators: [{field: income, below: 1}]\n",
+                "poverty.mpi.dimensions[0].weight must be a number",
+                id="dimension_weight_string",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - name: a\n"
+                + "        indicators: [{field: income, below: 1, weight: true}]\n",
+                "poverty.mpi.dimensions[0].indicators[0].weight must be a number",
+                id="indicator_weight_boolean",
+            ),
+            pytest.param(
+                MPI_CONFIG
+                + "      - {name: a, indicators: [{field: income, below: '8000'}]}\n",
+                "poverty.mpi.dimensions[0].indicators[0].below must be a number",
+                id="below_string",
             ),
             pytest.param(
                 MPI_CONFIG
@@ -985,7 +1032,7 @@ def test_load_survey_matches_csv_loader(tmp_path_factory, case, block_lines):
     for var in schema.constraint_vars + schema.external_vars:
         codes = got.category_codes(var.name)
         np.testing.assert_array_equal(codes, expected.category_codes(var.name))
-        # The sorted lookup gives each label's index among the categories.
+        # The lookup gives each label's index among the categories.
         index = [var.categories.index(c[var.name]) for c in labels]
         np.testing.assert_array_equal(codes, np.array(index, dtype=np.intp))
     np.testing.assert_array_equal(got.incomes, expected.incomes)
@@ -996,6 +1043,57 @@ def test_load_survey_matches_csv_loader(tmp_path_factory, case, block_lines):
             assert got.numeric[name] is None
         else:
             np.testing.assert_array_equal(got.numeric[name], column)
+
+
+# Income fields as `float` reads them, after `str.strip`: blank and white
+# space, underscores, exponents, nan and inf, signed zero, digits that are
+# not ASCII (which numpy's bytes cast refuses), white space that only `str`
+# strips, and NULs.
+income_fields = st.sampled_from(
+    [
+        "", " ", "\t ", "0", "1_000", "1__0", "12.5", " 7 ", "1e3", "2.5E-3",
+        "5e-324", "1e309", "nan", "-inf", "inf", "-0.0", "+3", "-1", "abc",
+        "\u0661\u0662", "\xa05", "\x1c9\x1f", "5\0", "0.1234567890123456789012345",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(income_fields, max_size=8),
+    gap=st.sampled_from([",", ",\0,"]),
+)
+def test_incomes_read_as_float_reads_them(fields, gap):
+    # `gap` puts a NUL between the fields of some blocks: the whole block is
+    # then read field by field.
+    path = Path("survey.csv")
+    data, starts, ends = b"", [], []
+    for field in fields:
+        starts.append(len(data))
+        data += field.encode()
+        ends.append(len(data))
+        data += gap.encode()
+    lines = np.arange(2, 2 + len(fields))
+    expected = []
+    for field, line in zip(fields, lines.tolist()):
+        text = field.strip()
+        try:
+            value = float(text) if text else math.nan
+        except ValueError:
+            value = -1.0
+        if text and not (math.isfinite(value) and value >= 0):
+            expected = f"{path}: line {line}: invalid income {text!r}"
+            break
+        expected.append(value)
+    offsets = (np.array(starts, np.int32), np.array(ends, np.int32))
+    try:
+        got = ingest._incomes(data, *offsets, lines, path)
+    except IngestError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:  # bit for bit, the sign of -0.0 too
+        assert got.tobytes() == np.array(expected, float).tobytes()
 
 
 def test_load_survey_holds_no_copy_of_the_file(tmp_path):

@@ -1,5 +1,7 @@
-"""Memory: no stage of a run allocates a records x zones array."""
+"""Memory: no stage of a run allocates a records x zones array, and the
+survey is held in narrow columns."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -129,3 +131,37 @@ def test_population_sums_hold_no_array_per_held_count():
             assert peak < bound * counts.size, f"{name}: traced peak {peak} bytes"
     finally:
         tracemalloc.stop()
+
+
+def test_survey_holds_at_most_120_bytes_per_record(tmp_path):
+    # 20000 records of 5 category variables, 9 deprivation items and an
+    # income. The record ids take 64 bytes each as a tuple of str, the
+    # household ids 14 as bytes and int64 ends, the codes one byte per
+    # variable: about 100 bytes a record, against 183 with household ids as
+    # str and intp codes.
+    config = load_config(generate_example(tmp_path, n_zones=5, survey_size=20000))
+    tracemalloc.start()
+    try:
+        survey = load_survey(config.survey_path, config.schema)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert survey.n == 20000
+    assert held <= 120 * survey.n, held / survey.n
+    for var in config.schema.constraint_vars + config.schema.external_vars:
+        assert survey.category_codes(var.name).dtype == np.int8
+
+    # Household ids read back as the csv module reads them, on the byte path
+    # and, with every field quoted and ids that are not ASCII, on the csv
+    # module's path.
+    with config.survey_path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index("household_id")
+    assert survey.household_ids == tuple(row[j] for row in rows[1:])
+    for k, row in enumerate(rows[1:]):
+        row[j] = f"οικία,{k}" if k % 3 else row[j]
+    with config.survey_path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    survey = load_survey(config.survey_path, config.schema)
+    assert survey.household_ids == tuple(row[j] for row in rows[1:])
+    assert survey.household_ids is not survey.household_ids  # decoded anew

@@ -8,6 +8,7 @@ from smallarea.schema import (
     ConsistencyReport,
     ConstraintTable,
     SchemaError,
+    SurveyDataset,
     VariableDef,
     check_consistency,
     rescale_constraints,
@@ -47,6 +48,57 @@ class TestCategoryCounts:
         _, survey = two_by_two
         with pytest.raises(SchemaError, match="unknown variable 'height'"):
             survey.category_counts("height")
+
+
+class TestSurveyColumns:
+    def test_code_dtype_by_category_count(self):
+        # Up to 127 categories fit one signed byte.
+        few = VariableDef("few", tuple(f"c{i}" for i in range(127)))
+        many = VariableDef("many", tuple(f"c{i}" for i in range(128)))
+        schema = make_schema(constraint_vars=(few, many))
+        codes = {"few": [126, 0], "many": [127, 0]}
+        survey = SurveyDataset.from_codes(schema, ["r1", "r2"], ["h1", "h2"], codes)
+        assert survey.category_codes("few").dtype == np.int8
+        assert survey.category_codes("many").dtype == np.intp
+        assert survey.category_codes("few").tolist() == [126, 0]
+        assert survey.category_codes("many").tolist() == [127, 0]
+
+    @pytest.mark.parametrize("code", [-1, 2, 200])
+    def test_code_out_of_range_rejected(self, code):
+        # As an int8, 200 would read -56.
+        schema = make_schema(constraint_vars=(VariableDef("sex", ("M", "F")),))
+        codes = {"sex": np.array([0, code])}
+        with pytest.raises(SchemaError, match=r"codes of 'sex' must lie in \[0, 2\)"):
+            SurveyDataset.from_codes(schema, ["r1", "r2"], ["h1", "h2"], codes)
+
+    def test_from_codes_holds_its_arrays_read_only(self):
+        schema = make_schema(
+            constraint_vars=(VariableDef("sex", ("M", "F")),),
+            deprivation_fields=("tv",),
+        )
+        codes, incomes = np.array([1, 0], np.int8), np.array([1.0, math.nan])
+        flags = np.array([[True], [False]])
+        survey = SurveyDataset.from_codes(
+            schema, ["r1", "r2"], ["h1", "h2"], {"sex": codes}, incomes, flags
+        )
+        held = survey.category_codes("sex"), survey.incomes, survey.deprivations
+        for column, given in zip(held, (codes, incomes, flags)):
+            assert np.shares_memory(column, given)
+            assert not column.flags.writeable
+        assert codes.flags.writeable  # the caller's array is left as it is
+        copied = SurveyDataset(
+            schema, ["r1", "r2"], ["h1", "h2"], {"sex": ["F", "M"]}, incomes, flags
+        )
+        assert not np.shares_memory(copied.incomes, incomes)
+
+    def test_household_ids_decoded_at_each_access(self):
+        schema = make_schema(constraint_vars=(VariableDef("sex", ("M", "F")),))
+        ids = ["h1\0", "οικία", "h1"]
+        survey = SurveyDataset(schema, ["r1", "r2", "r3"], ids, {"sex": ["M"] * 3})
+        assert survey.household_ids == tuple(ids)
+        assert survey.household_ids is not survey.household_ids
+        with pytest.raises(SchemaError, match="record 'r2': empty household id"):
+            SurveyDataset(schema, ["r1", "r2"], ["h1", ""], {"sex": ["M"] * 2})
 
 
 class TestCheckConsistency:
