@@ -1,13 +1,12 @@
 """The byte layer under every CSV reader and the population writer: files
 are read as bytes and cut into blocks of whole lines (`line_blocks`, with
-its UTF-8 check), fields are found as offsets (`scan_fields`), and ids are
-matched by their bytes (`id_finder`): each field is read in place as
-little-endian 8-byte words (`field_words`) and hashed with its length into
-a table of ids, and it matches an id only when its length and every word
-are equal. No sorted table of byte-string keys is kept and no field is
-gathered into one (the `id_keys` of earlier versions is gone). Faults are
-IngestErrors naming the file and line. This module imports no other
-module of the package.
+its UTF-8 check), the survey, table and population readers find fields as
+offsets with one pass over a block's commas and LFs (`scan_fields`, the
+only field scanner), and ids are matched by their bytes (`id_finder`):
+each field is read in place as little-endian 8-byte words (`field_words`)
+and hashed with its length into a table of ids, and it matches an id only
+when its length and every word are equal. Faults are IngestErrors naming
+the file and line. This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -81,32 +80,39 @@ def scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
     `data` is shorter than 2 GiB, and each row's line number, the first
     line of `data` being `first_line`. With `skip_blank`, an empty line
     gives no row. Raises FieldCountError naming the first line that holds
-    another number of fields."""
+    another number of fields.
+
+    Every comma and LF ends a field, and each field starts one byte after
+    the separator before it. Only when the LFs are not exactly every
+    n_fields-th separator are the fields of each line counted, to drop blank
+    lines or name the line of another width. A CR is cut from line ends only."""
     buf = np.frombuffer(data, np.uint8)
-    breaks = np.flatnonzero(buf == ord("\n"))
-    if buf.size and buf[-1] != ord("\n"):
-        breaks = np.append(breaks, buf.size)
-    begins = np.empty_like(breaks)
-    begins[:1] = 0
-    begins[1:] = breaks[:-1] + 1
-    stops = breaks - ((breaks > begins) & (buf[breaks - 1] == ord("\r")))
-    commas = np.flatnonzero(buf == ord(","))
-    widths = np.diff(np.searchsorted(commas, breaks), prepend=0) + 1
-    lines = np.arange(first_line, first_line + breaks.size)
-    if skip_blank:
-        keep = stops > begins
-        begins, stops, widths, lines = (a[keep] for a in (begins, stops, widths, lines))
-    bad = np.flatnonzero(widths != n_fields)
-    if bad.size:
-        raise FieldCountError(int(lines[bad[0]]), int(widths[bad[0]]))
-    # Every row holds n_fields - 1 commas, and a skipped line none.
-    commas = commas.reshape(lines.size, n_fields - 1)
     offset = np.int32 if buf.size < 2**31 else np.intp
-    starts = np.empty((lines.size, n_fields), offset)
-    ends = np.empty_like(starts)
-    starts[:, 0], starts[:, 1:] = begins, commas + 1
-    ends[:, :-1], ends[:, -1] = commas, stops
-    return starts, ends, lines
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    is_lf = buf[ends] == ord("\n")  # before narrowing, as intp indexes faster
+    ends = ends.astype(offset, copy=False)
+    if buf.size and buf[-1] != ord("\n"):  # the last line lacks its end
+        ends, is_lf = np.append(ends, offset(buf.size)), np.append(is_lf, True)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    lines = np.arange(first_line, first_line + np.count_nonzero(is_lf))
+    last = slice(n_fields - 1, None, n_fields)  # each row's last field
+    regular = lines.size * n_fields == ends.size and is_lf[last].all()
+    regular &= not (skip_blank and n_fields == 1)  # a blank line looks like a row
+    at = last if regular else np.flatnonzero(is_lf)
+    ends[at] -= (ends[at] > starts[at]) & (buf[ends[at] - 1] == ord("\r"))
+    if not regular:
+        widths = np.diff(at, prepend=-1)
+        if skip_blank:
+            blank = (widths == 1) & (starts[at] == ends[at])
+            starts, ends = np.delete(starts, at[blank]), np.delete(ends, at[blank])
+            widths, lines = widths[~blank], lines[~blank]
+        bad = np.flatnonzero(widths != n_fields)
+        if bad.size:
+            raise FieldCountError(int(lines[bad[0]]), int(widths[bad[0]]))
+    shape = (lines.size, n_fields)
+    return starts.reshape(shape), ends.reshape(shape), lines
 
 
 def gather(buf, starts, ends, width) -> np.ndarray:

@@ -89,9 +89,11 @@ def generate_example(
     survey_size: int = 3000,
     mean_zone_pop: int = 5000,
 ) -> Path:
-    """Write the example dataset into `out_dir`; returns the config path."""
+    """Write the example dataset into `out_dir`; returns the config path.
+    A ValueError names the `example` flag of a size out of range."""
+    if n_zones < 1:
+        raise ValueError(f"--zones must be at least 1, got {n_zones}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     schema = default_schema()
     zones = [f"Z{z:02d}" for z in range(1, n_zones + 1)]
@@ -115,6 +117,12 @@ def generate_example(
     zone_pops = rng.integers(
         int(mean_zone_pop * 0.7), int(mean_zone_pop * 1.3), size=n_zones
     )
+    if not 1 <= survey_size <= zone_pops.sum():
+        raise ValueError(
+            f"--survey-size must be from 1 to {zone_pops.sum()}, the persons of "
+            f"the example's truth population; got {survey_size}"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     truth = {name: [] for name in base_probs}
     truth["occupation"] = []

@@ -28,6 +28,7 @@ from .csvbytes import (
     IngestError,
     field_bytes,
     gather,
+    id_finder,
     joined,
     line_blocks,
     scan_fields,
@@ -259,6 +260,7 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
     lines, incomes = [np.empty(0, np.intp)], [np.empty(0)]
     flags = [np.empty((0, len(fields)), bool)]
     codes = {v.name: [np.empty(0, v.code_dtype)] for v in variables}
+    finders = [(v, id_finder(v.categories)) for v in variables]
     numeric = {name: [np.empty(0)] for name in header if name not in mandatory}
 
     def decode(data, starts, ends, at):
@@ -275,10 +277,10 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
                 f"{path}: line {at[i]}: deprivation field {fields[f]!r} must be 0/1"
             )
         flags.append(value)
-        for var in variables:
+        for var, find in finders:
             j = column[var.name]
             try:
-                found = encode_categories(var, buf, starts[:, j], ends[:, j], ids)
+                found = encode_categories(var, find, buf, starts[:, j], ends[:, j], ids)
             except SchemaError as exc:
                 raise IngestError(f"{path}: line {at[exc.row]}: {exc}") from None
             codes[var.name].append(found)
@@ -400,19 +402,14 @@ def _floats(texts) -> np.ndarray:
 def _incomes(data, starts, ends, lines, path) -> np.ndarray:
     """Incomes from their fields data[starts:ends], stripped: blank is NaN,
     anything else must be a finite number >= 0 (IngestError naming the line
-    otherwise). The fields are gathered into one bytes array and cast to
-    float at once, which reads a field as `float` does; they are read one
-    by one, to keep `float`'s reading and name the line, when the cast
-    refuses one (white space alone, digits that are not ASCII), when one is
-    negative or not finite, when `data` holds a NUL, which a bytes array
-    drops from a field's end, or when a long field would make the array far
-    larger than `data`."""
-    lengths = ends - starts
-    width = max(int(lengths.max(initial=0)), 1)
-    if b"\0" not in data and starts.size * width <= 4 * len(data) + 4096:
-        raw = gather(np.frombuffer(data, np.uint8), starts, ends, width)
-        raw = raw.view(f"S{width}").ravel()
-        blank = lengths == 0
+    otherwise). The fields are gathered into one bytes array (`_fixed`) and
+    cast to float at once, which reads a field as `float` does; they are
+    read one by one, to keep `float`'s reading and name the line, when
+    there is no such array, when the cast refuses one (white space alone,
+    digits that are not ASCII), or when one is negative or not finite."""
+    raw = _fixed(data, starts, ends)
+    if raw is not None:
+        blank = ends == starts
         raw[blank] = b"0"
         try:
             values = raw.astype(float)
@@ -450,17 +447,25 @@ def _csv_fields(rows, n_fields: int):
 
 
 def _strings(data: bytes, starts, ends) -> list:
-    """The UTF-8 fields data[starts:ends] as Python strings. They are
-    gathered into one numpy str array, unless `data` holds a NUL, which such
-    an array drops from a field's end, or a long field would make the array
-    far larger than `data`."""
+    """The UTF-8 fields data[starts:ends] as Python strings."""
+    raw = _fixed(data, starts, ends)
+    if raw is None:
+        return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+    codes = raw.view(np.uint8)
+    if codes.max(initial=0) < 128:  # ASCII: each byte is its code point
+        return codes.astype(np.uint32).view(f"U{raw.itemsize}").tolist()
+    return np.char.decode(raw, "utf-8").tolist()
+
+
+def _fixed(data: bytes, starts, ends):
+    """The fields data[starts:ends] as one bytes array of the longest
+    field's width; None when `data` holds a NUL, which such an array drops
+    from a field's end, or a long field would make it far larger."""
     width = max(int((ends - starts).max(initial=0)), 1)
     if b"\0" in data or starts.size * width > 4 * len(data) + 4096:
-        return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+        return None
     raw = gather(np.frombuffer(data, np.uint8), starts, ends, width)
-    if raw.max(initial=0) < 128:  # ASCII: each byte is its code point
-        return raw.astype(np.uint32).view(f"U{width}").ravel().tolist()
-    return np.char.decode(raw.view(f"S{width}").ravel(), "utf-8").tolist()
+    return raw.view(f"S{width}").ravel()
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,8 @@ record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `csv.writer` would write, with CRLF line ends. `population_rows` fills the
 bytes of a block of whole zones with numpy passes over byte tables of the
 ids and the digits of the counts, and makes no Python string per row;
-`weights_rows` makes one string join per zone. `read_population` splits
-rows at the commas and LFs found in one pass and looks up a zone id once
+`weights_rows` makes one string join per zone. `read_population` takes
+each block's fields from `csvbytes.scan_fields` and looks up a zone id once
 per run of rows with the same zone field. Ids are written and split
 unquoted, which is exact because ingest rejects zone and record ids that
 `csv.writer` would quote (`schema.needs_quoting`).
@@ -116,21 +116,19 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     `record_ids`; absent (zone, record) pairs and counts of 0 count 0. Rows
     may come in any order. Lines end in LF or CRLF.
 
-    Reads blocks of BLOCK_LINES lines, cut from byte reads. One pass over a
-    block's commas and LFs finds each row's two commas and line end;
-    `scan_fields` runs only to name the line where that pattern breaks.
-    Record ids are looked up row by row (`id_finder`), zone ids once per run
-    of zone fields of equal length and words (about one run per zone in a
-    file the package wrote). Each run's zone and length give `indptr` and
-    show whether the rows are in order; rows out of order are sorted stably
-    by (zone, record). Rejects, naming the file and line, bytes that are not
-    UTF-8, a row that has not 3 fields, an unknown zone (on the first row of
-    its run) or record id, a count that is not a non-negative integer
-    written in digits, and a repeated (zone, record) pair. When a file holds
-    several faults, the one named is that of the first block with a fault,
-    and in it a bad row before a repeated pair. Not read by
-    `ingest._csv_blocks`: here a blank line is a fault, not skipped, and a
-    double quote is part of an id."""
+    Reads blocks of BLOCK_LINES lines, cut from byte reads, and finds each
+    block's fields with one `scan_fields` call. Record ids are looked up row
+    by row (`id_finder`), zone ids once per run of zone fields of equal
+    length and words (about one run per zone in a file the package wrote).
+    Each run's zone and length give `indptr` and show whether the rows are
+    in order; rows out of order are sorted stably by (zone, record).
+    Rejects, naming the file and line, bytes that are not UTF-8, a row that
+    has not 3 fields, an unknown zone (on the first row of its run) or
+    record id, a count that is not a non-negative integer written in digits,
+    and a repeated (zone, record) pair. When a file holds several faults,
+    the one named is that of the first block with a fault, and in it a bad
+    row before a repeated pair. Not read by `ingest._csv_blocks`: here a
+    blank line is a fault, not skipped, and a double quote is part of an id."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
@@ -167,44 +165,36 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     def decode(block, first_line):
         """Append the rows of one block of lines, the first `first_line`."""
         nonlocal in_order, last_key
-        if not block.endswith(b"\n"):
-            block += b"\n"  # the file's last line
+        try:
+            starts, ends, _ = scan_fields(block, 3, first_line)
+        except FieldCountError as exc:
+            fail(exc.line, "expected 3 fields")
         buf = np.frombuffer(block, np.uint8)
-        seps = _row_separators(buf)
-        if seps is None:  # scan_fields names the first line of other width
-            try:
-                scan_fields(block, 3, first_line)
-            except FieldCountError as exc:
-                fail(exc.line, "expected 3 fields")
-        first, second, ends = seps
-        begins = np.empty_like(ends)
-        begins[0], begins[1:] = 0, ends[:-1] + 1
-        stops = ends - (buf[ends - 1] == ord("\r"))
 
-        def text(a, b):
-            return block[a:b].decode("utf-8")
+        def text(i, j):  # field j of row i
+            return block[starts[i, j] : ends[i, j]].decode("utf-8")
 
         # A run starts where a zone field's length or a word differs from the
         # row before's. Words past the longest zone id are not compared: such
         # fields are unknown, and their run's first row is named.
-        zone_len = first - begins
+        zone_len = ends[:, 0] - starts[:, 0]
         change = zone_len[1:] != zone_len[:-1]
-        for word in field_words(buf, begins, first, zone_words):
+        for word in field_words(buf, starts[:, 0], ends[:, 0], zone_words):
             change |= word[1:] != word[:-1]
         heads = np.flatnonzero(np.concatenate(([True], change)))
-        lengths = np.diff(heads, append=ends.size).astype(np.int32)
-        zi, zone_known = find_zone(buf, begins[heads], first[heads])
-        ri, record_known = find_record(buf, first + 1, second)
+        lengths = np.diff(heads, append=len(starts)).astype(np.int32)
+        zi, zone_known = find_zone(buf, starts[heads, 0], ends[heads, 0])
+        ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
         if not (zone_known.all() and record_known.all()):
             zone_known = np.repeat(zone_known, lengths)
             i = int(np.argmin(zone_known & record_known))
             if not zone_known[i]:
-                fail(first_line + i, f"unknown zone id {text(begins[i], first[i])!r}")
-            fail(first_line + i, f"unknown record id {text(first[i] + 1, second[i])!r}")
-        values, valid = _digits(buf, second + 1, stops)
+                fail(first_line + i, f"unknown zone id {text(i, 0)!r}")
+            fail(first_line + i, f"unknown record id {text(i, 1)!r}")
+        values, valid = _digits(buf, starts[:, 2], ends[:, 2])
         if not valid.all():
             i = int(np.argmin(valid))
-            fail(first_line + i, f"invalid count {text(second[i] + 1, stops[i])!r}")
+            fail(first_line + i, f"invalid count {text(i, 2)!r}")
         if in_order:  # keys rise: records within each run, zones between runs
             rising = ri[1:] > ri[:-1]
             rising[heads[1:] - 1] = zi[1:] > zi[:-1]
@@ -241,18 +231,6 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         indptr -= np.searchsorted(np.flatnonzero(~held), indptr)  # 0s before
         ri, counts = ri[held], counts[held]
     return SyntheticPopulation(indptr, ri, counts, zone_ids, record_ids)
-
-
-def _row_separators(buf):
-    """The offsets of each line's first and second comma and of its LF, for
-    a block of whole lines ending in LF; None unless every line holds two
-    commas."""
-    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    lfs = buf[seps] == ord("\n")
-    # Every third separator an LF, and no other one: comma, comma, LF.
-    if np.count_nonzero(lfs) * 3 != seps.size or not lfs[2::3].all():
-        return None
-    return seps.reshape(-1, 3).T
 
 
 def _digits(buf, starts, ends):

@@ -196,8 +196,9 @@ class SurveyDataset:
             labels = _column(
                 categories[var.name], object, (self.n,), f"{var.name!r} labels"
             )
-            buf, starts, ends = id_bytes(list(map(str, labels)))
-            codes[var.name] = encode_categories(var, buf, starts, ends, self.record_ids)
+            fields = id_bytes(list(map(str, labels)))
+            find = id_finder(var.categories)
+            codes[var.name] = encode_categories(var, find, *fields, self.record_ids)
         self._take_columns(codes, incomes, deprivations, numeric, copy=True)
 
     @classmethod
@@ -301,12 +302,13 @@ class SurveyDataset:
         return self.numeric[name]
 
 
-def encode_categories(var: VariableDef, buf, starts, ends, record_ids) -> np.ndarray:
+def encode_categories(var: VariableDef, find, buf, starts, ends, record_ids):
     """The category code of `var`, the index in `var.categories` as a
     `var.code_dtype`, of each label buf[starts:ends], matching UTF-8 bytes
-    exactly. Raises SchemaError naming the first of `record_ids` whose label
-    is not a category, with its index in `row`."""
-    codes, known = id_finder(var.categories)(buf, starts, ends)
+    exactly with `find`, the `id_finder` of `var.categories`. Raises
+    SchemaError naming the first of `record_ids` whose label is not a
+    category, with its index in `row`."""
+    codes, known = find(buf, starts, ends)
     if not known.all():
         i = int(np.argmin(known))
         label = bytes(buf[starts[i] : ends[i]]).decode("utf-8")

@@ -2,7 +2,8 @@
 and population reader that each held a full records x zones matrix, kept as
 oracles for the compressed representations, and conversions between the two
 layouts. Also the sorted byte-key id lookup that the hashed
-`csvbytes.id_finder` replaced."""
+`csvbytes.id_finder` replaced, and the line-by-line field scanner that the
+one-pass `csvbytes.scan_fields` replaced."""
 
 from itertools import islice
 from pathlib import Path
@@ -172,3 +173,33 @@ def _id_keys(buf, starts, ends, width) -> np.ndarray:
         keys[:, b] = lengths >> (8 * (n_len - 1 - b)) & 255
     keys[:, n_len:] = gather(buf, starts, starts + np.minimum(lengths, width), width)
     return keys.view(f"S{n_len + width}").ravel()
+
+
+def line_scan_fields(data: bytes, n_fields: int, first_line=1, skip_blank=False):
+    """`csvbytes.scan_fields` by lines: each line's LF is found, then the
+    commas before it are counted by a binary search of all commas."""
+    buf = np.frombuffer(data, np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    if buf.size and buf[-1] != ord("\n"):
+        breaks = np.append(breaks, buf.size)
+    begins = np.empty_like(breaks)
+    begins[:1] = 0
+    begins[1:] = breaks[:-1] + 1
+    stops = breaks - ((breaks > begins) & (buf[breaks - 1] == ord("\r")))
+    commas = np.flatnonzero(buf == ord(","))
+    widths = np.diff(np.searchsorted(commas, breaks), prepend=0) + 1
+    lines = np.arange(first_line, first_line + breaks.size)
+    if skip_blank:
+        keep = stops > begins
+        begins, stops, widths, lines = (a[keep] for a in (begins, stops, widths, lines))
+    bad = np.flatnonzero(widths != n_fields)
+    if bad.size:
+        raise FieldCountError(int(lines[bad[0]]), int(widths[bad[0]]))
+    # Every row holds n_fields - 1 commas, and a skipped line none.
+    commas = commas.reshape(lines.size, n_fields - 1)
+    offset = np.int32 if buf.size < 2**31 else np.intp
+    starts = np.empty((lines.size, n_fields), offset)
+    ends = np.empty_like(starts)
+    starts[:, 0], starts[:, 1:] = begins, commas + 1
+    ends[:, :-1], ends[:, -1] = commas, stops
+    return starts, ends, lines

@@ -529,6 +529,29 @@ class TestExample:
         assert code == 0
         assert (tmp_path / "config.yaml").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--zones", "0"], "--zones must be at least 1, got 0"),
+            (["--zones", "-3"], "--zones must be at least 1, got -3"),
+            (
+                ["--survey-size", "0"],
+                "--survey-size must be from 1 to 284557, the persons of the "
+                "example's truth population; got 0",
+            ),
+            (
+                ["--zones", "1", "--survey-size", "9000"],
+                "--survey-size must be from 1 to 6331, the persons of the "
+                "example's truth population; got 9000",
+            ),
+        ],
+    )
+    def test_example_rejects_bad_sizes(self, tmp_path, capsys, args, message):
+        out = tmp_path / "example"
+        assert main(["example", "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zone_counts_match_per_zone_loop(self):
         # The census tables of `example` count each zone's persons with one
         # bincount; the loop selects each zone's persons in turn.

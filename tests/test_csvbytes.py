@@ -1,14 +1,22 @@
 """The byte-level kernels of `csvbytes` against plain references: the hashed
-id lookup against the sorted byte-key lookup it replaced, and the field
-offsets and words against Python slicing."""
+id lookup against the sorted byte-key lookup it replaced, the one-pass field
+scanner against the line-by-line scanner it replaced, and the field offsets
+and words against Python slicing."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallarea.csvbytes import field_bytes, field_words, id_finder, scan_fields
+from smallarea.csvbytes import (
+    FieldCountError,
+    field_bytes,
+    field_words,
+    id_finder,
+    scan_fields,
+)
 
-from dense_oracle import sorted_id_finder
+from dense_oracle import line_scan_fields, sorted_id_finder
 
 # Letters of 1 to 4 UTF-8 bytes, NUL among them.
 letters = st.sampled_from(["a", "b", "\0", "é", "Α", "θ", "€", "😀"])
@@ -83,3 +91,56 @@ def test_scan_fields_offsets_are_int32():
     assert starts.dtype == ends.dtype == np.int32
     assert (starts.tolist(), ends.tolist()) == ([[0, 2], [6, 8]], [[1, 4], [7, 8]])
     assert lines.tolist() == [1, 2]
+
+
+# Field text: letters of 1 to 4 UTF-8 bytes, a space and a bare CR.
+field_text = st.text(
+    st.sampled_from(["a", "b", " ", "\r", "é", "Α", "€", "😀"]), max_size=4
+)
+
+
+@st.composite
+def csv_blocks(draw):
+    """(bytes, n_fields): lines of mostly n_fields fields, some of 1 to 4
+    fields or blank, each ending in LF or CRLF, the last in either or none."""
+    n_fields = draw(st.integers(1, 4))
+    rows = st.lists(field_text, min_size=n_fields, max_size=n_fields)
+    others = st.lists(field_text, min_size=1, max_size=4) | st.just([""])
+    lines = draw(st.lists(rows | rows | others, max_size=12))
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = "".join(",".join(fields) + draw(ends) for fields in lines)
+    if lines:
+        text = text.removesuffix(draw(st.sampled_from(["", "\n", "\r\n"])))
+    return text.encode(), n_fields
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=csv_blocks(), first_line=st.integers(1, 10**6), skip_blank=st.booleans())
+def test_scan_fields_matches_line_scanner(case, first_line, skip_blank):
+    data, n_fields = case
+    args = (data, n_fields, first_line, skip_blank)
+    try:
+        expected = line_scan_fields(*args)
+    except FieldCountError as exc:
+        with pytest.raises(FieldCountError) as got:
+            scan_fields(*args)
+        assert (got.value.line, got.value.got) == (exc.line, exc.got)
+        return
+    for a, b in zip(scan_fields(*args), expected):
+        assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
+
+
+@pytest.mark.parametrize(
+    "data, fields, lines",
+    [
+        (b"a\n\nb\r\n\r\n", [(0, 1), (3, 4)], [1, 3]),
+        (b"\n\r\n", [], []),
+        (b"a\n\r\nb", [(0, 1), (4, 5)], [1, 3]),
+    ],
+)
+def test_scan_fields_skips_blank_lines_of_one_field(data, fields, lines):
+    # Such a block has one LF per separator, as a block of rows has.
+    starts, ends, got = scan_fields(data, 1, skip_blank=True)
+    assert list(zip(starts[:, 0].tolist(), ends[:, 0].tolist())) == fields
+    assert got.tolist() == lines
+    assert starts.shape == (len(lines), 1)
