@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import math
 import os
@@ -112,6 +111,10 @@ def _cell(v):
 
 
 def sha256_file(path: Path) -> str:
+    # Imported here: hashlib loads OpenSSL's libcrypto, which only the
+    # commands that write a manifest need.
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

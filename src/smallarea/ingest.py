@@ -186,20 +186,6 @@ def load_constraints(path, schema: Schema):
     return tables
 
 
-def save_constraints(tables, path):
-    """Inverse of load_constraints (full-precision counts, round-trip safe)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["zone_id", "variable", "category", "count"])
-        for t in tables:
-            for zi, zone in enumerate(t.zones):
-                for ci, cat in enumerate(t.categories):
-                    writer.writerow(
-                        [zone, t.variable, cat, repr(float(t.counts[zi, ci]))]
-                    )
-
-
 # --------------------------------------------------------------------------
 # Survey microdata
 # --------------------------------------------------------------------------

@@ -45,10 +45,12 @@ class SyntheticPopulation:
     zone columns in `population.csv` row order: zone z counts
     `counts[indptr[z]:indptr[z + 1]]` persons of the records
     `records[indptr[z]:indptr[z + 1]]`, which increase within a zone, and
-    every other record 0 times. Only positive counts are held; the producers
-    hold them as int32 when every one fits. The arrays are read-only views of
-    the given ones, not copies, when `indptr` is int64, `records` int32 and
-    `counts` int32 or int64."""
+    every other record 0 times. Only positive counts are held. The producers
+    hold `records` as uint16 when every record index fits, else int32
+    (`record_dtype`), and `counts` in the narrowest of uint8, int32 and int64
+    that holds them (`count_dtype`). The arrays are read-only views of the
+    given ones, not copies, when `indptr` is int64, `records` uint16 or int32
+    and `counts` uint8, int32 or int64."""
 
     indptr: np.ndarray
     records: np.ndarray
@@ -58,10 +60,11 @@ class SyntheticPopulation:
 
     def __post_init__(self):
         indptr = read_only(self.indptr, np.int64)
-        records = read_only(self.records, np.int32)
-        counts = np.asarray(self.counts)
-        wide = counts.dtype != np.int32
-        counts = read_only(counts, np.int64 if wide else np.int32)
+        records, counts = np.asarray(self.records), np.asarray(self.counts)
+        narrow = records.dtype == np.uint16
+        records = read_only(records, np.uint16 if narrow else np.int32)
+        kept = counts.dtype in _COUNT_DTYPES
+        counts = read_only(counts, counts.dtype if kept else np.int64)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "counts", counts)
@@ -84,7 +87,7 @@ class SyntheticPopulation:
             np.any(unordered)
             or counts.min(initial=1) <= 0
             or records.min(initial=0) < 0
-            or records.max(initial=-1) >= len(self.record_ids)
+            or (nnz and records.max() >= len(self.record_ids))
         ):
             raise ValueError(
                 "counts must be positive, of known records, in record order"
@@ -106,15 +109,16 @@ class SyntheticPopulation:
         """Compress per-record count columns, one per zone, each as it comes,
         into arrays of `capacity` counts, at least the nonzero counts of all
         columns. The population holds the filled part of those arrays."""
-        records = np.empty(capacity, dtype=np.int32)
-        counts = np.empty(capacity, dtype=np.int32)
+        records = np.empty(capacity, dtype=record_dtype(len(record_ids)))
+        counts = np.empty(capacity, dtype=np.uint8)
         indptr = [0]
         for col in columns:
             col = np.asarray(col)
             nz = np.flatnonzero(col != 0)
             values = col[nz]
-            if counts.dtype == np.int32 and values.max(initial=0) >= 2**31:
-                counts = counts.astype(np.int64)
+            wide = np.promote_types(counts.dtype, count_dtype(values.max(initial=0)))
+            if wide != counts.dtype:
+                counts = counts.astype(wide)
             a, b = indptr[-1], indptr[-1] + nz.size
             records[a:b] = nz
             counts[a:b] = values
@@ -176,6 +180,21 @@ class SyntheticPopulation:
             col[self.records[zone]] = self.counts[zone]
             yield col
             col.fill(0)
+
+
+def record_dtype(n_records: int) -> np.dtype:
+    """The dtype of the record indices of a population of `n_records`
+    records: uint16 when every index fits, else int32."""
+    return np.dtype(np.uint16 if n_records <= 1 << 16 else np.int32)
+
+
+_COUNT_DTYPES = tuple(map(np.dtype, (np.uint8, np.int32, np.int64)))
+
+
+def count_dtype(largest) -> np.dtype:
+    """The narrowest of uint8, int32 and int64 that holds non-negative
+    counts up to `largest`."""
+    return next(t for t in _COUNT_DTYPES if largest <= np.iinfo(t).max)
 
 
 def _systematic_pick(frac: np.ndarray, d: int, rng) -> np.ndarray:

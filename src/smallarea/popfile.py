@@ -36,7 +36,7 @@ from .csvbytes import (
     scan_fields,
     utf8,
 )
-from .integerize import SyntheticPopulation
+from .integerize import SyntheticPopulation, count_dtype, record_dtype
 from .ipf import WeightMatrix
 
 POPULATION_HEADER = ("zone_id", "record_id", "count")
@@ -121,7 +121,9 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     by row (`id_finder`), zone ids once per run of zone fields of equal
     length and words (about one run per zone in a file the package wrote).
     Each run's zone and length give `indptr` and show whether the rows are
-    in order; rows out of order are sorted stably by (zone, record).
+    in order; rows out of order are sorted stably by (zone, record). Record
+    indices are held as `record_dtype`, and each block's counts in their
+    own `count_dtype`, which joining the blocks widens to the widest.
     Rejects, naming the file and line, bytes that are not UTF-8, a row that
     has not 3 fields, an unknown zone (on the first row of its run) or
     record id, a count that is not a non-negative integer written in digits,
@@ -135,9 +137,11 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
     zone_words = -(-max(map(len, map(str.encode, zone_ids)), default=0) // 8)
     n_records = len(record_ids)
+    record_type = record_dtype(n_records)
     # Per block read: each run's zone index and length, and each row's
-    # record index and count.
-    zones, runs, records, counts = ([np.empty(0, np.int32)] for _ in range(4))
+    # record index and count, the counts in the block's narrowest dtype.
+    zones, runs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    records, counts = [np.empty(0, record_type)], [np.empty(0, np.uint8)]
     in_order, last_key = True, -1  # whether the keys so far rise strictly
 
     def stable_order(zi, ri):
@@ -202,10 +206,8 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         last_key = int(zi[-1]) * n_records + int(ri[-1])
         zones.append(zi.astype(np.int32))
         runs.append(lengths)
-        records.append(ri.astype(np.int32))
-        if values.max(initial=0) < 2**31:
-            values = values.astype(np.int32)
-        counts.append(values)
+        records.append(ri.astype(record_type))
+        counts.append(values.astype(count_dtype(values.max(initial=0)), copy=False))
 
     with path.open("rb") as fh:
         header = utf8(fh.readline(), path, 1).decode()

@@ -472,6 +472,25 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_reload_commands_leave_openssl_unloaded(tmp_path):
+    """validate and indicators hash nothing, so they do not load hashlib's
+    OpenSSL extension, `_hashlib`, whose libcrypto pages add to the peak
+    resident memory of each process."""
+    assert main(["example", "--out", str(tmp_path)]) == 0
+    config = str(tmp_path / "config.yaml")
+    assert main(["pipeline", "--config", config]) == 0
+    code = (
+        "import sys\n"
+        "from smallarea.cli import main\n"
+        "for command in ('validate', 'indicators'):\n"
+        f"    assert main([command, '--config', {config!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = run_python(code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"no {TASKS} to count threads")
 @pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
 def test_import_starts_one_blas_thread_unless_told(setting, threads):

@@ -19,11 +19,24 @@ from smallarea.ingest import (
     load_crosswalks,
     load_external_actual,
     load_survey,
-    save_constraints,
 )
 from smallarea.schema import Crosswalk, SchemaError, SurveyDataset, VariableDef
 
 from conftest import make_schema, make_table
+
+
+def save_constraints(tables, path):
+    """Inverse of load_constraints (full-precision counts, round-trip safe)."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["zone_id", "variable", "category", "count"])
+        for t in tables:
+            for zi, zone in enumerate(t.zones):
+                for ci, cat in enumerate(t.categories):
+                    writer.writerow(
+                        [zone, t.variable, cat, repr(float(t.counts[zi, ci]))]
+                    )
 
 
 def reference_load_survey(path, schema):

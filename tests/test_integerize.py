@@ -208,7 +208,9 @@ def _weight_arrays():
     "cls, attr, dtype",
     [
         (SyntheticPopulation, "indptr", np.int64),
+        (SyntheticPopulation, "records", np.uint16),
         (SyntheticPopulation, "records", np.int32),
+        (SyntheticPopulation, "counts", np.uint8),
         (SyntheticPopulation, "counts", np.int32),
         (SyntheticPopulation, "counts", np.int64),
         (WeightMatrix, "multipliers", float),
@@ -278,13 +280,17 @@ def test_count_and_weight_matrices_are_column_major(tmp_path, two_by_two):
     assert reread == population
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
 def test_record_totals_exact(dtype):
-    # Against the per-zone loop; int64 sums past 2**53, where a float sum
-    # would round, stay exact.
+    # Against the per-zone loop, for counts held in each width; int64 sums
+    # past 2**53, where a float sum would round, stay exact.
     big = dtype == np.int64
-    counts = [[3, 0, 5], [2**62, 0, 2**62 - 1] if big else [7, 1, 2]]
-    population = sparse(counts)
+    second = {
+        np.uint8: [7, 1, 255],
+        np.int32: [7, 1, 256],
+        np.int64: [2**62, 0, 2**62 - 1],
+    }[dtype]
+    population = sparse([[3, 0, 5], second])
     assert population.counts.dtype == dtype
     totals = population.record_totals()
     expected = np.zeros(2, dtype=np.int64)

@@ -310,6 +310,66 @@ def test_read_population_holds_no_dense_matrix(tmp_path):
     assert peak < len(records) * len(zones)  # an eighth of the int64 matrix
 
 
+def reversed_rows(path):
+    """Rewrite `path` with its data rows in reverse order."""
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(header + b"".join(reversed(rows)))
+
+
+def held_widths(tmp_path, monkeypatch, counts, record_ids):
+    """The populations of the records x zones int64 matrix `counts`: built
+    by `from_columns`, then read back from its `population.csv` as written,
+    in blocks of one row, and with its rows reversed. Each holds the values
+    of `counts` in zone-major order."""
+    population = sparse(counts, record_ids=record_ids)
+    zones, records = np.nonzero(counts.T)
+    path = tmp_path / "population.csv"
+    write_population(path, population)
+    populations = [population, read_population(path, population.zone_ids, record_ids)]
+    with monkeypatch.context() as patch:
+        patch.setattr(popfile, "BLOCK_LINES", 1)
+        populations.append(read_population(path, population.zone_ids, record_ids))
+    reversed_rows(path)
+    populations.append(read_population(path, population.zone_ids, record_ids))
+    for held in populations:
+        np.testing.assert_array_equal(held.records, records)
+        np.testing.assert_array_equal(held.counts, counts.T[zones, records])
+        np.testing.assert_array_equal(
+            held.indptr, np.searchsorted(zones, np.arange(counts.shape[1] + 1))
+        )
+        assert held.records.dtype == populations[0].records.dtype
+        assert held.counts.dtype == populations[0].counts.dtype
+    return populations[0]
+
+
+# The largest count of a width and the first past it: the population holds
+# counts in the narrowest dtype that fits its largest.
+@pytest.mark.parametrize(
+    "largest, dtype",
+    [(255, np.uint8), (256, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)],
+)
+def test_counts_held_in_the_narrowest_width(tmp_path, monkeypatch, largest, dtype):
+    # Zones of small counts before and after the zone with the largest, so
+    # that `from_columns` widens mid-way and the reader joins blocks of
+    # several widths.
+    counts = np.array([[1, 0, 2], [3, largest, 0], [0, 1, 4]], np.int64)
+    population = held_widths(tmp_path, monkeypatch, counts, ("r0", "r1", "r2"))
+    assert population.counts.dtype == dtype
+    assert population.records.dtype == np.uint16
+
+
+@pytest.mark.parametrize("n, dtype", [(65536, np.uint16), (65537, np.int32)])
+def test_records_held_in_the_narrowest_width(tmp_path, monkeypatch, n, dtype):
+    # Counts of the first and the last record, whose index is n - 1.
+    counts = np.zeros((n, 2), np.int64)
+    counts[[0, n - 1], 0] = [2, 1]
+    counts[n - 1, 1] = 3
+    record_ids = tuple(f"r{i}" for i in range(n))
+    population = held_widths(tmp_path, monkeypatch, counts, record_ids)
+    assert population.records.dtype == dtype
+    assert population.counts.dtype == np.uint8
+
+
 # --------------------------------------------------------------------------
 # Rejected files
 # --------------------------------------------------------------------------
@@ -329,6 +389,14 @@ class TestReadPopulation:
         population = read_text(tmp_path, "Z1,r1,2\nZ2,r3,1")
         expected = [[2, 0], [0, 0], [0, 1]]
         np.testing.assert_array_equal(dense_counts(population), expected)
+
+    def test_header_only_reads_as_empty(self, tmp_path):
+        population = read_text(tmp_path, "")
+        np.testing.assert_array_equal(population.indptr, [0, 0, 0])
+        assert population.records.dtype == np.uint16
+        assert population.counts.dtype == np.uint8
+        assert population.counts.size == 0
+        assert population.record_totals().tolist() == [0, 0, 0]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="run synthesize"):
