@@ -5,11 +5,15 @@ offsets with one pass over a block's commas and LFs (`scan_fields`, the
 only field scanner), and ids are matched by their bytes (`id_finder`):
 each field is read in place as little-endian 8-byte words (`field_words`)
 and hashed with its length into a table of ids, and it matches an id only
-when its length and every word are equal. Faults are IngestErrors naming
-the file and line. This module imports no other module of the package.
+when its length and every word are equal. A column of ids is held as their
+bytes too (`TextColumn`). Faults are IngestErrors naming the file and line.
+This module imports no other module of the package.
 """
 
 from __future__ import annotations
+
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,14 +129,12 @@ def gather(buf, starts, ends, width) -> np.ndarray:
     return out
 
 
-def id_bytes(ids, suffix=""):
-    """The UTF-8 bytes of each id followed by `suffix`, as one uint8 buffer
-    and the start and end of each."""
+def id_bytes(ids):
+    """The UTF-8 bytes of each id, as one uint8 buffer and the start and end
+    of each."""
     lengths = np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
-    lengths += len(suffix.encode("utf-8"))
     ends = np.cumsum(lengths)
-    buf = (suffix.join(ids) + suffix).encode("utf-8")
-    return np.frombuffer(buf, np.uint8), ends - lengths, ends
+    return np.frombuffer("".join(ids).encode("utf-8"), np.uint8), ends - lengths, ends
 
 
 def field_bytes(buf, starts, ends) -> np.ndarray:
@@ -188,8 +190,8 @@ def _slots(lengths, words, salt: int, bits: int) -> np.ndarray:
 
 def id_finder(ids):
     """A function that maps fields (buf, starts, ends) to the index of each
-    in `ids` and whether it is one of them, comparing UTF-8 bytes; an id
-    given twice maps to its first index.
+    in `ids`, strings or a TextColumn, and whether it is one of them,
+    comparing UTF-8 bytes; an id given twice maps to its first index.
 
     Each id is hashed with its length and words (`field_words`) into an
     int32 table of 2 to 4 slots per id (a power of two); the first id to
@@ -199,11 +201,12 @@ def id_finder(ids):
     the id in its slot, is none when the slot is empty, and is looked up in
     the next table when the slot holds another id. A hash alone never
     decides a match."""
-    buf, starts, ends = id_bytes(ids)
+    ids = TextColumn.of(ids)
+    starts, ends = ids.starts, ids.ends
     lengths = ends - starts
     n = lengths.size
     n_words = -(-int(lengths.max(initial=0)) // 8)
-    words = field_words(buf, starts, ends, n_words)
+    words = field_words(ids.data, starts, ends, n_words)
     # Row n marks an empty slot: a length no field has.
     id_lengths = np.append(lengths, -1)
     id_words = np.concatenate((words, np.zeros((n_words, 1), np.uint64)), axis=1)
@@ -255,3 +258,73 @@ def joined(blocks: list) -> np.ndarray:
     out = np.concatenate(blocks)
     blocks.clear()
     return out
+
+
+def read_only(values, dtype) -> np.ndarray:
+    """A read-only view of `values` as a `dtype` array: a copy only when
+    `values` is not one."""
+    out = np.asarray(values, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
+
+
+class TextColumn(Sequence):
+    """A read-only sequence of str held as their UTF-8 bytes, one after
+    another in the uint8 array `data`, and the offset in it where each ends:
+    two arrays instead of a Python string per entry. `[i]` decodes one
+    string, iterating decodes them in order, and `==` compares the bytes of
+    two columns."""
+
+    def __init__(self, data, ends):
+        self.data, self.ends = read_only(data, np.uint8), read_only(ends, np.intp)
+
+    @classmethod
+    def of(cls, texts) -> TextColumn:
+        """`texts` if it is a TextColumn, else a column of its strings."""
+        if isinstance(texts, TextColumn):
+            return texts
+        buf, _, ends = id_bytes(texts)
+        return cls(buf, ends)
+
+    @classmethod
+    def of_fields(cls, buf, starts, ends) -> TextColumn:
+        """A column of the fields buf[starts:ends]."""
+        return cls(field_bytes(buf, starts, ends), np.cumsum(ends - starts))
+
+    @classmethod
+    def concatenate(cls, columns: list) -> TextColumn:
+        """The columns of `columns` one after another; empties the list, so
+        that they are not held twice."""
+        data, ends, size = [np.empty(0, np.uint8)], [np.empty(0, np.intp)], 0
+        for column in columns:
+            data.append(column.data)
+            ends.append(column.ends + size)
+            size += column.data.size
+        columns.clear()
+        return cls(joined(data), joined(ends))
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The offset in `data` where each string starts."""
+        return np.concatenate(([0], self.ends[:-1]))
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    def __getitem__(self, i) -> str:
+        i = range(self.ends.size)[operator.index(i)]  # negative from the end
+        start = int(self.ends[i - 1]) if i else 0
+        return self.data[start : self.ends[i]].tobytes().decode("utf-8")
+
+    def __iter__(self):
+        raw, start = self.data.tobytes(), 0
+        for end in self.ends.tolist():
+            yield raw[start:end].decode("utf-8")
+            start = end
+
+    def __eq__(self, other):
+        if not isinstance(other, TextColumn):
+            return NotImplemented
+        return np.array_equal(self.ends, other.ends) and np.array_equal(
+            self.data, other.data
+        )

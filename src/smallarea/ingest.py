@@ -26,7 +26,7 @@ from .csvbytes import (
     CHUNK_BYTES,
     FieldCountError,
     IngestError,
-    field_bytes,
+    TextColumn,
     gather,
     id_finder,
     joined,
@@ -41,7 +41,6 @@ from .schema import (
     Schema,
     SchemaError,
     SurveyDataset,
-    TextColumn,
     VariableDef,
     encode_categories,
     needs_quoting,
@@ -202,12 +201,12 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     The file is read once, in blocks of BLOCK_LINES lines (`_csv_blocks`),
     and each block is decoded straight into the returned columns, each in
     its narrowest form: category labels are encoded from their UTF-8 bytes
-    (`encode_categories`) into one-byte codes where they fit, household ids
-    are kept as their bytes, incomes are cast from their bytes at once
-    (`_incomes`), and a deprivation field that is one byte 0 or 1 is read
-    from that byte. From the first block that holds a double quote or a
-    bare CR on, the `csv` module splits the rows, so that quoted fields are
-    honoured.
+    (`encode_categories`) into one-byte codes where they fit, record and
+    household ids are kept as their bytes (TextColumns), incomes are cast
+    from their bytes at once (`_incomes`), and a deprivation field that is
+    one byte 0 or 1 is read from that byte. From the first block that holds
+    a double quote or a bare CR on, the `csv` module splits the rows, so
+    that quoted fields are honoured.
 
     Errors name the file and the line of the bad row. When a file holds
     several faults, the one named is the first fault of the first block
@@ -241,8 +240,7 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
     flagged = [column[f] for f in fields]
     # Each column's blocks; a numeric column becomes None at the first block
     # with a value that is not a number.
-    record_ids = []
-    households, household_lengths = [np.empty(0, np.uint8)], [np.empty(0, np.intp)]
+    record_ids, households = [], []
     lines, incomes = [np.empty(0, np.intp)], [np.empty(0)]
     flags = [np.empty((0, len(fields)), bool)]
     codes = {v.name: [np.empty(0, v.code_dtype)] for v in variables}
@@ -253,7 +251,7 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
         """Append the columns of one block of rows."""
         buf = np.frombuffer(data, np.uint8)
         j = column["record_id"]
-        ids = _strings(data, starts[:, j], ends[:, j])
+        ids = TextColumn.of_fields(buf, starts[:, j], ends[:, j])
         incomes.append(_incomes(data, starts[:, income], ends[:, income], at, path))
         value, valid = _flags(data, starts[:, flagged], ends[:, flagged])
         bad = np.argwhere(~valid)
@@ -279,9 +277,8 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
                 except ValueError:
                     numeric[name] = None
         j = column[schema.household_field]
-        households.append(field_bytes(buf, starts[:, j], ends[:, j]))
-        household_lengths.append(ends[:, j] - starts[:, j])
-        record_ids.extend(ids)
+        households.append(TextColumn.of_fields(buf, starts[:, j], ends[:, j]))
+        record_ids.append(ids)
         lines.append(at)
 
     for block in rows:
@@ -291,8 +288,8 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
     try:
         return SurveyDataset.from_codes(
             schema,
-            record_ids,
-            TextColumn(joined(households), np.cumsum(joined(household_lengths))),
+            TextColumn.concatenate(record_ids),
+            TextColumn.concatenate(households),
             codes={name: joined(blocks) for name, blocks in codes.items()},
             incomes=joined(incomes),
             deprivations=joined(flags),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import read_only
+from .csvbytes import TextColumn, read_only
 
 # Held counts that `zone_sums` and `record_totals` sum at a time.
 BLOCK_COUNTS = 1 << 16
@@ -50,13 +50,14 @@ class SyntheticPopulation:
     (`record_dtype`), and `counts` in the narrowest of uint8, int32 and int64
     that holds them (`count_dtype`). The arrays are read-only views of the
     given ones, not copies, when `indptr` is int64, `records` uint16 or int32
-    and `counts` uint8, int32 or int64."""
+    and `counts` uint8, int32 or int64. `record_ids` is held as a
+    TextColumn, strings encoded once."""
 
     indptr: np.ndarray
     records: np.ndarray
     counts: np.ndarray
     zone_ids: tuple[str, ...]
-    record_ids: tuple[str, ...]
+    record_ids: TextColumn
 
     def __post_init__(self):
         indptr = read_only(self.indptr, np.int64)
@@ -69,7 +70,7 @@ class SyntheticPopulation:
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "zone_ids", tuple(self.zone_ids))
-        object.__setattr__(self, "record_ids", tuple(self.record_ids))
+        object.__setattr__(self, "record_ids", TextColumn.of(self.record_ids))
         nnz = counts.size
         if (
             indptr.shape != (len(self.zone_ids) + 1,)

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schema import SurveyDataset, read_only
+from .csvbytes import TextColumn, read_only
+from .schema import SurveyDataset
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,12 @@ class WeightMatrix:
     multipliers, the cell of each record and the records' initial weights
     (None for 1). `column(z)` expands one zone. The arrays are read-only
     views of the given ones, not copies, when their dtypes are float, intp
-    and float."""
+    and float. `record_ids` is held as a TextColumn, strings encoded once."""
 
     multipliers: np.ndarray
     cells: np.ndarray
     zone_ids: tuple[str, ...]
-    record_ids: tuple[str, ...]
+    record_ids: TextColumn
     init: np.ndarray | None = None
 
     def __post_init__(self):
@@ -91,7 +92,7 @@ class WeightMatrix:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "zone_ids", tuple(self.zone_ids))
-        object.__setattr__(self, "record_ids", tuple(self.record_ids))
+        object.__setattr__(self, "record_ids", TextColumn.of(self.record_ids))
 
     def column(self, z: int) -> np.ndarray:
         """The weight of each record in zone z: init * F[z, cell]."""

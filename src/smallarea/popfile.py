@@ -8,11 +8,12 @@ record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `csv.writer` would write, with CRLF line ends. `population_rows` fills the
 bytes of a block of whole zones with numpy passes over byte tables of the
 ids and the digits of the counts, and makes no Python string per row;
-`weights_rows` makes one string join per zone. `read_population` takes
-each block's fields from `csvbytes.scan_fields` and looks up a zone id once
-per run of rows with the same zone field. Ids are written and split
-unquoted, which is exact because ingest rejects zone and record ids that
-`csv.writer` would quote (`schema.needs_quoting`).
+`weights_rows` decodes the record ids once and makes one string join per
+zone. `read_population` takes each block's fields from
+`csvbytes.scan_fields` and looks up a zone id once per run of rows with
+the same zone field. Ids are written and split unquoted, which is exact
+because ingest rejects zone and record ids that `csv.writer` would quote
+(`schema.needs_quoting`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .csvbytes import (
     CHUNK_BYTES,
     FieldCountError,
     IngestError,
+    TextColumn,
     field_words,
     gather,
-    id_bytes,
     id_finder,
     joined,
     line_blocks,
@@ -100,12 +101,13 @@ def weights_rows(matrix: WeightMatrix) -> TextRows:
     a time."""
 
     def blocks():
+        record_ids = list(matrix.record_ids)
         for z, zone in enumerate(matrix.zone_ids):
             col = matrix.column(z)
             values = list(map(repr, col.tolist()))
             for i in np.flatnonzero(np.isnan(col)).tolist():
                 values[i] = ""
-            cells = (matrix.record_ids, repeat(f",{zone},"), values, repeat("\r\n"))
+            cells = (record_ids, repeat(f",{zone},"), values, repeat("\r\n"))
             yield "".join(chain.from_iterable(zip(*cells)))
 
     return TextRows(len(matrix.zone_ids) * len(matrix.record_ids), blocks)
@@ -113,17 +115,19 @@ def weights_rows(matrix: WeightMatrix) -> TextRows:
 
 def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     """Read `population.csv` into a SyntheticPopulation over `zone_ids` and
-    `record_ids`; absent (zone, record) pairs and counts of 0 count 0. Rows
-    may come in any order. Lines end in LF or CRLF.
+    `record_ids` (strings or a TextColumn, held as a TextColumn); absent
+    (zone, record) pairs and counts of 0 count 0. Rows may come in any
+    order. Lines end in LF or CRLF.
 
     Reads blocks of BLOCK_LINES lines, cut from byte reads, and finds each
     block's fields with one `scan_fields` call. Record ids are looked up row
     by row (`id_finder`), zone ids once per run of zone fields of equal
     length and words (about one run per zone in a file the package wrote).
     Each run's zone and length give `indptr` and show whether the rows are
-    in order; rows out of order are sorted stably by (zone, record). Record
-    indices are held as `record_dtype`, and each block's counts in their
-    own `count_dtype`, which joining the blocks widens to the widest.
+    in order; rows out of order are sorted stably by a (zone, record) key,
+    int32 when zones x records is below 2**31, else int64. Record indices
+    are held as `record_dtype`, and each block's counts in their own
+    `count_dtype`, which joining the blocks widens to the widest.
     Rejects, naming the file and line, bytes that are not UTF-8, a row that
     has not 3 fields, an unknown zone (on the first row of its run) or
     record id, a count that is not a non-negative integer written in digits,
@@ -134,6 +138,7 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"{path}: population file not found (run synthesize)")
+    record_ids = TextColumn.of(record_ids)
     find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
     zone_words = -(-max(map(len, map(str.encode, zone_ids)), default=0) // 8)
     n_records = len(record_ids)
@@ -143,11 +148,12 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     zones, runs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     records, counts = [np.empty(0, record_type)], [np.empty(0, np.uint8)]
     in_order, last_key = True, -1  # whether the keys so far rise strictly
+    key_type = np.int32 if len(zone_ids) * n_records < 2**31 else np.int64
 
     def stable_order(zi, ri):
         """The stable (zone, record) order of rows; raises for the first
         line that repeats the pair of an earlier line."""
-        key = zi.astype(np.int64) * n_records + ri
+        key = zi.astype(key_type) * n_records + ri
         order = np.argsort(key, kind="stable")
         key.sort()  # as key[order], without a second sorted copy
         later = order[1:][key[1:] == key[:-1]]
@@ -260,11 +266,14 @@ _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _field_table(ids):
-    """The UTF-8 bytes of "<id>," for each of `ids`, zero-padded to the
-    longest, as one row per byte column; and the length of each."""
-    buf, starts, ends = id_bytes(ids, ",")
-    lengths = ends - starts
-    table = gather(buf, starts, ends, int(lengths.max(initial=0)))
+    """The UTF-8 bytes of "<id>," for each of `ids`, strings or a
+    TextColumn, zero-padded to the longest, as one row per byte column; and
+    the length of each."""
+    ids = TextColumn.of(ids)
+    starts, ends = ids.starts, ids.ends
+    lengths = ends - starts + 1
+    table = gather(ids.data, starts, ends, int(lengths.max(initial=0)))
+    table[np.arange(len(ids)), lengths - 1] = ord(",")
     return np.ascontiguousarray(table.T), lengths
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvbytes import IngestError, id_bytes, id_finder
+from .csvbytes import IngestError, TextColumn, id_bytes, id_finder, read_only
 
 
 class SchemaError(ValueError):
@@ -29,6 +29,11 @@ def needs_quoting(text: str) -> bool:
     quote, CR or LF. The population files write ids unquoted, so zone and
     record ids must not need quoting."""
     return re.search('[,"\r\n]', text) is not None
+
+
+# The UTF-8 bytes that `needs_quoting` looks for; no other character's
+# bytes include them.
+_QUOTED_BYTES = np.frombuffer(b',"\r\n', np.uint8)
 
 
 @dataclass(frozen=True)
@@ -140,26 +145,6 @@ class Crosswalk:
         return tuple(dict.fromkeys(self.mapping.values()))  # first-appearance order
 
 
-class TextColumn:
-    """A column of strings held as their UTF-8 bytes, one after another in
-    the uint8 array `data`, and the offset in it where each ends: one array
-    instead of a Python string per entry."""
-
-    def __init__(self, data, ends):
-        self.data, self.ends = read_only(data, np.uint8), read_only(ends, np.intp)
-
-    @classmethod
-    def of(cls, texts) -> TextColumn:
-        buf, _, ends = id_bytes(texts)
-        return cls(buf, ends)
-
-    def strings(self) -> tuple:
-        """The strings, decoded."""
-        raw = self.data.tobytes()
-        ends = self.ends.tolist()
-        return tuple(raw[a:b].decode() for a, b in zip([0] + ends[:-1], ends))
-
-
 class SurveyDataset:
     """Survey microdata as read-only columns with one entry per record,
     checked at construction.
@@ -173,11 +158,12 @@ class SurveyDataset:
     (default: all missing), `deprivations` is a records x
     deprivation-fields bool matrix (default: no items) and `numeric` maps
     every further survey column to floats, NaN where blank, or to None when
-    its values are not all numbers. Record ids are unique, compared exactly,
-    and need no CSV quoting. Household ids are held as UTF-8 bytes (a
-    TextColumn), and `household_ids` decodes them into a new tuple of str at
-    each access. A SchemaError about one record carries its 0-based index
-    in `row`.
+    its values are not all numbers. Record ids and household ids are held
+    as UTF-8 bytes (TextColumns): `record_ids` is the column, a read-only
+    sequence of str, and `household_ids` decodes its column into a new
+    tuple of str at each access. Record ids are unique, compared byte for
+    byte, and need no CSV quoting. A SchemaError about one record carries
+    its 0-based index in `row`.
     """
 
     def __init__(
@@ -214,9 +200,10 @@ class SurveyDataset:
     ) -> SurveyDataset:
         """The dataset whose `codes` map every schema variable to the
         records' category codes, as `encode_categories` gives them;
-        `household_ids` may be a TextColumn; the other arguments as for the
-        constructor. An array that already has its column's dtype is held
-        as a read-only view, not copied, so the caller must not change it."""
+        `record_ids` and `household_ids` may be TextColumns, held as they
+        are; the other arguments as for the constructor. An array that
+        already has its column's dtype is held as a read-only view, not
+        copied, so the caller must not change it."""
         dataset = cls.__new__(cls)
         dataset._take_ids(schema, record_ids, household_ids)
         dataset._take_columns(codes, incomes, deprivations, numeric, copy=False)
@@ -225,33 +212,35 @@ class SurveyDataset:
     @property
     def household_ids(self) -> tuple:
         """Each record's household id, decoded anew at each access."""
-        return self._households.strings()
+        return tuple(self._households)
 
     def _take_ids(self, schema, record_ids, household_ids):
+        """Hold the id columns; SchemaError naming the first repeated record
+        id, the first that needs quoting or the first empty household id."""
         self.schema = schema
-        self.record_ids = tuple(record_ids)
+        self.record_ids = ids = TextColumn.of(record_ids)
         if not isinstance(household_ids, TextColumn):
             household_ids = TextColumn.of(list(map(str, household_ids)))
         self._households = household_ids
-        self.n = n = len(self.record_ids)
-        if len(set(self.record_ids)) < n:
-            seen = set()
-            for i, rid in enumerate(self.record_ids):
-                if rid in seen:
-                    raise SchemaError(f"duplicate record id {rid!r}", i)
-                seen.add(rid)
+        self.n = n = len(ids)
+        # An id given twice maps to its first index.
+        index, _ = id_finder(ids)(ids.data, ids.starts, ids.ends)
+        repeats = np.flatnonzero(index != np.arange(n))
+        if repeats.size:
+            i = int(repeats[0])
+            raise SchemaError(f"duplicate record id {ids[i]!r}", i)
         if household_ids.ends.size != n:
             raise SchemaError(f"{household_ids.ends.size} household ids, {n} records")
-        if needs_quoting("".join(self.record_ids)):
-            i = next(i for i, rid in enumerate(self.record_ids) if needs_quoting(rid))
+        quoted = np.flatnonzero(np.isin(ids.data, _QUOTED_BYTES))
+        if quoted.size:
+            i = int(np.searchsorted(ids.ends, quoted[0], side="right"))
             raise SchemaError(
-                f"record id {self.record_ids[i]!r} holds a comma, quote or line break",
-                i,
+                f"record id {ids[i]!r} holds a comma, quote or line break", i
             )
         empty = np.flatnonzero(np.diff(household_ids.ends, prepend=0) == 0)
         if empty.size:
             i = int(empty[0])
-            raise SchemaError(f"record {self.record_ids[i]!r}: empty household id", i)
+            raise SchemaError(f"record {ids[i]!r}: empty household id", i)
 
     def _take_columns(self, codes, incomes, deprivations, numeric, copy):
         n, schema = self.n, self.schema
@@ -326,14 +315,6 @@ def _column(values, dtype, shape, what, copy=True) -> np.ndarray:
     out = read_only(np.array(values, dtype=dtype) if copy else values, dtype)
     if out.shape != shape:
         raise SchemaError(f"{what} have shape {out.shape}, expected {shape}")
-    return out
-
-
-def read_only(values, dtype) -> np.ndarray:
-    """A read-only view of `values` as a `dtype` array: a copy only when
-    `values` is not one."""
-    out = np.asarray(values, dtype=dtype).view()
-    out.flags.writeable = False
     return out
 
 

@@ -1,7 +1,8 @@
 """The byte-level kernels of `csvbytes` against plain references: the hashed
 id lookup against the sorted byte-key lookup it replaced, the one-pass field
-scanner against the line-by-line scanner it replaced, and the field offsets
-and words against Python slicing."""
+scanner against the line-by-line scanner it replaced, the field offsets
+and words against Python slicing, and a TextColumn against a tuple of its
+strings."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from smallarea.csvbytes import (
     FieldCountError,
+    TextColumn,
     field_bytes,
     field_words,
     id_finder,
@@ -84,6 +86,53 @@ def test_field_words_and_bytes_read_each_field(case, n_words):
         raw = field.encode().ljust(8 * n_words, b"\0")[: 8 * n_words]
         assert words[:, f].tolist() == np.frombuffer(raw, "<u8").tolist()
     assert field_bytes(buf, starts, ends).tobytes() == "".join(fields).encode()
+
+
+# Ids that are not ASCII, end in a NUL, or differ from another only by one.
+text_ids = st.lists(
+    st.builds(str.__add__, st.sampled_from(["", "r1", "Αθήνα-"]), st.text(letters))
+    | st.sampled_from(["r1", "r1\0", "r1\0\0", "Αθήνα-1"]),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=text_ids, other=text_ids, cut=st.integers(0, 10))
+def test_text_column_reads_like_a_tuple(ids, other, cut):
+    column = TextColumn.of(ids)
+    assert len(column) == len(ids)
+    assert [column[i] for i in range(-len(ids), len(ids))] == ids + ids
+    assert [column[np.int64(i)] for i in range(len(ids))] == ids
+    for i in (len(ids), -len(ids) - 1):
+        with pytest.raises(IndexError):
+            column[i]
+    assert list(column) == ids and tuple(column) == tuple(ids)
+    assert all(type(i) is str for i in column)
+    assert list(reversed(column)) == ids[::-1]
+    assert all(i in column for i in ids)
+    # Equal columns hold equal strings, compared byte for byte.
+    assert (column == TextColumn.of(other)) == (ids == other)
+    assert (column != TextColumn.of(other)) == (ids != other)
+    assert column != tuple(ids)  # as a tuple never equals a list
+    assert TextColumn.of(column) is column
+    assert not column.data.flags.writeable and not column.ends.flags.writeable
+    # A column of fields, and columns joined, read the same strings.
+    data = ",".join(ids).encode()
+    lengths = np.array([len(i.encode()) for i in ids], np.intp)
+    ends = np.cumsum(lengths + 1) - 1
+    starts = ends - lengths
+    fields = TextColumn.of_fields(np.frombuffer(data, np.uint8), starts, ends)
+    assert fields == column and list(fields.starts) == list(column.starts)
+    parts = [TextColumn.of(ids[:cut]), TextColumn.of(ids[cut:])]
+    assert TextColumn.concatenate(parts) == column and parts == []
+
+
+def test_text_column_tells_a_trailing_nul_apart():
+    column = TextColumn.of(["r1", "r1\0", "Αθήνα\0"])
+    assert list(column) == ["r1", "r1\0", "Αθήνα\0"]
+    assert column != TextColumn.of(["r1", "r1", "Αθήνα"])
+    index, known = id_finder(column)(column.data, column.starts, column.ends)
+    assert index.tolist() == [0, 1, 2] and known.all()
 
 
 def test_scan_fields_offsets_are_int32():

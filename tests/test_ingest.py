@@ -284,7 +284,8 @@ class TestLoadSurvey:
         # A numpy str array would drop it.
         path = self.write(tmp_path, ["r1\0,h1\0,M,Married,1000,0\n"])
         survey = load_survey(path, schema)
-        assert (survey.record_ids, survey.household_ids) == (("r1\0",), ("h1\0",))
+        assert tuple(survey.record_ids) == ("r1\0",)
+        assert survey.household_ids == ("h1\0",)
         path = self.write(tmp_path, ["r1,h1,M,Married,1000\0,0\n"])
         message = re.escape("line 2: invalid income '1000\\x00'")
         with pytest.raises(IngestError, match=message):
@@ -332,7 +333,7 @@ class TestLoadSurvey:
         path = self.write(
             tmp_path, ["r1,h1,M,Married,1000,0\n", "r1\0,h2,F,Widowed,2000,1\n"]
         )
-        assert load_survey(path, schema).record_ids == ("r1", "r1\0")
+        assert tuple(load_survey(path, schema).record_ids) == ("r1", "r1\0")
         survey = SurveyDataset(
             schema,
             record_ids=["r1", "r1\0"],
@@ -1041,7 +1042,7 @@ def test_load_survey_matches_csv_loader(tmp_path_factory, case, block_lines):
         return
     assert got.record_ids == expected.record_ids
     assert got.household_ids == expected.household_ids
-    assert all(type(i) is str for i in got.record_ids + got.household_ids)
+    assert all(type(i) is str for i in tuple(got.record_ids) + got.household_ids)
     for var in schema.constraint_vars + schema.external_vars:
         codes = got.category_codes(var.name)
         np.testing.assert_array_equal(codes, expected.category_codes(var.name))

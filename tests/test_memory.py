@@ -133,12 +133,12 @@ def test_population_sums_hold_no_array_per_held_count():
         tracemalloc.stop()
 
 
-def test_survey_holds_at_most_120_bytes_per_record(tmp_path):
+def test_survey_holds_under_64_bytes_per_record(tmp_path):
     # 20000 records of 5 category variables, 9 deprivation items and an
-    # income. The record ids take 64 bytes each as a tuple of str, the
-    # household ids 14 as bytes and int64 ends, the codes one byte per
-    # variable: about 100 bytes a record, against 183 with household ids as
-    # str and intp codes.
+    # income. The record ids and the household ids take 14 bytes each as
+    # bytes and int64 ends, the codes one byte per variable, the flags 9 and
+    # the income 8: about 51 bytes a record, against 100 with record ids as
+    # a tuple of str and 183 with household ids as str and intp codes too.
     config = load_config(generate_example(tmp_path, n_zones=5, survey_size=20000))
     tracemalloc.start()
     try:
@@ -147,7 +147,7 @@ def test_survey_holds_at_most_120_bytes_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert survey.n == 20000
-    assert held <= 120 * survey.n, held / survey.n
+    assert held < 64 * survey.n, held / survey.n
     for var in config.schema.constraint_vars + config.schema.external_vars:
         assert survey.category_codes(var.name).dtype == np.int8
 

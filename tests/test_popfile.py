@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallarea import popfile
+from smallarea.csvbytes import TextColumn
 from smallarea.ingest import IngestError
 from smallarea.ipf import WeightMatrix
 from smallarea.cli import write_csv
@@ -368,6 +369,34 @@ def test_records_held_in_the_narrowest_width(tmp_path, monkeypatch, n, dtype):
     population = held_widths(tmp_path, monkeypatch, counts, record_ids)
     assert population.records.dtype == dtype
     assert population.counts.dtype == np.uint8
+
+
+# zones x records of 2**31 - 65536 and of 2**31: rows out of order sort on
+# an int32 (zone, record) key below 2**31 and on an int64 key from it on.
+@pytest.mark.parametrize("n_zones, key", [(32767, np.int32), (32768, np.int64)])
+def test_shuffled_rows_sort_on_the_narrowest_key(tmp_path, n_zones, key):
+    zones = tuple(f"Z{i}" for i in range(n_zones))
+    records = TextColumn.of([f"r{i}" for i in range(65536)])
+    last = zones[-1]
+    rows = [f"{last},r65535,3", "Z0,r7,1", f"{last},r0,2", "Z1,r65535,1"]
+    path = tmp_path / "population.csv"
+
+    def read(rows):
+        path.write_text("zone_id,record_id,count\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            try:
+                return read_population(path, zones, records)
+            finally:
+                assert [c.args[0].dtype for c in argsort.call_args_list] == [key]
+
+    population = read(rows)
+    assert population.indptr[[1, 2, -2, -1]].tolist() == [1, 2, 2, 4]
+    assert population.records.tolist() == [7, 65535, 0, 65535]
+    assert population.counts.tolist() == [1, 1, 2, 3]
+    assert population.record_ids is records
+    message = f"line 7: duplicate row for zone '{last}', record 'r0'"
+    with pytest.raises(IngestError, match=message):
+        read(rows + ["Z0,r0,1", f"{last},r0,5"])
 
 
 # --------------------------------------------------------------------------

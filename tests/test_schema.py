@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smallarea.csvbytes import TextColumn
 from smallarea.schema import (
     ConsistencyReport,
     ConstraintTable,
@@ -11,6 +14,7 @@ from smallarea.schema import (
     SurveyDataset,
     VariableDef,
     check_consistency,
+    needs_quoting,
     rescale_constraints,
 )
 
@@ -99,6 +103,53 @@ class TestSurveyColumns:
         assert survey.household_ids is not survey.household_ids
         with pytest.raises(SchemaError, match="record 'r2': empty household id"):
             SurveyDataset(schema, ["r1", "r2"], ["h1", ""], {"sex": ["M"] * 2})
+
+
+def reference_id_fault(record_ids, household_ids):
+    """The checks `SurveyDataset` made on record ids held as a tuple of str,
+    with a set and a joined string: the message and row of the first
+    repeated record id, record id that needs quoting or empty household id,
+    in that order, or None."""
+    record_ids = tuple(record_ids)
+    if len(set(record_ids)) < len(record_ids):
+        seen = set()
+        for i, rid in enumerate(record_ids):
+            if rid in seen:
+                return f"duplicate record id {rid!r}", i
+            seen.add(rid)
+    if needs_quoting("".join(record_ids)):
+        i = next(i for i, rid in enumerate(record_ids) if needs_quoting(rid))
+        return f"record id {record_ids[i]!r} holds a comma, quote or line break", i
+    empty = [i for i, h in enumerate(household_ids) if not h]
+    if empty:
+        return f"record {record_ids[empty[0]]!r}: empty household id", empty[0]
+    return None
+
+
+# Ids of letters that need quoting, are not ASCII or are NUL, so that ids
+# repeat, differ by a trailing NUL, or need quoting after a repeat.
+id_letters = st.sampled_from(["r", "1", "\0", "é", "Α", ",", '"', "\r", "\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.text(id_letters, max_size=3), min_size=1, max_size=8),
+    data=st.data(),
+    as_column=st.booleans(),
+)
+def test_id_checks_match_set_based_checks(ids, data, as_column):
+    households = st.sampled_from(["", "h", "οικία"])
+    households = data.draw(st.lists(households, min_size=len(ids), max_size=len(ids)))
+    schema = make_schema(constraint_vars=(VariableDef("sex", ("M", "F")),))
+    codes = {"sex": np.zeros(len(ids), np.int8)}
+    given_ids = TextColumn.of(ids) if as_column else ids
+    try:
+        survey = SurveyDataset.from_codes(schema, given_ids, households, codes)
+    except SchemaError as exc:
+        assert (str(exc), exc.row) == reference_id_fault(ids, households)
+    else:
+        assert reference_id_fault(ids, households) is None
+        assert list(survey.record_ids) == ids
 
 
 class TestCheckConsistency:
