@@ -72,16 +72,6 @@ def default_schema() -> Schema:
     )
 
 
-def _zone_probs(rng, base, concentration):
-    return rng.dirichlet(np.asarray(base) * concentration)
-
-
-def zone_counts(zone_of, codes, n_zones: int, k: int) -> np.ndarray:
-    """n_zones x k table of how many persons of each zone (`zone_of`) fall in
-    each of k categories (`codes`): one bincount over (zone, category)."""
-    return np.bincount(zone_of * k + codes, minlength=n_zones * k).reshape(n_zones, k)
-
-
 def generate_example(
     out_dir,
     seed: int = 20160802,
@@ -90,9 +80,11 @@ def generate_example(
     mean_zone_pop: int = 5000,
 ) -> Path:
     """Write the example dataset into `out_dir`; returns the config path.
-    A ValueError names the `example` flag of a size out of range."""
+    A ValueError names the `example` flag of a size or seed out of range."""
     if n_zones < 1:
         raise ValueError(f"--zones must be at least 1, got {n_zones}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"--seed must be from 0 to {2**64 - 1}, got {seed}")
     out_dir = Path(out_dir)
     rng = np.random.default_rng(seed)
     schema = default_schema()
@@ -124,45 +116,41 @@ def generate_example(
         )
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    truth = {name: [] for name in base_probs}
-    truth["occupation"] = []
-    truth_zone = []
-    incomes = []
-    deprivations = []
+    # the truth population, drawn zone by zone into preallocated columns;
+    # each zone's census row is counted as the zone is drawn
+    bounds = np.cumsum(zone_pops)
+    total_pop = int(bounds[-1])
+    categories = {v.name: v.categories for v in schema.constraint_vars}
+    categories["occupation"] = OCCUPATION
+    codes = {name: np.empty(total_pop, dtype=np.int8) for name in categories}
+    tables = {
+        name: np.empty((n_zones, len(cats)), np.int64)
+        for name, cats in categories.items()
+    }
+    income = np.empty(total_pop)
+    dep = np.empty((total_pop, len(DEPRIVATION_FIELDS)), dtype=bool)
 
-    for zi in range(n_zones):
-        pop = int(zone_pops[zi])
-        truth_zone.append(np.full(pop, zi))
+    for zi, (a, b) in enumerate(zip((bounds - zone_pops).tolist(), bounds.tolist())):
         for name, base in base_probs.items():
-            probs = _zone_probs(rng, base, concentration=25.0)
-            truth[name].append(rng.choice(len(base), size=pop, p=probs))
-        edu = truth["education"][-1]
-        occ = np.empty(pop, dtype=np.int64)
+            probs = rng.dirichlet(base * 25.0)
+            codes[name][a:b] = rng.choice(len(base), size=b - a, p=probs)
+        edu, occ = codes["education"][a:b], codes["occupation"][a:b]
         for lvl in range(3):
             mask = edu == lvl
             occ[mask] = rng.choice(7, size=int(mask.sum()), p=occ_given_edu[lvl])
-        truth["occupation"].append(occ)
-        zone_income = 14000.0 * affluence[zi] * rng.lognormal(0.0, 0.45, size=pop)
-        incomes.append(zone_income)
+        income[a:b] = 14000.0 * affluence[zi] * rng.lognormal(0.0, 0.45, size=b - a)
         # deprivation probability falls with income
-        p_dep = 1.0 / (1.0 + np.exp((zone_income - 9000.0) / 4000.0))
-        deprivations.append(
-            rng.random((pop, len(DEPRIVATION_FIELDS))) < p_dep[:, None] * 0.9
-        )
-
-    codes = {name: np.concatenate(arrs) for name, arrs in truth.items()}
-    zone_of = np.concatenate(truth_zone)
-    income = np.concatenate(incomes)
-    dep = np.concatenate(deprivations)
-    total_pop = zone_of.size
+        p_dep = 1.0 / (1.0 + np.exp((income[a:b] - 9000.0) / 4000.0))
+        dep[a:b] = rng.random((b - a, len(DEPRIVATION_FIELDS))) < p_dep[:, None] * 0.9
+        for name, table in tables.items():
+            table[zi] = np.bincount(codes[name][a:b], minlength=table.shape[1])
 
     # census tables by aggregation of the truth
     with (out_dir / "constraints.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "variable", "category", "count"])
         for var in schema.constraint_vars:
-            table = zone_counts(zone_of, codes[var.name], n_zones, len(var.categories))
-            for zone, counts in zip(zones, table.tolist()):
+            for zone, counts in zip(zones, tables[var.name].tolist()):
                 for cat, count in zip(var.categories, counts):
                     writer.writerow([zone, var.name, cat, count])
 
@@ -172,8 +160,7 @@ def generate_example(
     ).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["zone_id", "variable", "category", "count"])
-        table = zone_counts(zone_of, codes["occupation"], n_zones, len(OCCUPATION))
-        for zone, counts in zip(zones, table.tolist()):
+        for zone, counts in zip(zones, tables["occupation"].tolist()):
             grouped = {}
             for cat, count in zip(OCCUPATION, counts):
                 g = OCCUPATION_GROUPS[cat]

@@ -6,12 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import smallarea
 from smallarea.cli import Runtime, main, run_check
-from smallarea.fixture import generate_example, zone_counts
+from smallarea.fixture import generate_example
 from smallarea.ingest import load_config
 from smallarea.schema import ConstraintTable, check_consistency
 
@@ -563,6 +562,15 @@ class TestExample:
                 "--survey-size must be from 1 to 6331, the persons of the "
                 "example's truth population; got 9000",
             ),
+            (
+                ["--seed", "18446744073709551616"],
+                "--seed must be from 0 to 18446744073709551615, "
+                "got 18446744073709551616",
+            ),
+            (
+                ["--seed", "-1"],
+                "--seed must be from 0 to 18446744073709551615, got -1",
+            ),
         ],
     )
     def test_example_rejects_bad_sizes(self, tmp_path, capsys, args, message):
@@ -571,15 +579,33 @@ class TestExample:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_zone_counts_match_per_zone_loop(self):
-        # The census tables of `example` count each zone's persons with one
-        # bincount; the loop selects each zone's persons in turn.
-        rng = np.random.default_rng(5)
-        n_zones, k = 7, 4
-        zone_of = np.repeat(np.arange(n_zones), rng.integers(0, 30, n_zones))
-        codes = rng.integers(0, k, zone_of.size)
-        loop = [np.bincount(codes[zone_of == zi], minlength=k) for zi in range(n_zones)]
-        np.testing.assert_array_equal(zone_counts(zone_of, codes, n_zones, k), loop)
+    def test_example_input_digests(self, tmp_path):
+        """Pins the bits of every file `example` writes, the survey's income
+        text and the external table included."""
+        generate_example(
+            tmp_path, seed=701, n_zones=8, survey_size=400, mean_zone_pop=600
+        )
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == {
+            "constraints.csv": (
+                "ae3169ec0a1c625733db20f73c3909480e9033db41f73e98911c90cf2bed22ec"
+            ),
+            "survey.csv": (
+                "ec442c8c0dd083fb845d3a80ba3bfc3345b25f6d44273a3dd5b7edbeb08d7589"
+            ),
+            "external_actual.csv": (
+                "efd3111542c1e5342172700fd442d8a02fa24b4c047f65345e59d31daed5f0b9"
+            ),
+            "crosswalk.csv": (
+                "1d362d37904e4247621aa11698ff803575e336116c2494400720379254dd1b0c"
+            ),
+            "config.yaml": (
+                "633b5d46022f3e89e2f2c603687697ccbbab276b547cda4413471c6cef9c0e11"
+            ),
+        }
 
     def test_bundled_example_output_digests(self, tmp_path):
         """Pins the output bits of the bundled example: a change that alters

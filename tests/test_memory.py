@@ -165,3 +165,24 @@ def test_survey_holds_under_64_bytes_per_record(tmp_path):
     survey = load_survey(config.survey_path, config.schema)
     assert survey.household_ids == tuple(row[j] for row in rows[1:])
     assert survey.household_ids is not survey.household_ids  # decoded anew
+
+
+def test_example_holds_under_64_bytes_per_truth_person(tmp_path):
+    # 20 zones of about 5000 truth persons, 99,533 in all. Each person takes
+    # one byte per code of five variables, 8 for the income and 9 for the
+    # deprivation flags: 22 bytes, beside one zone's draws at a time. Per-zone
+    # int64 lists concatenated into a second copy took about 147 bytes.
+    tracemalloc.start()
+    try:
+        generate_example(tmp_path, seed=701, n_zones=20, survey_size=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with (tmp_path / "constraints.csv").open(newline="", encoding="utf-8") as fh:
+        persons = sum(
+            int(row["count"])
+            for row in csv.DictReader(fh)
+            if row["variable"] == "sex_age"
+        )
+    assert persons == 99533
+    assert peak < 64 * persons, peak / persons
