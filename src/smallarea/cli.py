@@ -88,7 +88,9 @@ def atomic_write_text(path: Path, text) -> None:
 
 def write_csv(path: Path, header, rows) -> None:
     """Write a CSV table. `rows` holds rows of cells, or is a
-    `popfile.TextRows` whose ready-made text is written as it is."""
+    `popfile.TextRows` whose ready-made text is written as it is. csv.writer
+    writes a number as `repr` writes it; a NaN, the one value unequal to
+    itself, is written blank."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -96,18 +98,8 @@ def write_csv(path: Path, header, rows) -> None:
         atomic_write_text(path, chain([buf.getvalue()], rows.blocks()))
         return
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([v if v == v else "" for v in row])
     atomic_write_text(path, buf.getvalue())
-
-
-def _cell(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
 
 
 def sha256_file(path: Path) -> str:
@@ -127,7 +119,7 @@ def sha256_file(path: Path) -> str:
 # --------------------------------------------------------------------------
 
 class Runtime:
-    """Loaded inputs, stage timings, warnings and outputs of one configuration."""
+    """Loaded inputs, stage timings and outputs of one configuration."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -145,7 +137,6 @@ class Runtime:
             # Fails on an indicator the survey cannot answer before any stage
             # writes its outputs.
             deprivation_scores(self.survey, config.mpi_spec)
-        self.warnings: list[str] = []
         self.outputs: list[str] = []  # CSV files this command wrote
 
     def write(self, name, header, rows) -> None:
@@ -206,10 +197,7 @@ def run_check(rt: Runtime, allow_inconsistent: bool = False) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    if not report.clean:
-        rt.warnings.append("consistency issues reported")
-        return EXIT_WARNINGS
-    return EXIT_OK
+    return EXIT_OK if report.clean else EXIT_WARNINGS
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +239,7 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False):
         f"{len(convergence.zones) - n_bad}/{len(convergence.zones)} zones "
         f"converged (max relative TAE {convergence.max_rel_tae:.3g})"
     )
-    code = EXIT_OK
-    if n_bad:
-        rt.warnings.append(f"{n_bad} zones did not converge")
-        code = EXIT_ERROR if strict else EXIT_WARNINGS
+    code = (EXIT_ERROR if strict else EXIT_WARNINGS) if n_bad else EXIT_OK
     return population, convergence, code
 
 
@@ -406,7 +391,7 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
 
 def _read_indicator_csv(path: Path):
     """An earlier indicators.csv as {zone: {metric: value}}, a blank value
-    None; IngestError naming the line of a value that is not a number."""
+    None; IngestError naming the line of a value that is not a finite number."""
     if not path.exists():
         raise IngestError(f"{path}: comparison indicators file not found")
     out = {}
@@ -415,6 +400,8 @@ def _read_indicator_csv(path: Path):
         for metric, text in zip(INDICATOR_COLUMNS[1:], texts):
             try:
                 row[metric] = float(text) if text else None
+                if text and not math.isfinite(row[metric]):
+                    raise ValueError
             except ValueError:
                 raise IngestError(
                     f"{path}: line {line}: invalid {metric} {text!r}"

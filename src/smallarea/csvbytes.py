@@ -129,14 +129,6 @@ def gather(buf, starts, ends, width) -> np.ndarray:
     return out
 
 
-def id_bytes(ids):
-    """The UTF-8 bytes of each id, as one uint8 buffer and the start and end
-    of each."""
-    lengths = np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
-    ends = np.cumsum(lengths)
-    return np.frombuffer("".join(ids).encode("utf-8"), np.uint8), ends - lengths, ends
-
-
 def field_bytes(buf, starts, ends) -> np.ndarray:
     """The bytes of the fields buf[starts:ends], one after another, as one
     uint8 array."""
@@ -283,8 +275,8 @@ class TextColumn(Sequence):
         """`texts` if it is a TextColumn, else a column of its strings."""
         if isinstance(texts, TextColumn):
             return texts
-        buf, _, ends = id_bytes(texts)
-        return cls(buf, ends)
+        lengths = np.fromiter(map(len, map(str.encode, texts)), np.intp, len(texts))
+        return cls(np.frombuffer("".join(texts).encode(), np.uint8), np.cumsum(lengths))
 
     @classmethod
     def of_fields(cls, buf, starts, ends) -> TextColumn:
@@ -306,7 +298,9 @@ class TextColumn(Sequence):
     @property
     def starts(self) -> np.ndarray:
         """The offset in `data` where each string starts."""
-        return np.concatenate(([0], self.ends[:-1]))
+        starts = np.zeros_like(self.ends)
+        starts[1:] = self.ends[:-1]
+        return starts
 
     def __len__(self) -> int:
         return self.ends.size

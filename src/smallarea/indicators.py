@@ -290,9 +290,7 @@ def md_rate(
     deprived = lacked >= threshold
     persons = population.zone_sums(deprived, 2)
     totals, hit = persons.sum(axis=1).astype(float), persons[:, 1]
-    with np.errstate(invalid="ignore"):
-        rates = np.where(totals > 0, hit / np.where(totals > 0, totals, 1), math.nan)
-    return rates
+    return np.where(totals > 0, hit / np.where(totals > 0, totals, 1), math.nan)
 
 
 def deprivation_scores(survey: SurveyDataset, spec: MpiSpec) -> np.ndarray:

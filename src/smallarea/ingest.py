@@ -157,12 +157,16 @@ def _read_long(path):
 def load_constraints(path, schema: Schema):
     """Read long-format `zone_id,variable,category,count` into one
     ConstraintTable per constraint variable. Zones are ordered by first
-    appearance in the file; absent (zone, category) cells become 0."""
+    appearance in the file; absent (zone, category) cells become 0. A
+    table of no rows is refused."""
     path = Path(path)
+    rows = _read_long(path)
+    if not rows:
+        raise IngestError(f"{path}: empty constraint table")
     vardefs = {v.name: v for v in schema.constraint_vars}
     zone_index: dict[str, int] = {}
     cells: dict[str, list] = {name: [] for name in vardefs}
-    for lineno, zone, var, cat, count in _read_long(path):
+    for lineno, zone, var, cat, count in rows:
         if var not in vardefs:
             raise IngestError(f"{path}: unknown variable {var!r} at line {lineno}")
         if cat not in vardefs[var].categories:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvbytes import IngestError, TextColumn, id_bytes, id_finder, read_only
+from .csvbytes import IngestError, TextColumn, id_finder, read_only
 
 
 class SchemaError(ValueError):
@@ -182,7 +182,8 @@ class SurveyDataset:
             labels = _column(
                 categories[var.name], object, (self.n,), f"{var.name!r} labels"
             )
-            fields = id_bytes(list(map(str, labels)))
+            column = TextColumn.of(list(map(str, labels)))
+            fields = column.data, column.starts, column.ends
             find = id_finder(var.categories)
             codes[var.name] = encode_categories(var, find, *fields, self.record_ids)
         self._take_columns(codes, incomes, deprivations, numeric, copy=True)

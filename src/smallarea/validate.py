@@ -25,7 +25,6 @@ class ValidationMetrics:
     sei: float
     t_stat: float
     p_value: float
-    n_zones: int
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,21 @@ class ValidationReport:
 # Metrics
 # --------------------------------------------------------------------------
 
-def r_squared(actual, simulated) -> float:
-    """Squared Pearson correlation between actual and simulated values, from
-    np.sum reductions (a BLAS dot's bits vary with its thread count). NaN
-    when undefined (n < 3, or either vector constant)."""
+def _vectors(actual, simulated):
+    """`actual` and `simulated` as float arrays; ValueError unless they have
+    the same shape."""
     a = np.asarray(actual, dtype=float)
     s = np.asarray(simulated, dtype=float)
     if a.shape != s.shape:
         raise ValueError("vectors must have the same length")
+    return a, s
+
+
+def r_squared(actual, simulated) -> float:
+    """Squared Pearson correlation between actual and simulated values, from
+    np.sum reductions (a BLAS dot's bits vary with its thread count). NaN
+    when undefined (n < 3, or either vector constant)."""
+    a, s = _vectors(actual, simulated)
     if a.size < 3 or np.ptp(a) == 0 or np.ptp(s) == 0:
         return math.nan
     da, ds = a - a.mean(), s - s.mean()
@@ -63,10 +69,7 @@ def sei(actual, simulated) -> float:
     Equals 1 at perfect fit, penalizes deviations from the 45° line (unlike
     the regression-based R²) and can go negative for very poor fits. NaN when
     undefined (n < 3 or constant actual)."""
-    a = np.asarray(actual, dtype=float)
-    s = np.asarray(simulated, dtype=float)
-    if a.shape != s.shape:
-        raise ValueError("vectors must have the same length")
+    a, s = _vectors(actual, simulated)
     if a.size < 3 or np.ptp(a) == 0:
         return math.nan
     sse = float(((s - a) ** 2).sum())
@@ -76,9 +79,11 @@ def sei(actual, simulated) -> float:
 
 def student_t_two_tailed_p(t_stat: float, df: int) -> float:
     """Two-tailed Student-t tail probability via the regularized incomplete
-    beta function: p = I_{df/(df+t²)}(df/2, 1/2)."""
+    beta function: p = I_{df/(df+t²)}(df/2, 1/2). NaN for a NaN t."""
     if df < 1:
         raise ValueError("df must be >= 1")
+    if math.isnan(t_stat):
+        return math.nan
     if math.isinf(t_stat):
         return 0.0
     t2 = t_stat * t_stat
@@ -179,10 +184,7 @@ def t_test_equal_variance(actual, simulated):
 
     Degenerate inputs: zero pooled variance with equal means gives (0, 1);
     with unequal means gives (signed inf, 0)."""
-    a = np.asarray(actual, dtype=float)
-    s = np.asarray(simulated, dtype=float)
-    if a.shape != s.shape:
-        raise ValueError("vectors must have the same length")
+    a, s = _vectors(actual, simulated)
     n = a.size
     if n < 2:
         raise ValueError("need n >= 2")
@@ -200,15 +202,9 @@ def t_test_equal_variance(actual, simulated):
 
 
 def metrics_for(actual, simulated) -> ValidationMetrics:
-    a = np.asarray(actual, dtype=float)
-    t, p = t_test_equal_variance(a, simulated) if a.size >= 2 else (math.nan, math.nan)
-    return ValidationMetrics(
-        r_squared=r_squared(actual, simulated),
-        sei=sei(actual, simulated),
-        t_stat=t,
-        p_value=p,
-        n_zones=a.size,
-    )
+    a, s = _vectors(actual, simulated)
+    t, p = t_test_equal_variance(a, s) if a.size >= 2 else (math.nan, math.nan)
+    return ValidationMetrics(r_squared(a, s), sei(a, s), t, p)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from smallarea import popfile
 from smallarea.csvbytes import (
     FieldCountError,
     IngestError,
+    TextColumn,
     gather,
-    id_bytes,
     id_finder,
     scan_fields,
 )
@@ -138,7 +138,8 @@ def dense_read_population(path, zone_ids, record_ids) -> np.ndarray:
 def sorted_id_finder(ids):
     """`csvbytes.id_finder` as a sorted lookup of byte keys: the keys of
     `ids` are sorted once and each field's key is found by binary search."""
-    buf, starts, ends = id_bytes(ids)
+    ids = TextColumn.of(ids)
+    buf, starts, ends = ids.data, ids.starts, ids.ends
     width = int((ends - starts).max(initial=0))
     keys = _id_keys(buf, starts, ends, width)
     order = np.argsort(keys, kind="stable")

@@ -99,6 +99,13 @@ class TestCheck:
         assert main(["check", "--config", str(config)]) == 1
         assert "line" in capsys.readouterr().err
 
+    def test_header_only_constraints_exit_1(self, tmp_path, capsys):
+        config = write_mini(tmp_path, constraints=MINI_CONSTRAINTS.splitlines()[0])
+        assert main(["check", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'constraints.csv'}: empty constraint table" in err
+        assert not (tmp_path / "out").exists()
+
     def test_large_disagreement_blocks_pipeline(self, tmp_path):
         bad = MINI_CONSTRAINTS.replace("Z1,age,O,70", "Z1,age,O,30")
         config = write_mini(tmp_path, constraints=bad)
@@ -381,6 +388,10 @@ class TestPipeline:
         [
             (3, 1, "abc", "line 3: invalid mean_income 'abc'"),
             (1, 5, "md", "expected header"),
+            # float() reads these; a percent change of them has no meaning.
+            (3, 1, "nan", "line 3: invalid mean_income 'nan'"),
+            (4, 3, "inf", "line 4: invalid arop_abs 'inf'"),
+            (10, 2, "-Infinity", "line 10: invalid median_income '-Infinity'"),
         ],
     )
     def test_compare_with_malformed_indicators_names_file(

@@ -6,7 +6,7 @@ strings."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallarea.csvbytes import (
@@ -98,9 +98,14 @@ text_ids = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(ids=text_ids, other=text_ids, cut=st.integers(0, 10))
+@example(ids=[], other=["r1"], cut=0)
 def test_text_column_reads_like_a_tuple(ids, other, cut):
     column = TextColumn.of(ids)
     assert len(column) == len(ids)
+    lengths = np.array([len(i.encode()) for i in ids], np.intp)
+    # One start per string, none for an empty column.
+    assert column.starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
+    assert column.ends.tolist() == np.cumsum(lengths).tolist()
     assert [column[i] for i in range(-len(ids), len(ids))] == ids + ids
     assert [column[np.int64(i)] for i in range(len(ids))] == ids
     for i in (len(ids), -len(ids) - 1):
@@ -118,7 +123,6 @@ def test_text_column_reads_like_a_tuple(ids, other, cut):
     assert not column.data.flags.writeable and not column.ends.flags.writeable
     # A column of fields, and columns joined, read the same strings.
     data = ",".join(ids).encode()
-    lengths = np.array([len(i.encode()) for i in ids], np.intp)
     ends = np.cumsum(lengths + 1) - 1
     starts = ends - lengths
     fields = TextColumn.of_fields(np.frombuffer(data, np.uint8), starts, ends)

@@ -218,6 +218,13 @@ class TestLoadConstraints:
         with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: field")):
             load_constraints(path, schema)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+    def test_header_only_table_rejected(self, tmp_path, schema, end):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"zone_id,variable,category,count" + end.encode())
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: empty"):
+            load_constraints(path, schema)
+
     def test_round_trip_bit_equal(self, tmp_path, schema):
         rng = np.random.default_rng(3)
         tables = [

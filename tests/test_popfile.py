@@ -270,6 +270,38 @@ def test_weights_bytes(tmp_path_factory, matrix):
     assert path.read_bytes() == reference_weights_csv(matrix)
 
 
+# Every kind of cell that a report row holds.
+report_cells = st.one_of(
+    st.text(max_size=5),
+    st.none(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, np.float64("nan"), -0.0, np.float64("-0.0")]),
+    st.sampled_from([math.inf, -math.inf, np.float64("inf"), np.float64("-inf")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.lists(st.text(max_size=5), min_size=1, max_size=4),
+    rows=st.lists(st.lists(report_cells, max_size=6), max_size=6),
+)
+def test_write_csv_writes_cells_as_the_row_wise_writer(tmp_path_factory, header, rows):
+    # Numbers as repr writes them, NaN blank, None blank, text quoted as needed.
+    path = tmp_path_factory.mktemp("csv") / "report.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == reference_csv(header, rows)
+
+
+def test_population_of_no_records(tmp_path):
+    population = sparse(np.zeros((0, 2), np.int64), ("Z1", "Z2"), ())
+    path = tmp_path / "population.csv"
+    write_population(path, population)
+    assert path.read_bytes() == b"zone_id,record_id,count\r\n"
+
+
 @settings(max_examples=50, deadline=None)
 @given(population=populations(), matrix=weight_matrices())
 def test_text_rows_as_lists(population, matrix):

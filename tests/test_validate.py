@@ -10,6 +10,7 @@ from smallarea.validate import (
     aggregate,
     external_validation,
     internal_validation,
+    metrics_for,
     r_squared,
     sei,
     student_t_two_tailed_p,
@@ -138,6 +139,14 @@ class TestTTest:
             assert student_t_two_tailed_p(0.0, df) == 1.0
             assert student_t_two_tailed_p(math.inf, df) == 0.0
             assert student_t_two_tailed_p(-math.inf, df) == 0.0
+
+    @pytest.mark.parametrize("df", [1, 6, 2000])
+    def test_nan_t_gives_nan_p(self, df):
+        assert math.isnan(student_t_two_tailed_p(math.nan, df))
+
+    def test_metrics_of_a_nan_count_are_nan(self):
+        m = metrics_for([1, 2, math.nan, 4], [1, 2, 3, 4])
+        assert all(map(math.isnan, (m.r_squared, m.sei, m.t_stat, m.p_value)))
 
     def test_df_below_one_rejected(self):
         with pytest.raises(ValueError):
