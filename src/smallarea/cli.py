@@ -230,7 +230,10 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False):
         ),
     )
     if dump_weights:
-        rt.write("weights.csv", WEIGHTS_HEADER, weights_rows(matrix))
+        rt.timed(
+            "write_weights",
+            lambda: rt.write("weights.csv", WEIGHTS_HEADER, weights_rows(matrix)),
+        )
 
     n_bad = sum(1 for z in convergence.zones if not z.converged)
     print(
@@ -391,11 +394,14 @@ def run_indicators(rt: Runtime, population: SyntheticPopulation, compare=None) -
 
 def _read_indicator_csv(path: Path):
     """An earlier indicators.csv as {zone: {metric: value}}, a blank value
-    None; IngestError naming the line of a value that is not a finite number."""
+    None; IngestError naming the line of a value that is not a finite number
+    or of a zone given before."""
     if not path.exists():
         raise IngestError(f"{path}: comparison indicators file not found")
     out = {}
     for line, (zone, *texts) in csv_rows(path, INDICATOR_COLUMNS):
+        if zone in out:
+            raise IngestError(f"{path}: line {line}: duplicate zone {zone!r}")
         row = out[zone] = {}
         for metric, text in zip(INDICATOR_COLUMNS[1:], texts):
             try:

@@ -9,8 +9,10 @@ tolerance * zone population, or the iteration cap is hit.
 A fit factor depends only on a record's combination of constraint categories,
 its cell, so records of one cell keep the ratio of their initial weights at
 every sweep. The fit therefore runs on the cells (mass = the cell's summed
-initial weights) and is held as the zones x cells multipliers F; a record's
-weight in zone z is init * F[z, cell], expanded one zone at a time. Zones are
+initial weights) and is held as the zones x cells multipliers F. `ipf_all`
+starts every record at weight 1, so a record's weight in zone z is
+F[z, cell], expanded one zone at a time; `ipf_zone`, which takes initial
+weights, multiplies its expanded column by them. Zones are
 fitted together, in blocks, as a zones x cells matrix of multipliers, each
 zone sweeping until it stops on its own test. Category totals are summed by
 `np.bincount` cell by cell in a fixed order, so a zone's result does not
@@ -63,43 +65,35 @@ class ConvergenceInfo:
 @dataclass(frozen=True)
 class WeightMatrix:
     """Fractional weights of records in zones, held as the fit: zones x cells
-    multipliers, the cell of each record and the records' initial weights
-    (None for 1). `column(z)` expands one zone. The arrays are read-only
-    views of the given ones, not copies, when their dtypes are float, intp
-    and float. `record_ids` is held as a TextColumn, strings encoded once."""
+    multipliers F and the cell of each record, whose weight in zone z is
+    F[z, cell]. `column(z)` expands one zone. The arrays are read-only views
+    of the given ones, not copies, when their dtypes are float and intp.
+    `record_ids` is held as a TextColumn, strings encoded once."""
 
     multipliers: np.ndarray
     cells: np.ndarray
     zone_ids: tuple[str, ...]
     record_ids: TextColumn
-    init: np.ndarray | None = None
 
     def __post_init__(self):
         multipliers = read_only(self.multipliers, float)
         cells = read_only(self.cells, np.intp)
-        init = None if self.init is None else read_only(self.init, float)
-        n = len(self.record_ids)
         if (
             multipliers.ndim != 2
             or len(multipliers) != len(self.zone_ids)
-            or cells.shape != (n,)
-            or (init is not None and init.shape != (n,))
+            or cells.shape != (len(self.record_ids),)
             or np.any(cells < 0)
             or np.any(cells >= multipliers.shape[1])
         ):
             raise ValueError("weight matrix shape mismatch")
         object.__setattr__(self, "multipliers", multipliers)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "init", init)
         object.__setattr__(self, "zone_ids", tuple(self.zone_ids))
         object.__setattr__(self, "record_ids", TextColumn.of(self.record_ids))
 
     def column(self, z: int) -> np.ndarray:
-        """The weight of each record in zone z: init * F[z, cell]."""
-        weights = self.multipliers[z][self.cells]
-        if self.init is not None:
-            weights *= self.init
-        return weights
+        """The weight of each record in zone z: F[z, cell]."""
+        return self.multipliers[z][self.cells]
 
 
 def tae(weights, zone_constraints, survey: SurveyDataset) -> float:
@@ -121,7 +115,6 @@ BLOCK_CELLS = 1 << 15
 class _Fit(NamedTuple):
     multipliers: np.ndarray  # zones x cells
     cells: np.ndarray  # the cell of each record
-    init: np.ndarray | None  # the records' initial weights
     iterations: np.ndarray  # per zone
     tae: np.ndarray  # per zone
     converged: np.ndarray  # per zone
@@ -146,16 +139,12 @@ def _cells(survey: SurveyDataset):
     return codes[:, first], inverse.ravel()
 
 
-def _fit(survey: SurveyDataset, targets, init_weights, max_iterations, tolerance):
+def _fit(survey: SurveyDataset, targets, max_iterations, tolerance, init=None):
     """Fit every zone at once. `targets` holds one zones x categories array
     of census counts per constraint variable, in schema order; the first
-    gives the zone populations. A zone of population 0 gets zero weights, 0
-    iterations and TAE 0."""
-    init = None
-    if init_weights is not None:
-        init = np.asarray(init_weights, dtype=float)
-        if np.any(init <= 0) or not np.all(np.isfinite(init)):
-            raise ValueError("init_weights must be positive and finite")
+    gives the zone populations. `init` holds the records' initial weights,
+    None for 1. A zone of population 0 gets zero weights, 0 iterations and
+    TAE 0."""
     cell_codes, inverse = _cells(survey)
     n_cells = len(cell_codes[0])
     mass = np.bincount(inverse, weights=init, minlength=n_cells).astype(float)
@@ -207,7 +196,7 @@ def _fit(survey: SurveyDataset, targets, init_weights, max_iterations, tolerance
             iterations[zones] += 1
 
     converged = total_error <= tolerance * pop
-    return _Fit(multipliers, inverse, init, iterations, total_error, converged, errors)
+    return _Fit(multipliers, inverse, iterations, total_error, converged, errors)
 
 
 def ipf_zone(
@@ -229,12 +218,12 @@ def ipf_zone(
         np.asarray(zone_constraints[v.name], dtype=float)[None, :]
         for v in survey.schema.constraint_vars
     ]
-    fit = _fit(survey, targets, init_weights, max_iterations, tolerance)
-    matrix = WeightMatrix(
-        fit.multipliers, fit.cells, ("",), survey.record_ids, fit.init
-    )
+    init = np.ones(survey.n) if init_weights is None else np.array(init_weights, float)
+    if np.any(init <= 0) or not np.all(np.isfinite(init)):
+        raise ValueError("init_weights must be positive and finite")
+    fit = _fit(survey, targets, max_iterations, tolerance, init)
     return (
-        matrix.column(0),
+        fit.multipliers[0][fit.cells] * init,
         int(fit.iterations[0]),
         float(fit.tae[0]),
         bool(fit.converged[0]),
@@ -246,22 +235,17 @@ def ipf_all(
     tables,
     max_iterations: int = 100,
     tolerance: float = 1e-6,
-    init_weights=None,
 ):
-    """Fit every zone of the constraint tables, each as ipf_zone would.
+    """Fit every zone of the constraint tables, each as ipf_zone would
+    without initial weights.
 
     Returns (WeightMatrix, ConvergenceInfo). Non-convergence is reported via
     flags, never raised."""
     by_var = {t.variable: t for t in tables}
     zones = tables[0].zones
     variables = survey.schema.constraint_vars
-    fit = _fit(
-        survey,
-        [by_var[v.name].counts for v in variables],
-        init_weights,
-        max_iterations,
-        tolerance,
-    )
+    targets = [by_var[v.name].counts for v in variables]
+    fit = _fit(survey, targets, max_iterations, tolerance)
     labels = [(v.name, c) for v in variables for c in v.categories]
     supported = np.concatenate([survey.category_counts(v.name) for v in variables]) > 0
     pop = by_var[variables[0].name].counts.sum(axis=1)
@@ -284,7 +268,5 @@ def ipf_all(
                 unsupported=error > 0 and not supported[k],
             )
         )
-    matrix = WeightMatrix(
-        fit.multipliers, fit.cells, zones, survey.record_ids, fit.init
-    )
+    matrix = WeightMatrix(fit.multipliers, fit.cells, zones, survey.record_ids)
     return matrix, ConvergenceInfo(tuple(diags))

@@ -5,11 +5,11 @@ zones in constraint-table order and records in survey order within a zone.
 `weights.csv` (`--dump-weights`) holds one `record_id,zone_id,weight` row per
 record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `population_rows` and `weights_rows` give their data rows as the text that
-`csv.writer` would write, with CRLF line ends. `population_rows` fills the
-bytes of a block of whole zones with numpy passes over byte tables of the
-ids and the digits of the counts, and makes no Python string per row;
-`weights_rows` decodes the record ids once and makes one string join per
-zone. `read_population` takes each block's fields from
+`csv.writer` would write, with CRLF line ends, and make no Python string per
+row: numpy passes copy padded byte tables (`_field_table`, `_copy_fields`)
+of the ids, of the digits of the counts and, one zone at a time, of the
+text of each cell's weight, which every record of the cell shares.
+`read_population` takes each block's fields from
 `csvbytes.scan_fields` and looks up a zone id once per run of rows with
 the same zone field. Ids are written and split unquoted, which is exact
 because ingest rejects zone and record ids that `csv.writer` would quote
@@ -18,7 +18,6 @@ because ingest rejects zone and record ids that `csv.writer` would quote
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -97,20 +96,30 @@ def population_rows(population: SyntheticPopulation) -> TextRows:
 
 
 def weights_rows(matrix: WeightMatrix) -> TextRows:
-    """The rows of `weights.csv`: one zone's weights expanded and joined at
-    a time."""
+    """The rows of `weights.csv`, a zone at a time: a record's weight in zone
+    z is F[z, cell], so a zone formats "<zone_id>,<weight>" CRLF once per
+    cell, and a row copies its record's "<record_id>," and its cell's text."""
+    cells = matrix.cells
+    records = np.arange(cells.size)
 
     def blocks():
-        record_ids = list(matrix.record_ids)
-        for z, zone in enumerate(matrix.zone_ids):
-            col = matrix.column(z)
-            values = list(map(repr, col.tolist()))
-            for i in np.flatnonzero(np.isnan(col)).tolist():
-                values[i] = ""
-            cells = (record_ids, repeat(f",{zone},"), values, repeat("\r\n"))
-            yield "".join(chain.from_iterable(zip(*cells)))
+        record_table, record_len = _field_table(matrix.record_ids)
+        for zone, weights in zip(matrix.zone_ids, matrix.multipliers):
+            texts = [
+                f"{zone},{w!r}\r\n" if w == w else f"{zone},\r\n"  # NaN blank
+                for w in weights.tolist()
+            ]
+            cell_table, cell_lengths = _field_table(texts, end="")
+            cell_len = cell_lengths[cells]
+            lengths = record_len + cell_len
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            out = np.empty(int(lengths.sum()), np.uint8)
+            _copy_fields(out, starts, record_table, records, record_len)
+            _copy_fields(out, starts + record_len, cell_table, cells, cell_len)
+            yield str(out, "utf-8")
 
-    return TextRows(len(matrix.zone_ids) * len(matrix.record_ids), blocks)
+    return TextRows(len(matrix.zone_ids) * cells.size, blocks)
 
 
 def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
@@ -265,15 +274,16 @@ def _digits(buf, starts, ends):
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _field_table(ids):
-    """The UTF-8 bytes of "<id>," for each of `ids`, strings or a
-    TextColumn, zero-padded to the longest, as one row per byte column; and
-    the length of each."""
+def _field_table(ids, end=","):
+    """The UTF-8 bytes of "<id><end>" for each of `ids`, strings or a
+    TextColumn, `end` one ASCII character or none, zero-padded to the
+    longest, as one row per byte column; and the length of each."""
     ids = TextColumn.of(ids)
     starts, ends = ids.starts, ids.ends
-    lengths = ends - starts + 1
+    lengths = ends - starts + len(end)
     table = gather(ids.data, starts, ends, int(lengths.max(initial=0)))
-    table[np.arange(len(ids)), lengths - 1] = ord(",")
+    if end:
+        table[np.arange(len(ids)), lengths - 1] = ord(end)
     return np.ascontiguousarray(table.T), lengths
 
 

@@ -53,10 +53,7 @@ def weight_matrix(weights, zone_ids, record_ids) -> WeightMatrix:
 def dense_weights(matrix: WeightMatrix) -> np.ndarray:
     """The full expansion that `ipf._fit` made before it returned the
     multipliers: records x zones."""
-    weights = np.take(matrix.multipliers, matrix.cells, axis=1)  # zones x records
-    if matrix.init is not None:
-        weights *= matrix.init
-    return weights.T
+    return np.take(matrix.multipliers, matrix.cells, axis=1).T
 
 
 def dense_synthesize(matrix: WeightMatrix, zone_populations, seed) -> np.ndarray:

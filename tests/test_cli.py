@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import smallarea
-from smallarea.cli import Runtime, main, run_check
+from smallarea.cli import INDICATOR_COLUMNS, Runtime, main, run_check
 from smallarea.fixture import generate_example
 from smallarea.ingest import load_config
 from smallarea.schema import ConstraintTable, check_consistency
@@ -221,6 +221,18 @@ class TestSynthesize:
         assert weights[0] == "record_id,zone_id,weight"
         assert len(weights) == 1 + 4 * 2
 
+    @pytest.mark.parametrize("dump", [True, False])
+    def test_manifest_times_the_weights_dump(self, tmp_path, dump):
+        config = write_mini(tmp_path)
+        argv = ["synthesize", "--config", str(config)]
+        assert main(argv + ["--dump-weights"] * dump) == 0
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        timed = [line for line in lines if line.startswith("timing.write_weights_")]
+        assert [line.split("=")[0] for line in timed] == (
+            ["timing.write_weights_seconds"] if dump else []
+        )
+        assert all(float(line.split("=")[1]) >= 0 for line in timed)
+
     def test_manifest_skips_files_of_earlier_runs(self, tmp_path):
         config = write_mini(tmp_path)
         main(["synthesize", "--config", str(config), "--dump-weights"])
@@ -411,6 +423,22 @@ class TestPipeline:
         assert main(argv + ["--compare", str(earlier)]) == 1
         err = capsys.readouterr().err
         assert f"{earlier / 'indicators.csv'}: {message}" in err
+
+    def test_compare_with_repeated_zone_names_line(self, tmp_path, capsys):
+        # A zone given twice in the earlier indicators.csv is refused, not
+        # replaced by its later row.
+        config = write_mini(tmp_path)
+        assert main(["synthesize", "--config", str(config)]) == 0
+        earlier = tmp_path / "earlier"
+        earlier.mkdir()
+        header = ",".join(INDICATOR_COLUMNS)
+        (earlier / "indicators.csv").write_text(
+            f"{header}\nZ1,1,1,,,,,,,0\nZ1,2,2,,,,,,,0\n"
+        )
+        argv = ["indicators", "--config", str(config), "--compare", str(earlier)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{earlier / 'indicators.csv'}: line 3: duplicate zone 'Z1'" in err
 
     def test_validate_without_population_fails(self, tmp_path):
         config = write_mini(tmp_path)

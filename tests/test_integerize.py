@@ -200,7 +200,6 @@ def _weight_arrays():
     return dict(
         multipliers=np.arange(4, dtype=float).reshape(2, 2),
         cells=np.array([0, 1, 1], dtype=np.intp),
-        init=np.array([1.0, 2.0, 3.0]),
     )
 
 
@@ -215,7 +214,6 @@ def _weight_arrays():
         (SyntheticPopulation, "counts", np.int64),
         (WeightMatrix, "multipliers", float),
         (WeightMatrix, "cells", np.intp),
-        (WeightMatrix, "init", float),
     ],
 )
 def test_matrix_held_read_only_without_copy(cls, attr, dtype):

@@ -19,8 +19,13 @@ from smallarea.indicators import (
 )
 from smallarea.ingest import Crosswalk, load_config, load_constraints, load_survey
 from smallarea.integerize import SyntheticPopulation, round_half_up, synthesize
-from smallarea.ipf import ipf_all
-from smallarea.popfile import POPULATION_HEADER, population_rows, read_population
+from smallarea.ipf import WeightMatrix, ipf_all
+from smallarea.popfile import (
+    POPULATION_HEADER,
+    population_rows,
+    read_population,
+    weights_rows,
+)
 from smallarea.schema import Schema, SurveyDataset, VariableDef, rescale_constraints
 from smallarea.validate import aggregate, internal_validation
 
@@ -131,6 +136,30 @@ def test_population_sums_hold_no_array_per_held_count():
             assert peak < bound * counts.size, f"{name}: traced peak {peak} bytes"
     finally:
         tracemalloc.stop()
+
+
+def test_weights_rows_hold_under_200_bytes_per_record():
+    # 3 zones x 60000 records in 2000 cells: making the rows of weights.csv,
+    # a zone at a time, holds under 200 traced bytes a record besides the
+    # matrix, one block of text (about 30 bytes a row) included.
+    n, n_cells = 60000, 2000
+    rng = np.random.default_rng(0)
+    matrix = WeightMatrix(
+        rng.uniform(0, 50, (3, n_cells)),
+        rng.integers(0, n_cells, n),
+        ("Z1", "Z2", "Z3"),
+        tuple(f"r{i}" for i in range(n)),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for block in weights_rows(matrix).blocks():
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n, f"traced peak {peak / n:.0f} bytes a record"
 
 
 def test_survey_holds_under_64_bytes_per_record(tmp_path):

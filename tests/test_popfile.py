@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallarea import popfile
@@ -203,7 +203,7 @@ def populations(draw):
 @st.composite
 def weight_matrices(draw):
     """Weights given per record, or as zones x cells multipliers with a
-    cell per record and, or not, initial weights."""
+    cell per record."""
     zones, records = draw(shapes())
     n = len(records)
     if draw(st.booleans()):
@@ -211,8 +211,7 @@ def weight_matrices(draw):
     n_cells = draw(st.integers(1, n))
     multipliers = matrix(draw, st.floats(), range(n_cells), zones).T
     cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=n, max_size=n))
-    init = draw(st.none() | st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
-    return WeightMatrix(multipliers, cells, zones, records, init)
+    return WeightMatrix(multipliers, cells, zones, records)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,6 +263,17 @@ def test_empty_zones_at_block_edges(tmp_path, monkeypatch, block_lines):
 
 @settings(max_examples=150, deadline=None)
 @given(matrix=weight_matrices())
+# No records: the header alone.
+@example(matrix=WeightMatrix(np.ones((2, 1)), [], ("Z1", "Zé2"), ()))
+# Records sharing cells whose texts differ in length; NaN blank.
+@example(
+    matrix=WeightMatrix(
+        [[math.nan, 2.5, -0.0], [1e-300, math.inf, 7.0]],
+        [1, 0, 1, 2],
+        ("Z1", "Zé2"),
+        ("r1", "ŕ2", "r3", "r4"),
+    )
+)
 def test_weights_bytes(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("w") / "weights.csv"
     write_weights(path, matrix)
