@@ -138,6 +138,8 @@ class Runtime:
             # writes its outputs.
             deprivation_scores(self.survey, config.mpi_spec)
         self.outputs: list[str] = []  # CSV files this command wrote
+        # Zones where TRS left systematic PPS, once this command synthesized.
+        self.fallback_zones: list[str] | None = None
 
     def write(self, name, header, rows) -> None:
         """Write the CSV table `name` into the output directory through
@@ -213,7 +215,11 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False):
     )
     ref_table = next(t for t in tables if t.variable == reference)
     zone_pops = round_half_up(ref_table.zone_totals())
-    population = rt.timed("trs", lambda: synthesize(matrix, zone_pops, cfg.seed))
+    rt.fallback_zones = []
+    population = rt.timed(
+        "trs",
+        lambda: synthesize(matrix, zone_pops, cfg.seed, fallbacks=rt.fallback_zones),
+    )
 
     rt.write(
         "convergence.csv",
@@ -443,6 +449,8 @@ def write_manifest(rt: Runtime, convergence=None) -> None:
         n_ok = sum(1 for z in convergence.zones if z.converged)
         lines.append(f"convergence.zones_converged={n_ok}/{len(convergence.zones)}")
         lines.append(f"convergence.max_rel_tae={convergence.max_rel_tae!r}")
+    if rt.fallback_zones is not None:
+        lines.append(f"trs.fallback_zones={len(rt.fallback_zones)}")
     for name in sorted(rt.outputs):
         lines.append(f"output.{name}.sha256={sha256_file(rt.out_dir / name)}")
     for stage, seconds in rt.timings.items():

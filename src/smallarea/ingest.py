@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -45,8 +44,6 @@ from .schema import (
     encode_categories,
     needs_quoting,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -514,7 +511,12 @@ _KIND_NAMES = {
 def _warn_unknown(mapping, known, context):
     for key in mapping:
         if key not in known:
-            log.warning("ignoring unknown config key %s.%s", context, key)
+            # Imported here: logging adds memory and imports to every process.
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "ignoring unknown config key %s.%s", context, key
+            )
 
 
 def load_config(path) -> PipelineConfig:

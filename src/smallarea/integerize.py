@@ -12,10 +12,16 @@ for a single uniform u. When the inputs are consistent (F == d, the usual
 case after a converged fit) every fractional part is < 1, so the d selected
 records are distinct and each record's inclusion probability equals its
 fractional part exactly, making the expected count equal to the weight.
+
+Each zone draws from its own PCG64 stream (`RngSpec`). The single uniform of
+systematic PPS is computed in Python, bit for bit as numpy computes it, so
+that a zone on that path imports no `numpy.random`; the fallback paths draw
+from numpy's own Generator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +35,112 @@ BLOCK_COUNTS = 1 << 16
 @dataclass(frozen=True)
 class RngSpec:
     """Reproducibility contract: PCG64 seeded per zone with
-    SeedSequence([master_seed, zone_index]); zones never share a stream."""
+    SeedSequence([master_seed, zone_index]); zones never share a stream.
+    `stream` draws what `np.random.default_rng([master_seed, zone_index])`
+    draws, without importing numpy.random for a first bare `random()`."""
 
     master_seed: int
 
     generator = "numpy PCG64, SeedSequence([seed, zone_index])"
 
-    def stream(self, zone_index: int) -> np.random.Generator:
-        return np.random.default_rng([self.master_seed, zone_index])
+    def stream(self, zone_index: int) -> ZoneStream:
+        return ZoneStream((self.master_seed, zone_index))
+
+
+class ZoneStream:
+    """The stream of `np.random.default_rng(list(entropy))`. Its first bare
+    `random()` is `first_uniform(entropy)`. Any other use (`choice`,
+    `random(size)`, a second draw, any other attribute) builds numpy's
+    Generator, replays the draws already made and delegates to it."""
+
+    __slots__ = ("entropy", "drawn", "generator")
+
+    def __init__(self, entropy):
+        self.entropy = tuple(map(operator.index, entropy))
+        if min(self.entropy) < 0:
+            raise ValueError("expected non-negative integer")  # as numpy says
+        self.drawn = 0
+        self.generator = None
+
+    def random(self, *args, **kwargs):
+        if args or kwargs or self.drawn or self.generator is not None:
+            return self.numpy().random(*args, **kwargs)
+        self.drawn = 1
+        return first_uniform(self.entropy)
+
+    def numpy(self) -> np.random.Generator:
+        """numpy's Generator of this stream, past the draws already made."""
+        if self.generator is None:
+            self.generator = np.random.default_rng(list(self.entropy))
+            for _ in range(self.drawn):
+                self.generator.random()
+        return self.generator
+
+    def __getattr__(self, name):
+        return getattr(self.numpy(), name)
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hash of one uint32 word, whose constant `h` is
+    multiplied by `mult` at each call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def first_uniform(entropy) -> float:
+    """The first `random()` of `np.random.default_rng(list(entropy))` for
+    non-negative ints, in numpy's steps: SeedSequence's pool of 4 uint32
+    words and `generate_state(4, uint64)`, PCG64's `set_seed`, one step and
+    the XSL-RR output, whose top 53 bits make the double."""
+    words = []
+    for n in entropy:  # each int as its uint32 words, low first; 0 as [0]
+        words.append(n & _M32)
+        while n := n >> 32:
+            words.append(n & _M32)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # 8 uint32 words of the pool cycled, read as 4 little-endian uint64.
+    state = list(map(_hasher(_INIT_B, _MULT_B), pool + pool))
+    s = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+    initstate, initseq = s[0] << 64 | s[1], s[2] << 64 | s[3]
+
+    inc = (initseq << 1 | 1) & _M128
+    # set_seed: state 0, a step (to inc), adding initstate, a step; then
+    # the draw's own step.
+    x = ((inc + initstate) * _PCG_MULT + inc) & _M128
+    x = (x * _PCG_MULT + inc) & _M128
+    rot, low = x >> 122, (x >> 64 ^ x) & _M64
+    out = (low >> rot | low << (64 - rot)) & _M64
+    return (out >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -258,13 +362,17 @@ def trs_zone(weights, target_total: int, rng) -> np.ndarray:
     return counts
 
 
-def synthesize(weight_matrix, zone_populations, seed: int) -> SyntheticPopulation:
+def synthesize(
+    weight_matrix, zone_populations, seed: int, *, fallbacks: list | None = None
+) -> SyntheticPopulation:
     """Apply trs_zone per zone with independent per-zone RNG streams, to one
     expanded weight column at a time.
 
     `zone_populations` are the integer zone targets (reference constraint
     totals rounded half-up). Deterministic for a fixed seed, independent of
-    zone execution order."""
+    zone execution order. A list given as `fallbacks` collects, in zone
+    order, the ids of the zones where trs_zone left systematic PPS: the
+    zones whose stream built numpy's Generator."""
     spec = RngSpec(seed)
     targets = np.asarray(zone_populations, dtype=np.int64)
     n = len(weight_matrix.record_ids)
@@ -272,10 +380,14 @@ def synthesize(weight_matrix, zone_populations, seed: int) -> SyntheticPopulatio
     def columns():
         for zi, zone in enumerate(weight_matrix.zone_ids):
             try:
+                stream = spec.stream(zi)
                 weights = weight_matrix.column(zi)
-                yield trs_zone(weights, int(targets[zi]), spec.stream(zi))
+                counts = trs_zone(weights, int(targets[zi]), stream)
             except ValueError as exc:
                 raise ValueError(f"zone {zone!r}: {exc}") from exc
+            if fallbacks is not None and stream.generator is not None:
+                fallbacks.append(zone)
+            yield counts
 
     # A zone holds at most one count per person and one per record.
     capacity = int(np.minimum(np.maximum(targets, 0), n).sum())

@@ -19,7 +19,7 @@ from smallarea.csvbytes import (
     id_finder,
     scan_fields,
 )
-from smallarea.integerize import RngSpec, SyntheticPopulation, trs_zone
+from smallarea.integerize import SyntheticPopulation, trs_zone
 from smallarea.ipf import WeightMatrix
 
 
@@ -57,15 +57,17 @@ def dense_weights(matrix: WeightMatrix) -> np.ndarray:
 
 
 def dense_synthesize(matrix: WeightMatrix, zone_populations, seed) -> np.ndarray:
-    """`synthesize` into a column-major records x zones count matrix."""
-    spec = RngSpec(seed)
+    """`synthesize` into a column-major records x zones count matrix, each
+    zone drawn from numpy's own `default_rng([seed, zone_index])`."""
     weights = dense_weights(matrix)
     n, n_zones = weights.shape
     counts = np.zeros((n, n_zones), dtype=np.int64, order="F")
     for zi in range(n_zones):
         try:
             counts[:, zi] = trs_zone(
-                weights[:, zi], int(zone_populations[zi]), spec.stream(zi)
+                weights[:, zi],
+                int(zone_populations[zi]),
+                np.random.default_rng([seed, zi]),
             )
         except ValueError as exc:
             raise ValueError(f"zone {matrix.zone_ids[zi]!r}: {exc}") from exc

@@ -12,7 +12,11 @@ import smallarea
 from smallarea.cli import INDICATOR_COLUMNS, Runtime, main, run_check
 from smallarea.fixture import generate_example
 from smallarea.ingest import load_config
-from smallarea.schema import ConstraintTable, check_consistency
+from smallarea.integerize import round_half_up
+from smallarea.ipf import ipf_all
+from smallarea.schema import ConstraintTable, check_consistency, rescale_constraints
+
+from dense_oracle import dense_read_population, dense_synthesize
 
 MINI_CONFIG = """
 schema:
@@ -508,6 +512,57 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
     proc = run_python(code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_commands_leave_numpy_random_unloaded(tmp_path):
+    """Systematic PPS, the TRS path of every zone of the example, draws its
+    one uniform without importing numpy.random, and a config without unknown
+    keys logs nothing: each module adds time and memory to every process."""
+    assert main(["example", "--out", str(tmp_path)]) == 0
+    config = str(tmp_path / "config.yaml")
+    code = (
+        "import sys\n"
+        "from smallarea.cli import main\n"
+        "for command in ('pipeline', 'synthesize', 'validate', 'indicators'):\n"
+        f"    assert main([command, '--config', {config!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+        "print('logging' in sys.modules)\n"
+    )
+    proc = run_python(code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "trs.fallback_zones=0" in manifest
+
+
+def test_fallback_zone_draws_from_numpy_random(tmp_path):
+    """With no survey record of age O, the fit of both zones falls short of
+    the target, so TRS draws the rest with replacement from numpy's
+    Generator: the counts are those of numpy's own streams."""
+    config = write_mini(tmp_path)
+    survey = [r for r in MINI_SURVEY.splitlines(True) if ",O," not in r]
+    (tmp_path / "survey.csv").write_text("".join(survey))
+    code = (
+        "import sys\n"
+        "from smallarea.cli import main\n"
+        f"assert main(['synthesize', '--config', {str(config)!r}]) == 2\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "trs.fallback_zones=2" in manifest
+
+    rt = Runtime(load_config(config))
+    tables = rescale_constraints(rt.tables, "sex")
+    matrix, _ = ipf_all(rt.survey, tables, rt.config.max_iterations, rt.config.tolerance)
+    targets = round_half_up(tables[0].zone_totals())
+    expected = dense_synthesize(matrix, targets, rt.config.seed)
+    got = dense_read_population(
+        tmp_path / "out" / "population.csv", tables[0].zones, rt.survey.record_ids
+    )
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_reload_commands_leave_openssl_unloaded(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallarea import integerize
 from smallarea.integerize import (
     RngSpec,
     SyntheticPopulation,
+    first_uniform,
     round_half_up,
     synthesize,
     trs_zone,
@@ -182,6 +185,75 @@ class TestSynthesize:
             expected = dense_synthesize(m, targets, seed)
             assert dense_counts(pop).tobytes() == expected.tobytes()
             assert pop == sparse(expected, pop.zone_ids, pop.record_ids)
+
+    def test_fallback_zones_collected(self):
+        # A: 4 slots, 2 records with fractional mass (with replacement);
+        # B: a negative deficit; C: systematic PPS; D: no slot to draw.
+        w = np.array(
+            [[0.5, 1.5, 0.5, 1.0], [0.5, 1.5, 0.5, 2.0], [2.0, 1.0, 1.0, 0.0]]
+        )
+        targets = [6, 2, 2, 3]
+        m = self.matrix(w, ["A", "B", "C", "D"])
+        fallbacks = []
+        pop = synthesize(m, targets, seed=3, fallbacks=fallbacks)
+        assert fallbacks == ["A", "B"]
+        assert dense_counts(pop).tobytes() == dense_synthesize(m, targets, 3).tobytes()
+        assert pop == synthesize(m, targets, seed=3)
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, (1 << 69) + 12345)
+ZONE_INDICES = (*range(40), 999, 2**31, 2**32 + 3)
+
+
+class TestZoneStream:
+    """The stream against numpy's Generator, which it must draw bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_draw_grid(self, seed):
+        for zone in ZONE_INDICES:
+            expected = np.random.default_rng([seed, zone]).random()
+            assert first_uniform((seed, zone)) == expected, (seed, zone)
+            assert RngSpec(seed).stream(zone).random() == expected, (seed, zone)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**80 - 1), st.integers(0, 2**40 - 1))
+    def test_first_draw_property(self, seed, zone):
+        expected = np.random.default_rng([seed, zone]).random()
+        assert first_uniform((seed, zone)) == expected
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [("random",), ("choice", 10, 4), ("random",)],
+            [("choice", 10, 4), ("random",), ("random",)],
+            [("random", 3), ("random",)],
+            [("random",), ("random",), ("integers", 100)],
+        ],
+        ids=["random_then_choice", "choice_first", "random_size", "second_draw"],
+    )
+    @pytest.mark.parametrize("seed, zone", [(0, 0), (20160802, 58), (2**64 - 1, 7)])
+    def test_replay_matches_numpy(self, calls, seed, zone):
+        stream = RngSpec(seed).stream(zone)
+        generator = np.random.default_rng([seed, zone])
+        for name, *args in calls:
+            got, expected = getattr(stream, name)(*args), getattr(generator, name)(*args)
+            np.testing.assert_array_equal(got, expected)
+            assert type(got) is type(expected)
+        assert stream.generator is not None
+
+    def test_first_draw_builds_no_generator(self):
+        stream = RngSpec(5).stream(2)
+        assert isinstance(stream.random(), float)
+        assert stream.generator is None
+
+    @pytest.mark.parametrize("seed, zone", [(-1, 0), (0, -1), (-(2**70), 3)])
+    def test_negative_entropy_raises_as_numpy(self, seed, zone):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng([seed, zone])
+        with pytest.raises(ValueError) as stream_error:
+            RngSpec(seed).stream(zone)
+        assert str(stream_error.value) == str(numpy_error.value)
+        assert str(stream_error.value) == "expected non-negative integer"
 
 
 ZONES, RECORDS = ("Z1", "Z2"), ("r1", "r2", "r3")
