@@ -268,12 +268,14 @@ def run_validate(rt: Runtime, population: SyntheticPopulation) -> int:
         crosswalk = None
         if cfg.crosswalk_path is not None:
             crosswalk = load_crosswalks(cfg.crosswalk_path).get(actual.variable)
-        reports.append(
-            rt.timed(
+        try:
+            external = rt.timed(
                 "validate_external",
                 lambda: external_validation(population, rt.survey, actual, crosswalk),
             )
-        )
+        except IngestError as exc:  # only a crosswalk lacking a category
+            raise IngestError(f"{cfg.crosswalk_path}: {exc}") from None
+        reports.append(external)
     metric_rows = []
     share_rows = []
     scatter = {}

@@ -2,10 +2,10 @@
 reference tables and the pipeline configuration.
 
 All files are UTF-8 CSV with comma separators. Zone ids and record ids may
-not contain a comma, a double quote or a line break, because the population
-files are written unquoted (`schema.needs_quoting`). The files are read as
-bytes through `csvbytes`. The configuration is YAML with the key paths
-documented on PipelineConfig.
+not be empty, nor contain a comma, a double quote or a line break, as the
+population files are written unquoted (`schema.needs_quoting`). The files
+are read as bytes through `csvbytes`. The configuration is YAML with the key
+paths documented on PipelineConfig.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class PipelineConfig:
 
 
 # --------------------------------------------------------------------------
-# Constraint tables
+# Constraint and external reference tables
 # --------------------------------------------------------------------------
 
 def _nonnegative(raw: str, what: str, path, lineno: int) -> float:
@@ -132,58 +132,72 @@ def csv_rows(path, header):
                 yield line, fields[n * i : n * (i + 1)]
 
 
-def _read_long(path):
-    """Rows of a long-format `zone_id,variable,category,count` table as
-    (line, zone, variable, category, count). Checks the header, the row
-    width and the count (finite, >= 0), and rejects a repeated
-    (zone, variable, category) cell."""
-    rows = []
-    seen = set()
-    header = ["zone_id", "variable", "category", "count"]
-    for lineno, (zone, var, cat, raw) in csv_rows(path, header):
-        count = _nonnegative(raw, "count", path, lineno)
-        if (zone, var, cat) in seen:
-            raise IngestError(
-                f"{path}: line {lineno}: duplicate cell ({zone}, {var}, {cat})"
-            )
-        seen.add((zone, var, cat))
-        rows.append((lineno, zone, var, cat, count))
-    return rows
-
-
 def load_constraints(path, schema: Schema):
     """Read long-format `zone_id,variable,category,count` into one
-    ConstraintTable per constraint variable. Zones are ordered by first
-    appearance in the file; absent (zone, category) cells become 0. A
-    table of no rows is refused."""
-    path = Path(path)
-    rows = _read_long(path)
-    if not rows:
-        raise IngestError(f"{path}: empty constraint table")
-    vardefs = {v.name: v for v in schema.constraint_vars}
-    zone_index: dict[str, int] = {}
-    cells: dict[str, list] = {name: [] for name in vardefs}
-    for lineno, zone, var, cat, count in rows:
-        if var not in vardefs:
-            raise IngestError(f"{path}: unknown variable {var!r} at line {lineno}")
-        if cat not in vardefs[var].categories:
-            raise IngestError(f"{path}: unknown category {cat!r} at line {lineno}")
-        if zone not in zone_index and needs_quoting(zone):
-            raise IngestError(
-                f"{path}: line {lineno}: zone id {zone!r} holds a comma, quote "
-                "or line break"
-            )
-        zi = zone_index.setdefault(zone, len(zone_index))
-        cells[var].append((zi, vardefs[var].index(cat), count))
+    ConstraintTable per constraint variable, in schema order (`_long_tables`)."""
+    return _long_tables(Path(path), schema.constraint_vars, "constraint")
 
-    zones = tuple(zone_index)
-    tables = []
-    for var in schema.constraint_vars:
-        counts = np.zeros((len(zones), len(var.categories)))
-        for zi, ci, value in cells[var.name]:
-            counts[zi, ci] = value
-        tables.append(ConstraintTable(var.name, zones, var.categories, counts))
-    return tables
+
+def load_external_actual(path) -> ConstraintTable:
+    """Read a long-format actual table, laid out as constraints.csv, into the
+    ConstraintTable of its one variable (`_long_tables`)."""
+    return _long_tables(Path(path), (), "external")[0]
+
+
+def _long_tables(path, variables, what: str) -> list:
+    """The ConstraintTables of the long-format `zone_id,variable,category,count`
+    file `path`, read in one pass: one per VariableDef of `variables`, with
+    its categories, or, with no `variables`, one of the first row's variable,
+    its categories in order of first appearance and any other variable
+    refused. Zones are in order of first appearance; an absent cell is 0. A
+    table of no rows is refused, `what` naming it.
+
+    Each row is checked in this order, so that the first faulty line is the
+    one named: its count (finite, >= 0), its variable and category, its zone
+    id where it first appears (not empty, and needing no quoting, as the
+    population files write it unquoted), then that its cell is not repeated."""
+    learned = not variables
+    known = {v.name: {c: i for i, c in enumerate(v.categories)} for v in variables}
+    zones: dict[str, int] = {}
+    cells: dict[tuple, float] = {}  # (zone index, variable, category index)
+    header = ["zone_id", "variable", "category", "count"]
+    for line, (zone, var, cat, raw) in csv_rows(path, header):
+        count = _nonnegative(raw, "count", path, line)
+        if learned and not known:
+            known[var] = {}
+        categories = known.get(var)
+        if categories is None:
+            if learned:
+                first = next(iter(known))
+                raise IngestError(
+                    f"{path}: line {line}: mixed variables {first!r}/{var!r}"
+                )
+            raise IngestError(f"{path}: unknown variable {var!r} at line {line}")
+        ci = categories.get(cat)
+        if ci is None:
+            if not learned:
+                raise IngestError(f"{path}: unknown category {cat!r} at line {line}")
+            ci = categories[cat] = len(categories)
+        zi = zones.get(zone)
+        if zi is None:
+            if not zone or needs_quoting(zone):
+                fault = "holds a comma, quote or line break" if zone else "is empty"
+                raise IngestError(f"{path}: line {line}: zone id {zone!r} {fault}")
+            zi = zones[zone] = len(zones)
+        if (zi, var, ci) in cells:
+            raise IngestError(
+                f"{path}: line {line}: duplicate cell ({zone}, {var}, {cat})"
+            )
+        cells[zi, var, ci] = count
+    if not cells:
+        raise IngestError(f"{path}: empty {what} table")
+    counts = {var: np.zeros((len(zones), len(cats))) for var, cats in known.items()}
+    for (zi, var, ci), count in cells.items():
+        counts[var][zi, ci] = count
+    return [
+        ConstraintTable(var, tuple(zones), tuple(known[var]), table)
+        for var, table in counts.items()
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -214,8 +228,8 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     that holds one, checked in this order: bytes that are not UTF-8, a wrong
     number of fields or a row that the `csv` module rejects, then a bad income,
     deprivation flag or category. A repeated record id, a record id that
-    needs quoting and an empty household id are named only when no block
-    holds another fault, in that order."""
+    needs quoting, an empty record id and an empty household id are named
+    only when no block holds another fault, in that order."""
     path = Path(path)
     with path.open("rb") as fh:
         return _decode_survey(path, schema, _csv_blocks(path, fh))
@@ -431,14 +445,14 @@ def _csv_fields(rows, n_fields: int):
 
 
 def _strings(data: bytes, starts, ends) -> list:
-    """The UTF-8 fields data[starts:ends] as Python strings."""
+    """The UTF-8 fields data[starts:ends] as Python strings: cast from one
+    bytes array (`_fixed`) when all are ASCII, else decoded one by one."""
     raw = _fixed(data, starts, ends)
-    if raw is None:
-        return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
-    codes = raw.view(np.uint8)
-    if codes.max(initial=0) < 128:  # ASCII: each byte is its code point
-        return codes.astype(np.uint32).view(f"U{raw.itemsize}").tolist()
-    return np.char.decode(raw, "utf-8").tolist()
+    if raw is not None:
+        codes = raw.view(np.uint8)
+        if codes.max(initial=0) < 128:
+            return codes.astype(np.uint32).view(f"U{raw.itemsize}").tolist()
+    return [data[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _fixed(data: bytes, starts, ends):
@@ -453,7 +467,7 @@ def _fixed(data: bytes, starts, ends):
 
 
 # --------------------------------------------------------------------------
-# Crosswalks and external reference tables
+# Crosswalks
 # --------------------------------------------------------------------------
 
 def load_crosswalks(path):
@@ -471,30 +485,6 @@ def load_crosswalks(path):
             )
         m[fine] = group
     return {var: Crosswalk(var, m) for var, m in maps.items()}
-
-
-def load_external_actual(path) -> ConstraintTable:
-    """Read a long-format actual table for one external variable into a
-    ConstraintTable. Layout as constraints.csv; exactly one variable per
-    file. Zones and categories are ordered by first appearance."""
-    path = Path(path)
-    rows = _read_long(path)
-    if not rows:
-        raise IngestError(f"{path}: empty external table")
-    variable = rows[0][2]
-    zones: dict[str, int] = {}
-    cats: dict[str, int] = {}
-    for lineno, zone, var, cat, _ in rows:
-        if var != variable:
-            raise IngestError(
-                f"{path}: line {lineno}: mixed variables {variable!r}/{var!r}"
-            )
-        zones.setdefault(zone, len(zones))
-        cats.setdefault(cat, len(cats))
-    counts = np.zeros((len(zones), len(cats)))
-    for _, zone, _, cat, count in rows:
-        counts[zones[zone], cats[cat]] = count
-    return ConstraintTable(variable, tuple(zones), tuple(cats), counts)
 
 
 # --------------------------------------------------------------------------

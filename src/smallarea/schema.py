@@ -162,8 +162,8 @@ class SurveyDataset:
     as UTF-8 bytes (TextColumns): `record_ids` is the column, a read-only
     sequence of str, and `household_ids` decodes its column into a new
     tuple of str at each access. Record ids are unique, compared byte for
-    byte, and need no CSV quoting. A SchemaError about one record carries
-    its 0-based index in `row`.
+    byte, need no CSV quoting and are not empty. A SchemaError about one
+    record carries its 0-based index in `row`.
     """
 
     def __init__(
@@ -217,7 +217,8 @@ class SurveyDataset:
 
     def _take_ids(self, schema, record_ids, household_ids):
         """Hold the id columns; SchemaError naming the first repeated record
-        id, the first that needs quoting or the first empty household id."""
+        id, the first that needs quoting, the first empty record id or the
+        first empty household id."""
         self.schema = schema
         self.record_ids = ids = TextColumn.of(record_ids)
         if not isinstance(household_ids, TextColumn):
@@ -238,6 +239,9 @@ class SurveyDataset:
             raise SchemaError(
                 f"record id {ids[i]!r} holds a comma, quote or line break", i
             )
+        empty = np.flatnonzero(np.diff(ids.ends, prepend=0) == 0)
+        if empty.size:
+            raise SchemaError("record id '' is empty", int(empty[0]))
         empty = np.flatnonzero(np.diff(household_ids.ends, prepend=0) == 0)
         if empty.size:
             i = int(empty[0])

@@ -365,6 +365,18 @@ class TestPipeline:
         assert bad.split()[-1] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_crosswalk_lacking_a_category_names_file(self, tmp_path, capsys):
+        config = generate_example(tmp_path, n_zones=4, survey_size=200)
+        crosswalk = tmp_path / "crosswalk.csv"
+        text = crosswalk.read_text()
+        assert text.endswith("\noccupation,Elementary,Elementary\n")
+        crosswalk.write_text(text.removesuffix("occupation,Elementary,Elementary\n"))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {crosswalk}: category 'Elementary' missing from crosswalk "
+            "for 'occupation'\n"
+        )
+
     def test_rerun_identical_digests(self, example_dir, tmp_path):
         d, config = example_dir
         main(["pipeline", "--config", str(config), "--out", str(tmp_path / "r1")])

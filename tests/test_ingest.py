@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import tracemalloc
+from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
@@ -285,6 +286,13 @@ class TestLoadSurvey:
             ["r1,h1,M,Married,1000,0\n", f"{record_id},h2,F,Widowed,2000,1\n"],
         )
         with pytest.raises(IngestError, match="line 3: record id .* holds a comma"):
+            load_survey(path, schema)
+
+    def test_empty_record_id_names_line(self, tmp_path, schema):
+        path = self.write(
+            tmp_path, ["r1,h1,M,Married,1000,0\n", ",h2,F,Widowed,2000,1\n"]
+        )
+        with pytest.raises(IngestError, match="line 3: record id '' is empty"):
             load_survey(path, schema)
 
     def test_trailing_nul_kept(self, tmp_path, schema):
@@ -920,6 +928,123 @@ def test_strings_of_a_long_field_gather_no_padded_copy():
     assert peak < 2**20, peak
 
 
+@pytest.mark.parametrize("kind", ["constraints", "external"])
+@pytest.mark.parametrize(
+    "zone, message",
+    [
+        ("", "zone id '' is empty"),
+        ('""', "zone id '' is empty"),
+        ('"Z,9"', "zone id 'Z,9' holds a comma, quote or line break"),
+        ('"Z""9"', "zone id 'Z\"9' holds a comma, quote or line break"),
+    ],
+)
+def test_long_table_refuses_zone_id(tmp_path, schema, kind, zone, message):
+    # Line 5 holds the zone's first row.
+    header, rows, load = LONG_TABLES[kind]
+    line = zone + rows[3][rows[3].index(",") :]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, *rows[:3], line, *rows[4:], ""]))
+    with pytest.raises(IngestError) as info:
+        load(path, schema)
+    assert str(info.value) == f"{path}: line 5: {message}"
+
+
+# Per long table: a valid first row, then rows that each hold one fault and
+# the message naming it on line {}.
+LONG_FAULTS = {
+    "constraints": (
+        "Z1,sex,M,5",
+        {
+            "variable": ("Z1,height,M,3", "unknown variable 'height' at line {}"),
+            "category": ("Z1,sex,X,3", "unknown category 'X' at line {}"),
+            "count": ("Z1,sex,F,-2", "line {}: invalid count '-2'"),
+            "empty_zone": (",sex,M,1", "line {}: zone id '' is empty"),
+            "quoted_zone": (
+                '"Z,9",sex,M,1',
+                "line {}: zone id 'Z,9' holds a comma, quote or line break",
+            ),
+            "duplicate": ("Z1,sex,M,6", "line {}: duplicate cell (Z1, sex, M)"),
+        },
+    ),
+    "external": (
+        "Z1,nace,C,5",
+        {
+            "variable": ("Z1,isco,C,1", "line {}: mixed variables 'nace'/'isco'"),
+            "count": ("Z1,nace,G,-2", "line {}: invalid count '-2'"),
+            "empty_zone": (",nace,G,1", "line {}: zone id '' is empty"),
+            "quoted_zone": (
+                '"Z,9",nace,G,1',
+                "line {}: zone id 'Z,9' holds a comma, quote or line break",
+            ),
+            "duplicate": ("Z1,nace,C,6", "line {}: duplicate cell (Z1, nace, C)"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, first, second",
+    [
+        (kind, first, second)
+        for kind, (_, faults) in LONG_FAULTS.items()
+        for first, second in permutations(faults, 2)
+    ],
+)
+def test_long_table_names_first_faulty_line(tmp_path, schema, kind, first, second):
+    # Whatever the kinds of two faults, the earlier line is named.
+    header, _, load = LONG_TABLES[kind]
+    valid, faults = LONG_FAULTS[kind]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{valid}\n{faults[first][0]}\n{faults[second][0]}\n")
+    with pytest.raises(IngestError) as info:
+        load(path, schema)
+    assert str(info.value) == f"{path}: " + faults[first][1].format(3)
+
+
+@pytest.mark.parametrize(
+    "kind, row, message",
+    [
+        ("constraints", ",height,X,-2", "line 3: invalid count '-2'"),
+        ("constraints", ",height,X,1", "unknown variable 'height' at line 3"),
+        ("constraints", ",sex,X,1", "unknown category 'X' at line 3"),
+        ("external", ",isco,C,-2", "line 3: invalid count '-2'"),
+        ("external", ",isco,C,1", "line 3: mixed variables 'nace'/'isco'"),
+    ],
+)
+def test_long_table_checks_a_row_in_order(tmp_path, schema, kind, row, message):
+    # A row's count is checked first, then its variable and category, then
+    # its zone id.
+    header, _, load = LONG_TABLES[kind]
+    valid, _ = LONG_FAULTS[kind]
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{valid}\n{row}\n")
+    with pytest.raises(IngestError) as info:
+        load(path, schema)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(
+        st.one_of(
+            st.text(st.characters(max_codepoint=127, blacklist_characters="\0")),
+            st.text(),  # not ASCII, or holding a NUL
+            st.text("Zé", min_size=3000, max_size=3000),  # long
+        ),
+        max_size=8,
+    )
+)
+def test_strings_decode_each_field(fields):
+    data, starts, ends = b"", [], []
+    for field in fields:
+        starts.append(len(data))
+        data += field.encode()
+        ends.append(len(data))
+        data += b","
+    got = ingest._strings(data, np.array(starts, np.intp), np.array(ends, np.intp))
+    assert got == [data[a:b].decode() for a, b in zip(starts, ends)]
+
+
 # --------------------------------------------------------------------------
 # The byte reader against the csv.reader loader
 # --------------------------------------------------------------------------
@@ -941,7 +1066,8 @@ numbers = st.one_of(
     st.sampled_from(["1e3", "0.5", "7."]),
 )
 FAULTS = [
-    None, "width", "income", "flag", "category", "duplicate", "household", "quoting"
+    None, "width", "income", "flag", "category", "duplicate", "empty_id",
+    "household", "quoting",
 ]
 
 
@@ -1001,6 +1127,8 @@ def survey_files(draw):
         elif fault == "duplicate":
             assume(n > 1)
             row["record_id"] = rows[(i + 1) % n]["record_id"]
+        elif fault == "empty_id":
+            row["record_id"] = ""
         elif fault == "household":
             row["household_id"] = ""
         else:
@@ -1131,3 +1259,143 @@ def test_load_survey_holds_no_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     assert survey.n == 20000
     assert peak - held < 10 * 2**20, (peak, held)
+
+
+# --------------------------------------------------------------------------
+# The one-pass long-table reader against the multi-pass loaders
+# --------------------------------------------------------------------------
+
+def reference_read_long(path):
+    """The row list that `load_constraints` and `load_external_actual` read
+    in a first pass before the one-pass reader: (line, zone, variable,
+    category, count) per row, the count checked and a repeated cell refused."""
+    rows = []
+    seen = set()
+    header = ["zone_id", "variable", "category", "count"]
+    for lineno, (zone, var, cat, raw) in ingest.csv_rows(path, header):
+        count = ingest._nonnegative(raw, "count", path, lineno)
+        if (zone, var, cat) in seen:
+            raise IngestError(
+                f"{path}: line {lineno}: duplicate cell ({zone}, {var}, {cat})"
+            )
+        seen.add((zone, var, cat))
+        rows.append((lineno, zone, var, cat, count))
+    return rows
+
+
+def reference_load_constraints(path, schema):
+    """`load_constraints` as three passes over `reference_read_long`'s rows."""
+    path = Path(path)
+    rows = reference_read_long(path)
+    if not rows:
+        raise IngestError(f"{path}: empty constraint table")
+    vardefs = {v.name: v for v in schema.constraint_vars}
+    zone_index = {}
+    cells = {name: [] for name in vardefs}
+    for lineno, zone, var, cat, count in rows:
+        if var not in vardefs:
+            raise IngestError(f"{path}: unknown variable {var!r} at line {lineno}")
+        if cat not in vardefs[var].categories:
+            raise IngestError(f"{path}: unknown category {cat!r} at line {lineno}")
+        zi = zone_index.setdefault(zone, len(zone_index))
+        cells[var].append((zi, vardefs[var].index(cat), count))
+    zones = tuple(zone_index)
+    tables = []
+    for var in schema.constraint_vars:
+        counts = np.zeros((len(zones), len(var.categories)))
+        for zi, ci, value in cells[var.name]:
+            counts[zi, ci] = value
+        tables.append(make_table(var.name, zones, var.categories, counts))
+    return tables
+
+
+def reference_load_external_actual(path):
+    """`load_external_actual` as two passes over `reference_read_long`'s rows."""
+    path = Path(path)
+    rows = reference_read_long(path)
+    if not rows:
+        raise IngestError(f"{path}: empty external table")
+    variable = rows[0][2]
+    zones, cats = {}, {}
+    for lineno, zone, var, cat, _ in rows:
+        if var != variable:
+            raise IngestError(
+                f"{path}: line {lineno}: mixed variables {variable!r}/{var!r}"
+            )
+        zones.setdefault(zone, len(zones))
+        cats.setdefault(cat, len(cats))
+    counts = np.zeros((len(zones), len(cats)))
+    for _, zone, _, cat, count in rows:
+        counts[zones[zone], cats[cat]] = count
+    return make_table(variable, zones, cats, counts)
+
+
+@st.composite
+def long_table_files(draw):
+    """(kind, schema, file bytes) of a constraints or external table whose
+    zone ids are valid, with up to one fault that both loaders name: a bad
+    count, a repeated cell or another variable."""
+    kind = draw(st.sampled_from(["constraints", "external"]))
+    labels = st.lists(survey_labels, min_size=2, max_size=4, unique=True)
+    n_vars = draw(st.integers(1, 3)) if kind == "constraints" else 1
+    variables = tuple(VariableDef(f"v{k}", draw(labels)) for k in range(n_vars))
+    zones = draw(st.lists(survey_ids, min_size=1, max_size=4, unique=True))
+    cells = [(z, v.name, c) for z in zones for v in variables for c in v.categories]
+    cells = draw(st.permutations(cells))[: draw(st.integers(0, len(cells)))]
+    rows = [[*cell, draw(padding) + draw(numbers)] for cell in cells]
+    fault = draw(st.sampled_from([None, "count", "duplicate", "variable"]))
+    if fault and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "count":
+            rows[i][3] = draw(st.sampled_from(["-1", "abc", "inf", "nan", ""]))
+        elif fault == "duplicate":
+            j = draw(st.integers(i + 1, len(rows)))
+            rows.insert(j, rows[i][:3] + [draw(numbers)])
+        else:
+            rows[i][1] = "w"
+    quote_all = draw(st.booleans())
+
+    def cell(text):
+        if quote_all or any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["zone_id,variable,category,count"]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1))  # blank lines
+        lines.append(",".join(map(cell, row)))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return kind, make_schema(constraint_vars=variables), text.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=long_table_files(),
+    block_lines=st.sampled_from([1, 2, 3, ingest.BLOCK_LINES]),
+)
+def test_long_tables_match_multi_pass_loaders(tmp_path_factory, case, block_lines):
+    kind, schema, data = case
+    path = tmp_path_factory.mktemp("long") / "table.csv"
+    path.write_bytes(data)
+    loaders = {
+        "constraints": (
+            lambda: reference_load_constraints(path, schema),
+            lambda: load_constraints(path, schema),
+        ),
+        "external": (
+            lambda: [reference_load_external_actual(path)],
+            lambda: [load_external_actual(path)],
+        ),
+    }
+
+    def outcome(load):
+        try:
+            return [(*_table(t)[:3], t.counts.tobytes()) for t in load()]
+        except IngestError as exc:
+            return str(exc)
+
+    reference, load = loaders[kind]
+    expected = outcome(reference)
+    with mock.patch.object(ingest, "BLOCK_LINES", block_lines):
+        assert outcome(load) == expected

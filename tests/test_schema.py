@@ -108,8 +108,8 @@ class TestSurveyColumns:
 def reference_id_fault(record_ids, household_ids):
     """The checks `SurveyDataset` made on record ids held as a tuple of str,
     with a set and a joined string: the message and row of the first
-    repeated record id, record id that needs quoting or empty household id,
-    in that order, or None."""
+    repeated record id, record id that needs quoting, empty record id or
+    empty household id, in that order, or None."""
     record_ids = tuple(record_ids)
     if len(set(record_ids)) < len(record_ids):
         seen = set()
@@ -120,6 +120,8 @@ def reference_id_fault(record_ids, household_ids):
     if needs_quoting("".join(record_ids)):
         i = next(i for i, rid in enumerate(record_ids) if needs_quoting(rid))
         return f"record id {record_ids[i]!r} holds a comma, quote or line break", i
+    if "" in record_ids:
+        return "record id '' is empty", record_ids.index("")
     empty = [i for i, h in enumerate(household_ids) if not h]
     if empty:
         return f"record {record_ids[empty[0]]!r}: empty household id", empty[0]
