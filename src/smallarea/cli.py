@@ -107,10 +107,13 @@ def sha256_file(path: Path) -> str:
     # commands that write a manifest need.
     import hashlib
 
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    # One buffer, read into again and again: a new bytes object per read
+    # would add its size to the peak memory of the process.
+    h, buf = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -152,6 +155,27 @@ class Runtime:
         result = fn()
         self.timings[stage] = time.perf_counter() - t0
         return result
+
+    def load_external(self):
+        """(external table, crosswalk of its variable or None), or None
+        without an external table; raises before any stage writes where
+        `external_validation` would, on a variable the schema lacks or a
+        category the crosswalk lacks (naming its file)."""
+        cfg = self.config
+        if cfg.external_actual_path is None:
+            return None
+        actual = load_external_actual(cfg.external_actual_path)
+        categories = self.schema.variable(actual.variable).categories
+        crosswalk = None
+        if cfg.crosswalk_path is not None:
+            crosswalk = load_crosswalks(cfg.crosswalk_path).get(actual.variable)
+        if crosswalk is not None:
+            try:
+                for category in categories:
+                    crosswalk.group(category)
+            except IngestError as exc:
+                raise IngestError(f"{cfg.crosswalk_path}: {exc}") from None
+        return actual, crosswalk
 
     def load_population(self) -> SyntheticPopulation:
         path = self.out_dir / "population.csv"
@@ -256,25 +280,20 @@ def run_synthesize(rt: Runtime, dump_weights=False, strict=False):
 # validate
 # --------------------------------------------------------------------------
 
-def run_validate(rt: Runtime, population: SyntheticPopulation) -> int:
+def run_validate(rt: Runtime, population: SyntheticPopulation, external=None) -> int:
+    """Write the validation reports of `population`, the external ones with
+    `external` of `Runtime.load_external`."""
     internal = rt.timed(
         "validate_internal",
         lambda: internal_validation(population, rt.survey, rt.tables),
     )
     reports = [internal]
-    cfg = rt.config
-    if cfg.external_actual_path is not None:
-        actual = load_external_actual(cfg.external_actual_path)
-        crosswalk = None
-        if cfg.crosswalk_path is not None:
-            crosswalk = load_crosswalks(cfg.crosswalk_path).get(actual.variable)
-        try:
-            external = rt.timed(
-                "validate_external",
-                lambda: external_validation(population, rt.survey, actual, crosswalk),
-            )
-        except IngestError as exc:  # only a crosswalk lacking a category
-            raise IngestError(f"{cfg.crosswalk_path}: {exc}") from None
+    if external is not None:
+        actual, crosswalk = external
+        external = rt.timed(
+            "validate_external",
+            lambda: external_validation(population, rt.survey, actual, crosswalk),
+        )
         reports.append(external)
     metric_rows = []
     share_rows = []
@@ -533,6 +552,9 @@ def main(argv=None) -> int:
         flags["max_iterations"] = getattr(args, "max_iters", None)
         given = {key: value for key, value in flags.items() if value is not None}
         rt = Runtime(replace(load_config(args.config), **given))
+        external = None
+        if args.command in ("validate", "pipeline"):
+            external = rt.load_external()
         rt.out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "check":
@@ -549,7 +571,7 @@ def main(argv=None) -> int:
 
         if args.command == "validate":
             population = rt.load_population()
-            vcode = run_validate(rt, population)
+            vcode = run_validate(rt, population, external)
             return max(code, vcode)
 
         if args.command == "indicators":
@@ -563,7 +585,7 @@ def main(argv=None) -> int:
         )
         if scode == EXIT_ERROR:
             return EXIT_ERROR
-        run_validate(rt, population)
+        run_validate(rt, population, external)
         run_indicators(rt, population, compare=args.compare)
         write_manifest(rt, convergence)
         return max(code, scode)

@@ -18,10 +18,12 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Lines parsed, or rows written, at a time, by the survey and population
-# readers and the population writer: splitting a whole file at once holds
-# every field of it as offsets or strings, which costs more memory than the
-# columns it fills, and the writer's working arrays take about 120 bytes a row.
+# Lines parsed, or rows written, at a time, by the population reader and
+# writer, and ids looked up at a time by the survey's repeated-id check:
+# splitting a whole file at once holds every field of it as offsets or
+# strings, which costs more memory than the columns it fills, and the
+# writer's working arrays take about 120 bytes a row. The survey reader
+# reads its own `ingest.BLOCK_LINES`.
 BLOCK_LINES = 16384
 # Bytes the readers read at a time and cut into blocks at line ends; a read
 # is allocated whole, so it adds to the reader's peak memory.
@@ -282,18 +284,6 @@ class TextColumn(Sequence):
     def of_fields(cls, buf, starts, ends) -> TextColumn:
         """A column of the fields buf[starts:ends]."""
         return cls(field_bytes(buf, starts, ends), np.cumsum(ends - starts))
-
-    @classmethod
-    def concatenate(cls, columns: list) -> TextColumn:
-        """The columns of `columns` one after another; empties the list, so
-        that they are not held twice."""
-        data, ends, size = [np.empty(0, np.uint8)], [np.empty(0, np.intp)], 0
-        for column in columns:
-            data.append(column.data)
-            ends.append(column.ends + size)
-            size += column.data.size
-        columns.clear()
-        return cls(joined(data), joined(ends))
 
     @property
     def starts(self) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from .csvbytes import (
-    BLOCK_LINES,
     CHUNK_BYTES,
     FieldCountError,
     IngestError,
@@ -44,6 +43,12 @@ from .schema import (
     encode_categories,
     needs_quoting,
 )
+
+# Lines that `_csv_blocks` reads at a time: a row of the example's survey
+# holds 17 fields against the population's 3, so a block of the population
+# reader's csvbytes.BLOCK_LINES lines would take about 8 MiB of field
+# offsets and working arrays.
+BLOCK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -213,15 +218,16 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     (blank = NaN), or kept as None when a value does not parse as a number.
     Lines end in LF or CRLF and blank lines are skipped.
 
-    The file is read once, in blocks of BLOCK_LINES lines (`_csv_blocks`),
-    and each block is decoded straight into the returned columns, each in
-    its narrowest form: category labels are encoded from their UTF-8 bytes
-    (`encode_categories`) into one-byte codes where they fit, record and
-    household ids are kept as their bytes (TextColumns), incomes are cast
-    from their bytes at once (`_incomes`), and a deprivation field that is
-    one byte 0 or 1 is read from that byte. From the first block that holds
-    a double quote or a bare CR on, the `csv` module splits the rows, so
-    that quoted fields are honoured.
+    The file is read twice: once to count its line ends (`_line_ends`), for
+    which each column is allocated once, then in blocks of BLOCK_LINES lines
+    (`_csv_blocks`), each decoded straight into its rows of the columns,
+    each in its narrowest form: category labels are encoded from their
+    UTF-8 bytes (`encode_categories`) into one-byte codes where they fit,
+    record and household ids are kept as their bytes (TextColumns), incomes
+    are cast from their bytes at once (`_incomes`), and a deprivation field
+    that is one byte 0 or 1 is read from that byte. From the first block
+    that holds a double quote or a bare CR on, the `csv` module splits the
+    rows, so that quoted fields are honoured.
 
     Errors name the file and the line of the bad row. When a file holds
     several faults, the one named is the first fault of the first block
@@ -232,12 +238,34 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     only when no block holds another fault, in that order."""
     path = Path(path)
     with path.open("rb") as fh:
-        return _decode_survey(path, schema, _csv_blocks(path, fh))
+        size = _line_ends(fh)
+        fh.seek(0)
+        return _decode_survey(path, schema, _csv_blocks(path, fh), size)
 
 
-def _decode_survey(path, schema, rows) -> SurveyDataset:
-    """The survey of `rows`: its header, then blocks of data rows as (bytes,
-    starts, ends, lines) of `_csv_blocks`."""
+def _line_ends(fh) -> int:
+    """The line ends (LF, CRLF or bare CR) of the rest of the binary file
+    `fh`: at least its CSV rows after the first (blank lines, line breaks in
+    quoted fields and a CRLF cut between two reads only add to it)."""
+    # One buffer and two masks, used again for each read: new arrays per
+    # read would each be fresh pages to fault in.
+    chunk = bytearray(CHUNK_BYTES)
+    data, (lf, cr) = np.frombuffer(chunk, np.uint8), np.empty((2, CHUNK_BYTES), bool)
+    n = 0
+    while size := fh.readinto(chunk):
+        n += np.count_nonzero(np.equal(data[:size], ord("\n"), out=lf[:size]))
+        if chunk.find(b"\r", 0, size) >= 0:
+            np.equal(data[:size], ord("\r"), out=cr[:size])
+            # A CR ends a line when the next byte is not an LF (cr > lf).
+            np.greater(cr[: size - 1], lf[1:size], out=cr[: size - 1])
+            n += np.count_nonzero(cr[:size])
+    return n
+
+
+def _decode_survey(path, schema, rows, size: int) -> SurveyDataset:
+    """The survey of `rows`: its header, then blocks of at most `size` data
+    rows in all, as (bytes, starts, ends, lines) of `_csv_blocks`. Each
+    column is allocated once for `size` rows, and cut to the rows read."""
     variables = schema.constraint_vars + schema.external_vars
     fields = schema.deprivation_fields
     mandatory = (
@@ -253,21 +281,26 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
     column = {name: j for j, name in enumerate(header)}  # the last of a name
     income = header.index(schema.income_field)  # the first of its name
     flagged = [column[f] for f in fields]
-    # Each column's blocks; a numeric column becomes None at the first block
-    # with a value that is not a number.
-    record_ids, households = [], []
-    lines, incomes = [np.empty(0, np.intp)], [np.empty(0)]
-    flags = [np.empty((0, len(fields)), bool)]
-    codes = {v.name: [np.empty(0, v.code_dtype)] for v in variables}
+    lines, incomes = np.empty(size, np.intp), np.empty(size)
+    flags = np.empty((size, len(fields)), bool)
+    codes = {v.name: np.empty(size, v.code_dtype) for v in variables}
     finders = [(v, id_finder(v.categories)) for v in variables]
-    numeric = {name: [np.empty(0)] for name in header if name not in mandatory}
+    # A numeric column becomes None at the first block with a value that is
+    # not a number.
+    numeric = {name: np.empty(size) for name in header if name not in mandatory}
+    # The record ids, then the household ids: the bytes of each block, joined
+    # once at the end, and the end of each id in the joined bytes.
+    id_bytes = ([np.empty(0, np.uint8)], [np.empty(0, np.uint8)])
+    id_ends = np.empty((2, size), np.intp)
 
-    def decode(data, starts, ends, at):
-        """Append the columns of one block of rows."""
+    def decode(done, data, starts, ends, at) -> int:
+        """Write the columns of one block of rows into the rows from `done`
+        on; the number of its rows."""
+        into = slice(done, done + at.size)
         buf = np.frombuffer(data, np.uint8)
         j = column["record_id"]
         ids = TextColumn.of_fields(buf, starts[:, j], ends[:, j])
-        incomes.append(_incomes(data, starts[:, income], ends[:, income], at, path))
+        incomes[into] = _incomes(data, starts[:, income], ends[:, income], at, path)
         value, valid = _flags(data, starts[:, flagged], ends[:, flagged])
         bad = np.argwhere(~valid)
         if bad.size:
@@ -275,42 +308,45 @@ def _decode_survey(path, schema, rows) -> SurveyDataset:
             raise IngestError(
                 f"{path}: line {at[i]}: deprivation field {fields[f]!r} must be 0/1"
             )
-        flags.append(value)
+        flags[into] = value
         for var, find in finders:
             j = column[var.name]
             try:
                 found = encode_categories(var, find, buf, starts[:, j], ends[:, j], ids)
             except SchemaError as exc:
                 raise IngestError(f"{path}: line {at[exc.row]}: {exc}") from None
-            codes[var.name].append(found)
-        for name, blocks in numeric.items():
-            if blocks is not None:
+            codes[var.name][into] = found
+        for name, values in numeric.items():
+            if values is not None:
                 j = column[name]
                 texts = [t.strip() for t in _strings(data, starts[:, j], ends[:, j])]
                 try:
-                    blocks.append(_floats(texts))
+                    values[into] = _floats(texts)
                 except ValueError:
                     numeric[name] = None
         j = column[schema.household_field]
-        households.append(TextColumn.of_fields(buf, starts[:, j], ends[:, j]))
-        record_ids.append(ids)
-        lines.append(at)
+        households = TextColumn.of_fields(buf, starts[:, j], ends[:, j])
+        for k, texts in enumerate((ids, households)):
+            id_bytes[k].append(texts.data)
+            before = id_ends[k, done - 1] if done else 0
+            np.add(texts.ends, before, out=id_ends[k, into])
+        lines[into] = at
+        return at.size
 
+    done = 0
     for block in rows:
-        decode(*block)
+        done += decode(done, *block)
         del block  # not held while the next block is read
-    lines = joined(lines)
     try:
         return SurveyDataset.from_codes(
             schema,
-            TextColumn.concatenate(record_ids),
-            TextColumn.concatenate(households),
-            codes={name: joined(blocks) for name, blocks in codes.items()},
-            incomes=joined(incomes),
-            deprivations=joined(flags),
+            *(TextColumn(joined(id_bytes[k]), id_ends[k, :done]) for k in (0, 1)),
+            codes={name: values[:done] for name, values in codes.items()},
+            incomes=incomes[:done],
+            deprivations=flags[:done],
             numeric={
-                name: None if blocks is None else joined(blocks)
-                for name, blocks in numeric.items()
+                name: None if values is None else values[:done]
+                for name, values in numeric.items()
             },
         )
     except SchemaError as exc:

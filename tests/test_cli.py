@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smallarea
-from smallarea.cli import INDICATOR_COLUMNS, Runtime, main, run_check
+from smallarea.cli import INDICATOR_COLUMNS, Runtime, main, run_check, sha256_file
 from smallarea.fixture import generate_example
 from smallarea.ingest import load_config
 from smallarea.integerize import round_half_up
@@ -376,6 +377,26 @@ class TestPipeline:
             f"error: {crosswalk}: category 'Elementary' missing from crosswalk "
             "for 'occupation'\n"
         )
+        # The crosswalk is checked with the other inputs, before any output.
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_checks_the_crosswalk_before_any_output(self, tmp_path, capsys):
+        config = generate_example(tmp_path, n_zones=4, survey_size=200)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(config)]) == 0
+        for path in out.iterdir():
+            if path.name != "population.csv":
+                path.unlink()
+        crosswalk = tmp_path / "crosswalk.csv"
+        text = crosswalk.read_text()
+        crosswalk.write_text(text.removesuffix("occupation,Elementary,Elementary\n"))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {crosswalk}: category 'Elementary' missing from crosswalk "
+            "for 'occupation'\n"
+        )
+        assert [path.name for path in out.iterdir()] == ["population.csv"]
 
     def test_rerun_identical_digests(self, example_dir, tmp_path):
         d, config = example_dir
@@ -486,6 +507,15 @@ def run_python(code, timeout=60, environ=os.environ):
         text=True,
         timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 3 * 2**20 + 1])
+def test_sha256_file_hashes_every_byte(tmp_path, size):
+    # Sizes around the 64 KiB read buffer, and a file of many reads.
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_import_leaves_scipy_unloaded():
