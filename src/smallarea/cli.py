@@ -117,6 +117,12 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def peak_rss_mib() -> float:
+    """The peak resident memory of this process so far, in MiB."""
+    # ru_maxrss is in KiB on Linux.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 # --------------------------------------------------------------------------
 # Shared pipeline state
 # --------------------------------------------------------------------------
@@ -129,6 +135,7 @@ class Runtime:
         self.out_dir = config.output_dir
         self.schema = config.schema
         self.timings: dict[str, float] = {}
+        self.peaks: dict[str, float] = {}  # the process's peak after each stage
         self.tables, self.survey = self.timed(
             "load_inputs",
             lambda: (
@@ -154,6 +161,7 @@ class Runtime:
         t0 = time.perf_counter()
         result = fn()
         self.timings[stage] = time.perf_counter() - t0
+        self.peaks[stage] = peak_rss_mib()
         return result
 
     def load_external(self):
@@ -476,9 +484,11 @@ def write_manifest(rt: Runtime, convergence=None) -> None:
         lines.append(f"output.{name}.sha256={sha256_file(rt.out_dir / name)}")
     for stage, seconds in rt.timings.items():
         lines.append(f"timing.{stage}_seconds={seconds:.3f}")
-    # ru_maxrss is in KiB on Linux.
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    lines.append(f"memory.peak_rss_mib={peak:.1f}")
+    # The peak never falls, so a stage that did not raise it reads as the
+    # stage before it.
+    for stage, peak in rt.peaks.items():
+        lines.append(f"memory.{stage}_peak_rss_mib={peak:.1f}")
+    lines.append(f"memory.peak_rss_mib={peak_rss_mib():.1f}")
     atomic_write_text(rt.out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 

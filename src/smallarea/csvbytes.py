@@ -1,18 +1,21 @@
 """The byte layer under every CSV reader and the population writer: files
 are read as bytes and cut into blocks of whole lines (`line_blocks`, with
-its UTF-8 check), the survey, table and population readers find fields as
-offsets with one pass over a block's commas and LFs (`scan_fields`, the
-only field scanner), and ids are matched by their bytes (`id_finder`):
-each field is read in place as little-endian 8-byte words (`field_words`)
-and hashed with its length into a table of ids, and it matches an id only
-when its length and every word are equal. A column of ids is held as their
-bytes too (`TextColumn`). Faults are IngestErrors naming the file and line.
-This module imports no other module of the package.
+its UTF-8 check), the survey and population readers first count a file's
+line ends (`line_ends`) to allocate their columns once, the survey, table
+and population readers find fields as offsets with one pass over a
+block's commas and LFs (`scan_fields`, the only field scanner), and ids
+are matched by their bytes (`id_finder`): each field is read in place as
+little-endian 8-byte words (`field_words`) and hashed with its length
+into a table of ids, and it matches an id only when its length and every
+word are equal. A column of ids is held as their bytes too (`TextColumn`).
+Faults are IngestErrors naming the file and line. This module imports no
+other module of the package.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -63,6 +66,30 @@ def line_blocks(fh, block_lines: int, chunk_bytes: int, path, line=1):
         lines = (lines + ends.size) % block_lines
     if block := b"".join(pieces):
         yield utf8(block, path, line), line
+
+
+def line_ends(fh, chunk_bytes: int) -> int:
+    """The line ends (LF, CRLF or bare CR) of the rest of the binary file
+    `fh`: at least its CSV rows after the first (blank lines, line breaks in
+    quoted fields and a CRLF cut between two reads only add to it), so that
+    a reader can allocate its columns once for that many rows."""
+    # One buffer and two masks, used again for each read: new arrays per
+    # read would each be fresh pages to fault in. They take the size of the
+    # rest of the file when it is shorter than `chunk_bytes`, so that reading
+    # a small file holds no more than three times its size.
+    rest = os.fstat(fh.fileno()).st_size - fh.tell()
+    chunk = bytearray(max(1, min(chunk_bytes, rest)))
+    data = np.frombuffer(chunk, np.uint8)
+    lf, cr = np.empty((2, data.size), bool)
+    n = 0
+    while size := fh.readinto(chunk):
+        n += np.count_nonzero(np.equal(data[:size], ord("\n"), out=lf[:size]))
+        if chunk.find(b"\r", 0, size) >= 0:
+            np.equal(data[:size], ord("\r"), out=cr[:size])
+            # A CR ends a line when the next byte is not an LF (cr > lf).
+            np.greater(cr[: size - 1], lf[1:size], out=cr[: size - 1])
+            n += np.count_nonzero(cr[:size])
+    return n
 
 
 def utf8(block: bytes, path, line: int) -> bytes:

@@ -29,6 +29,7 @@ from .csvbytes import (
     id_finder,
     joined,
     line_blocks,
+    line_ends,
     scan_fields,
     utf8,
 )
@@ -218,7 +219,7 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     (blank = NaN), or kept as None when a value does not parse as a number.
     Lines end in LF or CRLF and blank lines are skipped.
 
-    The file is read twice: once to count its line ends (`_line_ends`), for
+    The file is read twice: once to count its line ends (`line_ends`), for
     which each column is allocated once, then in blocks of BLOCK_LINES lines
     (`_csv_blocks`), each decoded straight into its rows of the columns,
     each in its narrowest form: category labels are encoded from their
@@ -238,28 +239,9 @@ def load_survey(path, schema: Schema) -> SurveyDataset:
     only when no block holds another fault, in that order."""
     path = Path(path)
     with path.open("rb") as fh:
-        size = _line_ends(fh)
+        size = line_ends(fh, CHUNK_BYTES)
         fh.seek(0)
         return _decode_survey(path, schema, _csv_blocks(path, fh), size)
-
-
-def _line_ends(fh) -> int:
-    """The line ends (LF, CRLF or bare CR) of the rest of the binary file
-    `fh`: at least its CSV rows after the first (blank lines, line breaks in
-    quoted fields and a CRLF cut between two reads only add to it)."""
-    # One buffer and two masks, used again for each read: new arrays per
-    # read would each be fresh pages to fault in.
-    chunk = bytearray(CHUNK_BYTES)
-    data, (lf, cr) = np.frombuffer(chunk, np.uint8), np.empty((2, CHUNK_BYTES), bool)
-    n = 0
-    while size := fh.readinto(chunk):
-        n += np.count_nonzero(np.equal(data[:size], ord("\n"), out=lf[:size]))
-        if chunk.find(b"\r", 0, size) >= 0:
-            np.equal(data[:size], ord("\r"), out=cr[:size])
-            # A CR ends a line when the next byte is not an LF (cr > lf).
-            np.greater(cr[: size - 1], lf[1:size], out=cr[: size - 1])
-            n += np.count_nonzero(cr[:size])
-    return n
 
 
 def _decode_survey(path, schema, rows, size: int) -> SurveyDataset:

@@ -28,9 +28,6 @@ import numpy as np
 
 from .csvbytes import TextColumn, read_only
 
-# Held counts that `zone_sums` and `record_totals` sum at a time.
-BLOCK_COUNTS = 1 << 16
-
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -251,28 +248,34 @@ class SyntheticPopulation:
             if a < b:
                 sizes = np.diff(indptr[first : end + 1])
                 zones = np.repeat(np.arange(first, end), sizes)
-                # np.add.at adds int64 counts to int64 sums on its fast path,
-                # and the writer divides its copy in place.
+                # The population writer divides its copy in place.
                 yield zones, self.records[a:b], self.counts[a:b].astype(np.int64)
 
     def zone_sums(self, codes, k: int) -> np.ndarray:
         """Zones x k int64 sums: [z, c] counts the persons of zone z in the
         records r with codes[r] == c, for int or bool `codes` with one entry
-        per record. Summed BLOCK_COUNTS held counts at a time, exactly."""
+        per record. Summed a zone's slice at a time into its row, exactly,
+        with no array per held count of the population."""
+        codes = np.asarray(codes)
+        if codes.dtype == bool:  # indices 0 and 1, not a mask
+            codes = codes.view(np.uint8)
         out = np.zeros((len(self.zone_ids), k), dtype=np.int64)
-        for zones, records, counts in self.held_blocks(BLOCK_COUNTS):
-            np.add.at(out.reshape(-1), zones * k + codes[records], counts)
+        for row, zone in zip(out, self.slices()):
+            # np.add.at adds int64 counts to int64 sums on its fast path.
+            counts = self.counts[zone].astype(np.int64)
+            np.add.at(row, codes[self.records[zone]], counts)
         return out
 
     def record_totals(self) -> np.ndarray:
         """Persons per record over all zones: the pooled (metro) column,
-        summed block by block at the first call and then held, read-only,
-        for the next."""
+        summed a zone's slice at a time at the first call and then held,
+        read-only, for the next."""
         totals = self.__dict__.get("_record_totals")
         if totals is None:
             totals = np.zeros(len(self.record_ids), dtype=np.int64)
-            for _, records, counts in self.held_blocks(BLOCK_COUNTS):
-                np.add.at(totals, records, counts)
+            for zone in self.slices():
+                counts = self.counts[zone].astype(np.int64)  # as in zone_sums
+                np.add.at(totals, self.records[zone], counts)
             totals.flags.writeable = False
             object.__setattr__(self, "_record_totals", totals)
         return totals

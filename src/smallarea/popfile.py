@@ -9,11 +9,12 @@ record and zone, in the same order, weights as `repr(float)` and NaN blank.
 row: numpy passes copy padded byte tables (`_field_table`, `_copy_fields`)
 of the ids, of the digits of the counts and, one zone at a time, of the
 text of each cell's weight, which every record of the cell shares.
-`read_population` takes each block's fields from
-`csvbytes.scan_fields` and looks up a zone id once per run of rows with
-the same zone field. Ids are written and split unquoted, which is exact
-because ingest rejects zone and record ids that `csv.writer` would quote
-(`schema.needs_quoting`).
+`read_population` counts the file's line ends, allocates its record and
+count columns once for that many rows, writes each block's rows into them
+from the fields that `csvbytes.scan_fields` finds, and looks up a zone id
+once per run of rows with the same zone field. Ids are written and split
+unquoted, which is exact because ingest rejects zone and record ids that
+`csv.writer` would quote (`schema.needs_quoting`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .csvbytes import (
     id_finder,
     joined,
     line_blocks,
+    line_ends,
     scan_fields,
     utf8,
 )
@@ -128,15 +130,18 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     (zone, record) pairs and counts of 0 count 0. Rows may come in any
     order. Lines end in LF or CRLF.
 
-    Reads blocks of BLOCK_LINES lines, cut from byte reads, and finds each
-    block's fields with one `scan_fields` call. Record ids are looked up row
-    by row (`id_finder`), zone ids once per run of zone fields of equal
+    Counts the file's line ends first (`line_ends`), an upper bound on its
+    rows, and allocates the record and count columns once for that many:
+    record indices as `record_dtype`, counts as uint8, copied into a wider
+    `count_dtype` at the first block that holds a count that needs it. Then
+    reads blocks of BLOCK_LINES lines, cut from byte reads, finds each
+    block's fields with one `scan_fields` call, writes its rows into the
+    columns, and cuts the columns to the rows read. Record ids are looked up
+    row by row (`id_finder`), zone ids once per run of zone fields of equal
     length and words (about one run per zone in a file the package wrote).
     Each run's zone and length give `indptr` and show whether the rows are
     in order; rows out of order are sorted stably by a (zone, record) key,
-    int32 when zones x records is below 2**31, else int64. Record indices
-    are held as `record_dtype`, and each block's counts in their own
-    `count_dtype`, which joining the blocks widens to the widest.
+    int32 when zones x records is below 2**31, else int64.
     Rejects, naming the file and line, bytes that are not UTF-8, a row that
     has not 3 fields, an unknown zone (on the first row of its run) or
     record id, a count that is not a non-negative integer written in digits,
@@ -151,11 +156,8 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
     zone_words = -(-max(map(len, map(str.encode, zone_ids)), default=0) // 8)
     n_records = len(record_ids)
-    record_type = record_dtype(n_records)
-    # Per block read: each run's zone index and length, and each row's
-    # record index and count, the counts in the block's narrowest dtype.
+    # Per block read: each run's zone index and length.
     zones, runs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    records, counts = [np.empty(0, record_type)], [np.empty(0, np.uint8)]
     in_order, last_key = True, -1  # whether the keys so far rise strictly
     key_type = np.int32 if len(zone_ids) * n_records < 2**31 else np.int64
 
@@ -178,12 +180,13 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
     def fail(line, message):
         # A pair repeated in an earlier block is the first fault.
         zi = np.repeat(np.concatenate(zones), np.concatenate(runs))
-        stable_order(zi, np.concatenate(records))
+        stable_order(zi, records[:done])
         raise IngestError(f"{path}: line {line}: {message}")
 
     def decode(block, first_line):
-        """Append the rows of one block of lines, the first `first_line`."""
-        nonlocal in_order, last_key
+        """Write the rows of one block of lines, the first `first_line`,
+        into the columns after the `done` rows of the blocks before."""
+        nonlocal counts, done, in_order, last_key
         try:
             starts, ends, _ = scan_fields(block, 3, first_line)
         except FieldCountError as exc:
@@ -221,19 +224,30 @@ def read_population(path: Path, zone_ids, record_ids) -> SyntheticPopulation:
         last_key = int(zi[-1]) * n_records + int(ri[-1])
         zones.append(zi.astype(np.int32))
         runs.append(lengths)
-        records.append(ri.astype(record_type))
-        counts.append(values.astype(count_dtype(values.max(initial=0)), copy=False))
+        into = slice(done, done + ri.size)
+        records[into] = ri
+        wide = np.promote_types(counts.dtype, count_dtype(values.max(initial=0)))
+        if wide != counts.dtype:
+            counts = counts.astype(wide)
+        counts[into] = values
+        done += ri.size
 
     with path.open("rb") as fh:
+        size = line_ends(fh, CHUNK_BYTES)  # at least the data rows
+        fh.seek(0)
         header = utf8(fh.readline(), path, 1).decode()
         header = header.removesuffix("\n").removesuffix("\r")
         if header != ",".join(POPULATION_HEADER):
             raise IngestError(f"{path}: unexpected header {header!r}")
+        records = np.empty(size, record_dtype(n_records))
+        counts = np.empty(size, np.uint8)
+        done = 0
         for block, first_line in line_blocks(fh, BLOCK_LINES, CHUNK_BYTES, path, 2):
             decode(block, first_line)
             del block  # not held while the next block is read
     zi, lengths = joined(zones), joined(runs)
-    ri, counts = joined(records), joined(counts)
+    ri, counts = records[:done], counts[:done]
+    del records  # so that a sorted copy of `ri` frees it
     sizes = np.zeros(len(zone_ids), np.int64)
     np.add.at(sizes, zi, lengths)
     if not in_order:  # rows with strictly rising keys name no pair twice

@@ -2,8 +2,10 @@
 and population reader that each held a full records x zones matrix, kept as
 oracles for the compressed representations, and conversions between the two
 layouts. Also the sorted byte-key id lookup that the hashed
-`csvbytes.id_finder` replaced, and the line-by-line field scanner that the
-one-pass `csvbytes.scan_fields` replaced."""
+`csvbytes.id_finder` replaced, the line-by-line field scanner that the
+one-pass `csvbytes.scan_fields` replaced, and the population reader that
+appended each block's columns and joined them, which the reader of columns
+allocated once replaced."""
 
 from itertools import islice
 from pathlib import Path
@@ -15,11 +17,20 @@ from smallarea.csvbytes import (
     FieldCountError,
     IngestError,
     TextColumn,
+    field_words,
     gather,
     id_finder,
+    joined,
+    line_blocks,
     scan_fields,
+    utf8,
 )
-from smallarea.integerize import SyntheticPopulation, trs_zone
+from smallarea.integerize import (
+    SyntheticPopulation,
+    count_dtype,
+    record_dtype,
+    trs_zone,
+)
 from smallarea.ipf import WeightMatrix
 
 
@@ -132,6 +143,105 @@ def dense_read_population(path, zone_ids, record_ids) -> np.ndarray:
             first_line += lines.size
     np.maximum(counts, 0, out=counts)
     return counts
+
+
+def joined_read_population(path, zone_ids, record_ids) -> SyntheticPopulation:
+    """`popfile.read_population` as each block's records and counts
+    appended to lists, the counts in the block's own `count_dtype`, and
+    joined after the last block, which held the columns twice. Reads
+    `popfile.BLOCK_LINES` lines and `popfile.CHUNK_BYTES` bytes at a time."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"{path}: population file not found (run synthesize)")
+    record_ids = TextColumn.of(record_ids)
+    find_zone, find_record = id_finder(zone_ids), id_finder(record_ids)
+    zone_words = -(-max(map(len, map(str.encode, zone_ids)), default=0) // 8)
+    n_records = len(record_ids)
+    record_type = record_dtype(n_records)
+    zones, runs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    records, counts = [np.empty(0, record_type)], [np.empty(0, np.uint8)]
+    in_order, last_key = True, -1
+    key_type = np.int32 if len(zone_ids) * n_records < 2**31 else np.int64
+
+    def stable_order(zi, ri):
+        key = zi.astype(key_type) * n_records + ri
+        order = np.argsort(key, kind="stable")
+        key.sort()
+        later = order[1:][key[1:] == key[:-1]]
+        if later.size:
+            i = int(later.min())
+            zone, record = zone_ids[zi[i]], record_ids[ri[i]]
+            raise IngestError(
+                f"{path}: line {2 + i}: duplicate row for zone {zone!r}, "
+                f"record {record!r}"
+            )
+        return order
+
+    def fail(line, message):
+        zi = np.repeat(np.concatenate(zones), np.concatenate(runs))
+        stable_order(zi, np.concatenate(records))
+        raise IngestError(f"{path}: line {line}: {message}")
+
+    def decode(block, first_line):
+        nonlocal in_order, last_key
+        try:
+            starts, ends, _ = scan_fields(block, 3, first_line)
+        except FieldCountError as exc:
+            fail(exc.line, "expected 3 fields")
+        buf = np.frombuffer(block, np.uint8)
+
+        def text(i, j):
+            return block[starts[i, j] : ends[i, j]].decode("utf-8")
+
+        zone_len = ends[:, 0] - starts[:, 0]
+        change = zone_len[1:] != zone_len[:-1]
+        for word in field_words(buf, starts[:, 0], ends[:, 0], zone_words):
+            change |= word[1:] != word[:-1]
+        heads = np.flatnonzero(np.concatenate(([True], change)))
+        lengths = np.diff(heads, append=len(starts)).astype(np.int32)
+        zi, zone_known = find_zone(buf, starts[heads, 0], ends[heads, 0])
+        ri, record_known = find_record(buf, starts[:, 1], ends[:, 1])
+        if not (zone_known.all() and record_known.all()):
+            zone_known = np.repeat(zone_known, lengths)
+            i = int(np.argmin(zone_known & record_known))
+            if not zone_known[i]:
+                fail(first_line + i, f"unknown zone id {text(i, 0)!r}")
+            fail(first_line + i, f"unknown record id {text(i, 1)!r}")
+        values, valid = popfile._digits(buf, starts[:, 2], ends[:, 2])
+        if not valid.all():
+            i = int(np.argmin(valid))
+            fail(first_line + i, f"invalid count {text(i, 2)!r}")
+        if in_order:
+            rising = ri[1:] > ri[:-1]
+            rising[heads[1:] - 1] = zi[1:] > zi[:-1]
+            in_order = int(zi[0]) * n_records + int(ri[0]) > last_key and rising.all()
+        last_key = int(zi[-1]) * n_records + int(ri[-1])
+        zones.append(zi.astype(np.int32))
+        runs.append(lengths)
+        records.append(ri.astype(record_type))
+        counts.append(values.astype(count_dtype(values.max(initial=0)), copy=False))
+
+    with path.open("rb") as fh:
+        header = utf8(fh.readline(), path, 1).decode()
+        header = header.removesuffix("\n").removesuffix("\r")
+        if header != ",".join(popfile.POPULATION_HEADER):
+            raise IngestError(f"{path}: unexpected header {header!r}")
+        sizes = popfile.BLOCK_LINES, popfile.CHUNK_BYTES
+        for block, first_line in line_blocks(fh, *sizes, path, 2):
+            decode(block, first_line)
+    zi, lengths = joined(zones), joined(runs)
+    ri, counts = joined(records), joined(counts)
+    sizes = np.zeros(len(zone_ids), np.int64)
+    np.add.at(sizes, zi, lengths)
+    if not in_order:
+        order = stable_order(np.repeat(zi, lengths), ri)
+        ri, counts = ri[order], counts[order]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    if not counts.all():
+        held = counts != 0
+        indptr -= np.searchsorted(np.flatnonzero(~held), indptr)
+        ri, counts = ri[held], counts[held]
+    return SyntheticPopulation(indptr, ri, counts, zone_ids, record_ids)
 
 
 def sorted_id_finder(ids):

@@ -348,6 +348,25 @@ class TestPipeline:
         assert len(peaks) == 1
         assert float(peaks[0].split("=")[1]) > 0
 
+    @pytest.mark.parametrize("command", ["synthesize", "pipeline"])
+    def test_manifest_records_peak_memory_after_each_stage(self, tmp_path, command):
+        config = write_mini(tmp_path)
+        assert main([command, "--config", str(config)]) == 0
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        fields = dict(line.split("=", 1) for line in lines)
+        stages = [
+            key.removeprefix("timing.").removesuffix("_seconds")
+            for key in fields
+            if key.startswith("timing.")
+        ]
+        memory = [key for key in fields if key.startswith("memory.")]
+        assert memory == [f"memory.{s}_peak_rss_mib" for s in stages] + [
+            "memory.peak_rss_mib"
+        ]
+        peaks = [float(fields[key]) for key in memory]
+        assert peaks[0] > 0
+        assert peaks == sorted(peaks)  # never falls, the whole run's last
+
     @pytest.mark.parametrize(
         "good, bad",
         [

@@ -21,7 +21,7 @@ from smallarea.ingest import (
     load_external_actual,
     load_survey,
 )
-from smallarea.csvbytes import TextColumn, id_finder
+from smallarea.csvbytes import CHUNK_BYTES, TextColumn, id_finder, line_ends
 from smallarea.schema import (
     Crosswalk,
     SchemaError,
@@ -282,7 +282,7 @@ class TestLoadSurvey:
         assert survey.incomes.tobytes() == np.array([1000, math.nan, 5]).tobytes()
         assert survey.deprivations[:, 0].tolist() == [False, True, False]
         with path.open("rb") as fh:
-            assert ingest._line_ends(fh) == 3
+            assert line_ends(fh, CHUNK_BYTES) == 3
 
     def test_missing_income_retained(self, tmp_path, schema):
         path = self.write(tmp_path, ["r1,h1,M,Married,,0\n"])

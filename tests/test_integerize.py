@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallarea import integerize
 from smallarea.integerize import (
     RngSpec,
     SyntheticPopulation,
@@ -381,22 +380,34 @@ def dense_zone_sums(population, codes, k):
     return np.stack([dense[codes == c].sum(axis=0) for c in range(k)], axis=1)
 
 
-@pytest.mark.parametrize("block_counts", [1, 2, 3, integerize.BLOCK_COUNTS])
-def test_zone_sums_against_dense_oracle(monkeypatch, block_counts):
-    # Zones of 0, 3, 0, 0, 2, 5 and 0 held counts: blocks of 1 to 3 counts
-    # start and end at empty zones, and some hold one zone.
-    monkeypatch.setattr(integerize, "BLOCK_COUNTS", block_counts)
+def zone_sums_case(case):
+    """(records x zones counts, codes, k) of a population for `zone_sums`."""
     rng = np.random.default_rng(3)
-    n, sizes = 8, (0, 3, 0, 0, 2, 5, 0)
+    n, sizes = 8, {"one-count": (2, 1, 3)}.get(case, (0, 3, 0, 0, 2, 5, 0))
     counts = np.zeros((n, len(sizes)), dtype=np.int64)
     for z, size in enumerate(sizes):
         counts[rng.choice(n, size, replace=False), z] = rng.integers(1, 9, size)
-    population = sparse(counts)
     codes = np.array([0, 3, 1, 0, 3, 3, 1, 0])  # no record has code 2
-    for codes, k in [(codes, 4), (codes == 3, 2)]:
-        sums = population.zone_sums(codes, k)
-        assert sums.dtype == np.int64
-        np.testing.assert_array_equal(sums, dense_zone_sums(population, codes, k))
+    if case == "bool-codes":
+        return counts, codes == 3, 2
+    if case == "int64-counts":
+        counts[counts > 0] += 2**31 + rng.integers(0, 2**40, np.count_nonzero(counts))
+    return counts, codes, 4
+
+
+@pytest.mark.parametrize(
+    "case", ["empty-first-and-last-zones", "one-count", "bool-codes", "int64-counts"]
+)
+def test_zone_sums_against_dense_oracle(case):
+    # Zones of 0, 3, 0, 0, 2, 5 and 0 held counts, or of 2, 1 and 3; each
+    # zone's slice is summed into its row, and empty zones give rows of 0.
+    counts, codes, k = zone_sums_case(case)
+    population = sparse(counts)
+    if case == "int64-counts":
+        assert population.counts.dtype == np.int64
+    sums = population.zone_sums(codes, k)
+    assert sums.dtype == np.int64
+    np.testing.assert_array_equal(sums, dense_zone_sums(population, codes, k))
     # Exact in int64 past 2**53, where a float sum would round.
     population = sparse([[0, 2**62], [5, 2**62 - 1], [0, 7]])
     sums = population.zone_sums(np.array([1, 1, 0]), 2)

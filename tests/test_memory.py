@@ -6,7 +6,9 @@ import tracemalloc
 
 import numpy as np
 
+from smallarea import popfile
 from smallarea.cli import write_csv
+from smallarea.csvbytes import TextColumn
 from smallarea.fixture import generate_example
 from smallarea.indicators import (
     arop_absolute,
@@ -84,9 +86,12 @@ def test_run_holds_no_records_by_zones_array(tmp_path):
 
 def test_population_sums_hold_no_array_per_held_count():
     # 1000 zones of 2000 held int32 counts over 20000 records: a temporary
-    # with one int64 entry per held count would take 16 MB, and each sum
-    # below must stay under 4 bytes per held count. The constructor's
-    # checks make one bool per held count, for the record order, and no more.
+    # with one int64 entry per held count would take 16 MB. Summed a zone at
+    # a time, the sums hold arrays of one zone's counts and of the records:
+    # 0.14 bytes per held count, and 0.75 for the income pass's per-record
+    # arrays. Sums of 65536 counts at a time, with an int64 zone index per
+    # count, took 1.1 to 1.2 (1.6). The constructor's checks make one bool
+    # per held count, for the record order, and no more.
     n_zones, held, n = 1000, 2000, 20000
     rng = np.random.default_rng(0)
     step = n // held  # zone z holds the records z % step, step + z % step, ...
@@ -121,10 +126,10 @@ def test_population_sums_hold_no_array_per_held_count():
             lambda: SyntheticPopulation(indptr, records, counts, zone_ids, record_ids),
             1.5,
         ),
-        "record_totals": (fresh.record_totals, 4),
-        "income_indicators": (lambda: income_indicators(shared, survey.incomes), 4),
-        "md_rate": (lambda: md_rate(shared, survey.deprivations), 4),
-        "aggregate": (lambda: aggregate(shared, survey, "occ", crosswalk), 4),
+        "record_totals": (fresh.record_totals, 0.5),
+        "income_indicators": (lambda: income_indicators(shared, survey.incomes), 1),
+        "md_rate": (lambda: md_rate(shared, survey.deprivations), 0.5),
+        "aggregate": (lambda: aggregate(shared, survey, "occ", crosswalk), 0.5),
     }
     tracemalloc.start()
     try:
@@ -136,6 +141,41 @@ def test_population_sums_hold_no_array_per_held_count():
             assert peak < bound * counts.size, f"{name}: traced peak {peak} bytes"
     finally:
         tracemalloc.stop()
+
+
+def test_read_population_holds_its_columns_once(tmp_path, monkeypatch):
+    # 200 zones of 1000 held uint8 counts over 2000 records, read in blocks
+    # of 1024 lines: the held records and counts take 3 bytes a row, 600 KB,
+    # far more than one block's working arrays. The columns are allocated
+    # once, so the traced peak beyond them is the constructor's bool per row
+    # and one block: 0.44 of the held bytes. Appending each block's columns
+    # and joining them held the records twice: 0.84.
+    n_zones, held, n = 200, 1000, 2000
+    step = n // held
+    zone = np.repeat(np.arange(n_zones), held)
+    records = (np.tile(np.arange(0, n, step), n_zones) + zone % step).astype(np.int32)
+    counts = np.random.default_rng(0).integers(1, 5, records.size)
+    indptr = np.arange(0, records.size + 1, held)
+    zone_ids = tuple(f"Z{i}" for i in range(n_zones))
+    record_ids = TextColumn.of([f"r{i}" for i in range(n)])
+    population = SyntheticPopulation(indptr, records, counts, zone_ids, record_ids)
+    path = tmp_path / "population.csv"
+    write_csv(path, POPULATION_HEADER, population_rows(population))
+    monkeypatch.setattr(popfile, "BLOCK_LINES", 1024)
+    monkeypatch.setattr(popfile, "CHUNK_BYTES", 1 << 14)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = read_population(path, zone_ids, record_ids)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == population
+    assert back.counts.dtype == np.uint8
+    held = now - before
+    assert held >= 3 * records.size
+    assert peak - now < 0.6 * held, f"traced peak {(peak - now) / held:.2f} x held"
 
 
 def test_weights_rows_hold_under_200_bytes_per_record():

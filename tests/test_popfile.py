@@ -32,6 +32,7 @@ from dense_oracle import (
     dense_counts,
     dense_read_population,
     dense_weights,
+    joined_read_population,
     sparse,
     weight_matrix,
 )
@@ -568,12 +569,12 @@ BAD_COUNTS = ["-1", "2.5", "", "1e3", "+2", " 1", "1 ", "٣", "99999999999999999
 
 
 @st.composite
-def population_files(draw):
+def population_files(draw, elements=st.integers(0, 2**63 - 1) | st.integers(0, 12)):
     """(zones, records, data lines, line end, final newline) of a valid
-    population file, with up to one injected fault."""
+    population file of counts drawn from `elements`, with up to one
+    injected fault."""
     zones = draw(st.lists(long_ids, min_size=1, max_size=4, unique=True))
     records = draw(st.lists(long_ids, min_size=1, max_size=7, unique=True))
-    elements = st.integers(0, 2**63 - 1) | st.integers(0, 12)
     counts = matrix(draw, elements, records, zones)
     rows = [
         [zone, records[ri], str(counts[ri, zi])]
@@ -718,3 +719,62 @@ def test_read_population_matches_dense_reader(
         assert got == expected
     else:
         assert got == sparse(expected, tuple(zones), tuple(records))
+
+
+# --------------------------------------------------------------------------
+# The reader of columns allocated once against the append-and-join reader
+# --------------------------------------------------------------------------
+
+# Zero counts, and the largest count of a width with the first past it: a
+# count column begun as uint8 widens at the first block that needs it.
+WIDENING_COUNTS = [0, 1, 255, 256, 2**31 - 1, 2**31]
+
+
+@st.composite
+def widening_files(draw):
+    """(zones, records, data lines as bytes, line end, final newline) of
+    `population_files` of WIDENING_COUNTS with up to one fault of the kinds
+    it injects, rows in order or shuffled, a line repeated anywhere, so that
+    a repeated pair may come before another fault, and up to one line of
+    bytes that are not UTF-8."""
+    zones, records, lines, end, final_newline = draw(
+        population_files(st.sampled_from(WIDENING_COUNTS))
+    )
+    if draw(st.booleans()):
+        lines = list(draw(st.permutations(lines)))
+    if lines and draw(st.booleans()):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    lines = [line.encode() for line in lines]
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] += b"\xff"
+    return zones, records, lines, end, final_newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=widening_files(),
+    block_lines=st.sampled_from([1, 2, 3, popfile.BLOCK_LINES]),
+)
+def test_read_population_matches_joined_reader(tmp_path_factory, case, block_lines):
+    # The same population, counts and records in the same widths, or the
+    # same message naming the same line.
+    zones, records, lines, end, final_newline = case
+    end = end.encode()
+    body = end.join(lines) + (end if final_newline and lines else b"")
+    path = tmp_path_factory.mktemp("pop") / "population.csv"
+    path.write_bytes(b"zone_id,record_id,count" + end + body)
+
+    def outcome(read):
+        try:
+            return read(path, zones, records)
+        except IngestError as exc:
+            return str(exc)
+
+    with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
+        expected = outcome(joined_read_population)
+        got = outcome(read_population)
+    assert got == expected
+    if not isinstance(expected, str):
+        assert got.counts.dtype == expected.counts.dtype
+        assert got.records.dtype == expected.records.dtype
