@@ -21,12 +21,12 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Lines parsed, or rows written, at a time, by the population reader and
-# writer, and ids looked up at a time by the survey's repeated-id check:
-# splitting a whole file at once holds every field of it as offsets or
-# strings, which costs more memory than the columns it fills, and the
-# writer's working arrays take about 120 bytes a row. The survey reader
-# reads its own `ingest.BLOCK_LINES`.
+# Lines parsed, or rows written, at a time by the population reader and
+# writer (the writer's last block fewer), and record pairs compared at a
+# time by `SyntheticPopulation`'s order check: splitting a whole file at
+# once holds every field of it as offsets or strings, which costs more
+# memory than the columns it fills, and the writer's working arrays take
+# about 120 bytes a row. The survey reader reads its own `ingest.BLOCK_LINES`.
 BLOCK_LINES = 16384
 # Bytes the readers read at a time and cut into blocks at line ends; a read
 # is allocated whole, so it adds to the reader's peak memory.
@@ -217,11 +217,11 @@ def id_finder(ids):
     Each id is hashed with its length and words (`field_words`) into an
     int32 table of 2 to 4 slots per id (a power of two); the first id to
     reach a slot holds it, and the others that reach it, unless equal to
-    it, go to a further table with another salt. A field is looked up table
-    by table: it is that id when its length and every word equal those of
-    the id in its slot, is none when the slot is empty, and is looked up in
-    the next table when the slot holds another id. A hash alone never
-    decides a match."""
+    it (the function's rising `repeats`), go to a further table with
+    another salt. A field is looked up table by table: it is that id when
+    its length and every word equal those of the id in its slot, is none
+    when the slot is empty, and is looked up in the next table when the
+    slot holds another id. A hash alone never decides a match."""
     ids = TextColumn.of(ids)
     starts, ends = ids.starts, ids.ends
     lengths = ends - starts
@@ -231,7 +231,7 @@ def id_finder(ids):
     # Row n marks an empty slot: a length no field has.
     id_lengths = np.append(lengths, -1)
     id_words = np.concatenate((words, np.zeros((n_words, 1), np.uint64)), axis=1)
-    tables = []  # (salt, bits, slot table) per level
+    tables, repeats = [], []  # per level: (salt, bits, slot table), repeats
     rows = np.arange(n, dtype=np.int32)  # the ids still to place
     while rows.size or not tables:
         salt, bits = len(tables), (2 * rows.size - 1).bit_length()
@@ -239,10 +239,10 @@ def id_finder(ids):
         table = np.full(1 << bits, n, np.int32)
         np.minimum.at(table, slots, rows)
         holder = table[slots]
-        rows = rows[
-            (id_lengths[holder] != lengths[rows])
-            | (id_words[:, holder] != words[:, rows]).any(axis=0)
-        ]
+        same = (id_words[:, holder] == words[:, rows]).all(axis=0)
+        same &= id_lengths[holder] == lengths[rows]
+        repeats.append(rows[same & (holder != rows)])
+        rows = rows[~same]
         tables.append((salt, bits, table))
 
     def look(level, lengths, words):
@@ -270,6 +270,7 @@ def id_finder(ids):
         np.copyto(index, 0, where=~known)
         return index, known
 
+    find.repeats = np.sort(np.concatenate(repeats))
     return find
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvbytes import TextColumn, read_only
+from .csvbytes import BLOCK_LINES, TextColumn, read_only
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,8 @@ class SyntheticPopulation:
             or np.any(np.diff(indptr) < 0)
         ):
             raise ValueError("compressed zone columns do not match the zone ids")
-        # Within a zone each record follows the one before it.
-        unordered = records[1:] <= records[:-1]
-        starts = indptr[1:-1]
-        unordered[starts[(starts > 0) & (starts < nnz)] - 1] = False
         if (
-            np.any(unordered)
+            not _in_record_order(indptr, records)
             or counts.min(initial=1) <= 0
             or records.min(initial=0) < 0
             or (nnz and records.max() >= len(self.record_ids))
@@ -233,24 +229,6 @@ class SyntheticPopulation:
         bounds = self.indptr.tolist()
         return map(slice, bounds[:-1], bounds[1:])
 
-    def held_blocks(self, size: int):
-        """The held counts in runs of whole zones of about `size` or fewer
-        (a zone is never split), runs of empty zones skipped: for each run,
-        every held count's zone index, its record and the count as a new
-        int64 array."""
-        indptr = self.indptr
-        starts = np.arange(size, self.counts.size, size)
-        cuts = np.searchsorted(indptr, starts, side="right") - 1
-        bounds = np.concatenate(([0], cuts, [len(self.zone_ids)]))
-        bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # sorted: drop repeats
-        for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            a, b = indptr[first], indptr[end]
-            if a < b:
-                sizes = np.diff(indptr[first : end + 1])
-                zones = np.repeat(np.arange(first, end), sizes)
-                # The population writer divides its copy in place.
-                yield zones, self.records[a:b], self.counts[a:b].astype(np.int64)
-
     def zone_sums(self, codes, k: int) -> np.ndarray:
         """Zones x k int64 sums: [z, c] counts the persons of zone z in the
         records r with codes[r] == c, for int or bool `codes` with one entry
@@ -288,6 +266,20 @@ class SyntheticPopulation:
             col[self.records[zone]] = self.counts[zone]
             yield col
             col.fill(0)
+
+
+def _in_record_order(indptr, records) -> bool:
+    """Whether within each zone every record follows the one before it:
+    pairs compared BLOCK_LINES at a time, those across a zone start cleared,
+    so that the check makes no bool per held count."""
+    for a in range(1, records.size, BLOCK_LINES):
+        b = min(a + BLOCK_LINES, records.size)
+        unordered = records[a:b] <= records[a - 1 : b - 1]
+        heads = indptr[np.searchsorted(indptr, a) : np.searchsorted(indptr, b)]
+        unordered[heads - a] = False  # a zone's first record follows another zone
+        if unordered.any():
+            return False
+    return True
 
 
 def record_dtype(n_records: int) -> np.dtype:

@@ -7,8 +7,9 @@ record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `population_rows` and `weights_rows` give their data rows as the text that
 `csv.writer` would write, with CRLF line ends, and make no Python string per
 row: numpy passes copy padded byte tables (`_field_table`, `_copy_fields`)
-of the ids, of the digits of the counts and, one zone at a time, of the
-text of each cell's weight, which every record of the cell shares.
+of the ids, of the digits of the counts, BLOCK_LINES population rows at a
+time whatever their zones, and, one zone at a time, of the text of each
+cell's weight, which every record of the cell shares.
 `read_population` counts the file's line ends, allocates its record and
 count columns once for that many rows, writes each block's rows into them
 from the fields that `csvbytes.scan_fields` finds, and looks up a zone id
@@ -66,17 +67,24 @@ class TextRows:
 
 
 def population_rows(population: SyntheticPopulation) -> TextRows:
-    """The rows of `population.csv`, made one block of whole zones of about
-    BLOCK_LINES rows at a time. A row's length is the sum of the lengths of
-    its "<zone_id>," and "<record_id>," in padded byte tables, of its
-    count's digits and of CRLF; one cumsum gives each row's offset in the
-    block's bytes. Each id field is copied with one pass per byte column of
-    its table and each count digit by digit, exactly up to 2**63 - 1."""
+    """The rows of `population.csv`, made BLOCK_LINES rows at a time, a
+    block ending inside a zone or not: zone z's rows in the block [a, b)
+    are its held counts clipped to [a, b). A row's length is the sum of the
+    lengths of its "<zone_id>," and "<record_id>," in padded byte tables, of
+    its count's digits and of CRLF; one cumsum gives each row's offset in
+    the block's bytes. Each id field is copied with one pass per byte column
+    of its table and each count digit by digit, exactly up to 2**63 - 1."""
+    indptr, n = population.indptr, population.counts.size
 
     def blocks():
         zone_table, zone_lengths = _field_table(population.zone_ids)
         record_table, record_lengths = _field_table(population.record_ids)
-        for zones, records, counts in population.held_blocks(BLOCK_LINES):
+        every_zone = np.arange(len(population.zone_ids))
+        for a in range(0, n, BLOCK_LINES):
+            rows = slice(a, a + BLOCK_LINES)  # the stop may pass n, where indptr ends
+            zones = np.repeat(every_zone, np.diff(np.clip(indptr, a, rows.stop)))
+            records = population.records[rows]
+            counts = population.counts[rows].astype(np.int64)  # divided in place
             zone_len, record_len = zone_lengths[zones], record_lengths[records]
             digits = np.searchsorted(_POWERS_OF_TEN, counts, side="right")
             lengths = zone_len + record_len + digits + 2
@@ -94,7 +102,7 @@ def population_rows(population: SyntheticPopulation) -> TextRows:
             out[ends - 1] = ord("\n")
             yield str(out, "utf-8")
 
-    return TextRows(population.counts.size, blocks)
+    return TextRows(n, blocks)
 
 
 def weights_rows(matrix: WeightMatrix) -> TextRows:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvbytes import BLOCK_LINES, IngestError, TextColumn, id_finder, read_only
+from .csvbytes import IngestError, TextColumn, id_finder, read_only
 
 
 class SchemaError(ValueError):
@@ -225,16 +225,10 @@ class SurveyDataset:
             household_ids = TextColumn.of(list(map(str, household_ids)))
         self._households = household_ids
         self.n = n = len(ids)
-        # An id given twice maps to its first index. The ids are looked up
-        # a block at a time, which bounds the lookup's working arrays.
-        find, starts, ends = id_finder(ids), ids.starts, ids.ends
-        for a in range(0, n, BLOCK_LINES):
-            block = slice(a, a + BLOCK_LINES)
-            index, _ = find(ids.data, starts[block], ends[block])
-            repeats = np.flatnonzero(index != np.arange(a, a + index.size))
-            if repeats.size:
-                i = a + int(repeats[0])
-                raise SchemaError(f"duplicate record id {ids[i]!r}", i)
+        repeats = id_finder(ids).repeats  # the build meets every repeat
+        if repeats.size:
+            i = int(repeats[0])
+            raise SchemaError(f"duplicate record id {ids[i]!r}", i)
         if household_ids.ends.size != n:
             raise SchemaError(f"{household_ids.ends.size} household ids, {n} records")
         quoted = np.flatnonzero(np.isin(ids.data, _QUOTED_BYTES))

@@ -75,6 +75,25 @@ def test_id_finder_matches_sorted_keys(case, offset):
     assert index.dtype == np.intp
 
 
+# Up to about 300 ids of a few letters: distinct ids share hash slots, so
+# that the index needs more than one table, and most ids repeat.
+many_ids = st.lists(
+    st.text(st.sampled_from(["a", "b", "\0", "é"]), max_size=4), max_size=300
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=many_ids)
+def test_id_finder_build_reports_each_repeat(ids):
+    first = {}  # each id's first index
+    repeats = [i for i, t in enumerate(ids) if first.setdefault(t, i) != i]
+    column = TextColumn.of(ids)
+    find = id_finder(column)
+    assert find.repeats.tolist() == repeats
+    index, known = find(column.data, column.starts, column.ends)
+    assert known.all() and index.tolist() == [first[t] for t in ids]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=lookups(), n_words=st.integers(0, 6))
 def test_field_words_and_bytes_read_each_field(case, n_words):

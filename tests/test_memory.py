@@ -90,8 +90,8 @@ def test_population_sums_hold_no_array_per_held_count():
     # a time, the sums hold arrays of one zone's counts and of the records:
     # 0.14 bytes per held count, and 0.75 for the income pass's per-record
     # arrays. Sums of 65536 counts at a time, with an int64 zone index per
-    # count, took 1.1 to 1.2 (1.6). The constructor's checks make one bool
-    # per held count, for the record order, and no more.
+    # count, took 1.1 to 1.2 (1.6). The constructor's checks make no array
+    # per held count (`test_population_checks_hold_no_array_per_held_count`).
     n_zones, held, n = 1000, 2000, 20000
     rng = np.random.default_rng(0)
     step = n // held  # zone z holds the records z % step, step + z % step, ...
@@ -147,9 +147,9 @@ def test_read_population_holds_its_columns_once(tmp_path, monkeypatch):
     # 200 zones of 1000 held uint8 counts over 2000 records, read in blocks
     # of 1024 lines: the held records and counts take 3 bytes a row, 600 KB,
     # far more than one block's working arrays. The columns are allocated
-    # once, so the traced peak beyond them is the constructor's bool per row
-    # and one block: 0.44 of the held bytes. Appending each block's columns
-    # and joining them held the records twice: 0.84.
+    # once, so the traced peak beyond them is one block: 0.42 of the held
+    # bytes (0.44 when the constructor made a bool per row). Appending each
+    # block's columns and joining them held the records twice: 0.84.
     n_zones, held, n = 200, 1000, 2000
     step = n // held
     zone = np.repeat(np.arange(n_zones), held)
@@ -176,6 +176,53 @@ def test_read_population_holds_its_columns_once(tmp_path, monkeypatch):
     held = now - before
     assert held >= 3 * records.size
     assert peak - now < 0.6 * held, f"traced peak {(peak - now) / held:.2f} x held"
+
+
+def test_population_checks_hold_no_array_per_held_count():
+    # 50 zones of 20000 held counts that already have the dtypes that the
+    # population holds: the constructor takes read-only views of them and
+    # compares record pairs BLOCK_LINES at a time, 0.035 traced bytes per
+    # count. One bool per held count for the record order took 1.01.
+    n_zones, n = 50, 20000
+    indptr = np.arange(0, n_zones * n + 1, n, dtype=np.int64)
+    records = np.tile(np.arange(n, dtype=np.uint16), n_zones)
+    counts = np.ones(records.size, np.uint8)
+    zone_ids = tuple(f"Z{i}" for i in range(n_zones))
+    record_ids = TextColumn.of([f"r{i}" for i in range(n)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        SyntheticPopulation(indptr, records, counts, zone_ids, record_ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * counts.size, f"traced peak {peak / counts.size:.3f} bytes"
+
+
+def test_population_rows_of_one_large_zone_hold_under_64_bytes_a_row():
+    # One zone of 200000 held counts: the writer makes BLOCK_LINES rows at a
+    # time, wherever a zone ends, so its working arrays are bounded by the
+    # block, and the build of the padded record id table sets the peak, 47
+    # traced bytes a row. Blocks of whole zones took 119.
+    n = 200000
+    population = SyntheticPopulation(
+        [0, n],
+        np.arange(n, dtype=np.int32),
+        np.full(n, 3, np.uint8),
+        ("Z1",),
+        TextColumn.of([f"r{i}" for i in range(n)]),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for block in population_rows(population).blocks():
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, f"traced peak {peak / n:.0f} bytes a row"
 
 
 def test_weights_rows_hold_under_200_bytes_per_record():

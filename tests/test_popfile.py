@@ -232,8 +232,8 @@ def test_population_bytes_and_round_trip(tmp_path_factory, population):
 @settings(max_examples=150, deadline=None)
 @given(population=populations(), block_lines=st.sampled_from([1, 2, 3]))
 def test_population_bytes_in_small_blocks(tmp_path_factory, population, block_lines):
-    # Blocks of a few rows, which start and end at empty zones and split
-    # the rows of neighbouring zones, write the same bytes.
+    # Blocks of a few rows, which end inside zones, between them and next
+    # to empty zones, write the same bytes.
     path = tmp_path_factory.mktemp("pop") / "population.csv"
     with mock.patch.object(popfile, "BLOCK_LINES", block_lines):
         write_population(path, population)
@@ -242,8 +242,9 @@ def test_population_bytes_in_small_blocks(tmp_path_factory, population, block_li
 
 @pytest.mark.parametrize("block_lines", [1, 2, 3])
 def test_empty_zones_at_block_edges(tmp_path, monkeypatch, block_lines):
-    # Zones of 0, 2, 0, 3, 0 and 1 rows; the int64 counts need all 19
-    # digits and one past the int32 range.
+    # Zones of 0, 2, 0, 3, 0 and 1 rows, in blocks of exactly `block_lines`
+    # rows but the last, some ending inside a zone; the int64 counts need
+    # all 19 digits and one past the int32 range.
     counts = np.zeros((3, 6), dtype=np.int64)
     counts[[0, 2], 1] = [5, 70]
     counts[:, 3] = [1, 12, 2**63 - 1]
@@ -254,6 +255,9 @@ def test_empty_zones_at_block_edges(tmp_path, monkeypatch, block_lines):
     monkeypatch.setattr(popfile, "BLOCK_LINES", block_lines)
     blocks = list(population_rows(population).blocks())
     assert all(block.endswith("\r\n") for block in blocks)
+    sizes = [block.count("\r\n") for block in blocks]
+    assert sum(sizes) == 6 and 0 < sizes[-1] <= block_lines
+    assert sizes[:-1] == [block_lines] * (len(sizes) - 1)
     path = tmp_path / "population.csv"
     write_population(path, population)
     assert path.read_bytes() == reference_population_csv(population)
