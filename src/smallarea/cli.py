@@ -15,7 +15,6 @@ import math
 import os
 import resource
 import sys
-import tempfile
 import time
 from dataclasses import astuple, fields, replace
 from itertools import chain
@@ -73,9 +72,10 @@ EXIT_WARNINGS = 2
 
 def atomic_write_text(path: Path, text) -> None:
     """Write `text`, a string or an iterable of strings written in order,
-    through a temporary file and a rename."""
+    through a temporary file, mode 0o666 less the umask, and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
@@ -513,25 +513,23 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="proceed despite large constraint-total disagreement",
         )
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat non-convergence as a hard error",
-        )
+
+    def synthesis(p):  # the flags of the commands that run IPF and TRS
+        p.add_argument("--strict", action="store_true", help="non-convergence exits 1")
+        p.add_argument("--dump-weights", action="store_true")
+        p.add_argument("--max-iters", type=int, help="cap IPF sweeps")
 
     common(sub.add_parser("check", help="consistency checks only"))
     p = sub.add_parser("synthesize", help="IPF + TRS, write the population")
     common(p)
-    p.add_argument("--dump-weights", action="store_true")
-    p.add_argument("--max-iters", type=int, help="cap IPF sweeps")
+    synthesis(p)
     common(sub.add_parser("validate", help="validation reports for a population"))
     p = sub.add_parser("indicators", help="income and poverty indicators")
     common(p)
     p.add_argument("--compare", help="earlier run directory for percent changes")
     p = sub.add_parser("pipeline", help="check + synthesize + validate + indicators")
     common(p)
-    p.add_argument("--dump-weights", action="store_true")
-    p.add_argument("--max-iters", type=int)
+    synthesis(p)
     p.add_argument("--compare", help="earlier run directory for percent changes")
 
     p = sub.add_parser("example", help="write the bundled synthetic example dataset")

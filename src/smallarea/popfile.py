@@ -6,10 +6,9 @@ zones in constraint-table order and records in survey order within a zone.
 record and zone, in the same order, weights as `repr(float)` and NaN blank.
 `population_rows` and `weights_rows` give their data rows as the text that
 `csv.writer` would write, with CRLF line ends, and make no Python string per
-row: numpy passes copy padded byte tables (`_field_table`, `_copy_fields`)
-of the ids, of the digits of the counts, BLOCK_LINES population rows at a
-time whatever their zones, and, one zone at a time, of the text of each
-cell's weight, which every record of the cell shares.
+row. `population_rows` copies padded byte tables of the ids and the digits
+of the counts with numpy passes (`_field_table`, `_copy_fields`),
+BLOCK_LINES rows at a time whatever their zones.
 `read_population` counts the file's line ends, allocates its record and
 count columns once for that many rows, writes each block's rows into them
 from the fields that `csvbytes.scan_fields` finds, and looks up a zone id
@@ -108,26 +107,21 @@ def population_rows(population: SyntheticPopulation) -> TextRows:
 def weights_rows(matrix: WeightMatrix) -> TextRows:
     """The rows of `weights.csv`, a zone at a time: a record's weight in zone
     z is F[z, cell], so a zone formats "<zone_id>,<weight>" CRLF once per
-    cell, and a row copies its record's "<record_id>," and its cell's text."""
+    cell, and its block is one join of each record's "<record_id>," (made
+    once per run) with its cell's text."""
     cells = matrix.cells
-    records = np.arange(cells.size)
 
     def blocks():
-        record_table, record_len = _field_table(matrix.record_ids)
+        parts = [None] * (2 * cells.size)
+        parts[::2] = [f"{record}," for record in matrix.record_ids]
         for zone, weights in zip(matrix.zone_ids, matrix.multipliers):
             texts = [
                 f"{zone},{w!r}\r\n" if w == w else f"{zone},\r\n"  # NaN blank
                 for w in weights.tolist()
             ]
-            cell_table, cell_lengths = _field_table(texts, end="")
-            cell_len = cell_lengths[cells]
-            lengths = record_len + cell_len
-            ends = np.cumsum(lengths)
-            starts = ends - lengths
-            out = np.empty(int(lengths.sum()), np.uint8)
-            _copy_fields(out, starts, record_table, records, record_len)
-            _copy_fields(out, starts + record_len, cell_table, cells, cell_len)
-            yield str(out, "utf-8")
+            # An object array's gather is a list for any number of records.
+            parts[1::2] = np.array(texts, dtype=object)[cells].tolist()
+            yield "".join(parts)
 
     return TextRows(len(matrix.zone_ids) * cells.size, blocks)
 
@@ -296,16 +290,15 @@ def _digits(buf, starts, ends):
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _field_table(ids, end=","):
-    """The UTF-8 bytes of "<id><end>" for each of `ids`, strings or a
-    TextColumn, `end` one ASCII character or none, zero-padded to the
-    longest, as one row per byte column; and the length of each."""
+def _field_table(ids):
+    """The UTF-8 bytes of "<id>," for each of `ids`, strings or a TextColumn,
+    zero-padded to the longest, as one row per byte column; and the length
+    of each."""
     ids = TextColumn.of(ids)
     starts, ends = ids.starts, ids.ends
-    lengths = ends - starts + len(end)
+    lengths = ends - starts + 1
     table = gather(ids.data, starts, ends, int(lengths.max(initial=0)))
-    if end:
-        table[np.arange(len(ids)), lengths - 1] = ord(end)
+    table[np.arange(len(ids)), lengths - 1] = ord(",")
     return np.ascontiguousarray(table.T), lengths
 
 

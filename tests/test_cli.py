@@ -275,6 +275,32 @@ class TestSynthesize:
             assert seen[name] == len(lines) - 1 > 0
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_honour_the_umask(tmp_path, umask, mode):
+    config = write_mini(tmp_path)
+    before = os.umask(umask)
+    try:
+        assert main(["pipeline", "--config", str(config), "--dump-weights"]) == 0
+    finally:
+        os.umask(before)
+    written = sorted((tmp_path / "out").iterdir())
+    assert "weights.csv" in [path.name for path in written]
+    assert {path.name: path.stat().st_mode & 0o777 for path in written} == {
+        path.name: mode for path in written
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "validate", "indicators"])
+def test_strict_only_where_it_has_an_effect(tmp_path, capsys, command):
+    config = write_mini(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main([command, "--config", str(config), "--strict"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --strict" in err
+
+
 class TestFlagOverrides:
     """--out, --seed and --max-iters replace their config keys: the manifest
     records the values that ran, and bad values are refused like bad config

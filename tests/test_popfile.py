@@ -279,6 +279,16 @@ def test_empty_zones_at_block_edges(tmp_path, monkeypatch, block_lines):
         ("r1", "ŕ2", "r3", "r4"),
     )
 )
+# Record ids holding a NUL and a 4-byte UTF-8 character.
+@example(matrix=WeightMatrix([[0.5, 1.25]], [1, 0], ("Z1",), ("a\x00b", "r\U0001f600")))
+# One record in one cell: the gather of a single cell text.
+@example(matrix=WeightMatrix([[3.5], [math.nan]], [0], ("Z1", "Z2"), ("r1",)))
+# Zone ids that are not ASCII.
+@example(
+    matrix=WeightMatrix(
+        [[1.0, 2.0], [4.0, 8.0]], [0, 1, 1], ("Ζώνη", "区"), ("r1", "r2", "r3")
+    )
+)
 def test_weights_bytes(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("w") / "weights.csv"
     write_weights(path, matrix)
