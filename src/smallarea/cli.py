@@ -458,6 +458,8 @@ def write_manifest(rt: Runtime, convergence=None) -> None:
     cfg = rt.config
     lines = [
         f"engine_version={__version__}",
+        "python_version=%d.%d.%d" % sys.version_info[:3],
+        f"numpy_version={np.__version__}",
         f"seed={cfg.seed}",
         f"rng={RngSpec.generator}",
         f"ipf.max_iterations={cfg.max_iterations}",

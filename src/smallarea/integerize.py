@@ -13,10 +13,9 @@ case after a converged fit) every fractional part is < 1, so the d selected
 records are distinct and each record's inclusion probability equals its
 fractional part exactly, making the expected count equal to the weight.
 
-Each zone draws from its own PCG64 stream (`RngSpec`). The single uniform of
-systematic PPS is computed in Python, bit for bit as numpy computes it, so
-that a zone on that path imports no `numpy.random`; the fallback paths draw
-from numpy's own Generator.
+Each zone draws from its own PCG64 stream (`RngSpec`), computed in Python
+bit for bit as numpy computes it; the fallback paths pick records from its
+uniforms as `Generator.choice` does. No output bit depends on numpy's RNGs.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .csvbytes import BLOCK_LINES, TextColumn, read_only
 class RngSpec:
     """Reproducibility contract: PCG64 seeded per zone with
     SeedSequence([master_seed, zone_index]); zones never share a stream.
-    `stream` draws what `np.random.default_rng([master_seed, zone_index])`
-    draws, without importing numpy.random for a first bare `random()`."""
+    `stream` draws what numpy's `default_rng([master_seed, zone_index])`
+    draws, computed in Python."""
 
     master_seed: int
 
@@ -45,40 +44,36 @@ class RngSpec:
 
 
 class ZoneStream:
-    """The stream of `np.random.default_rng(list(entropy))`. Its first bare
-    `random()` is `first_uniform(entropy)`. Any other use (`choice`,
-    `random(size)`, a second draw, any other attribute) builds numpy's
-    Generator, replays the draws already made and delegates to it."""
+    """The PCG64 stream of numpy's `default_rng(list(entropy))` for
+    non-negative ints, in Python: `random()` and `random(size)` draw its
+    doubles bit for bit. `drew_array` tells if an array was drawn."""
 
-    __slots__ = ("entropy", "drawn", "generator")
+    __slots__ = ("state", "inc", "drew_array")
 
     def __init__(self, entropy):
-        self.entropy = tuple(map(operator.index, entropy))
-        if min(self.entropy) < 0:
+        entropy = tuple(map(operator.index, entropy))
+        if min(entropy) < 0:
             raise ValueError("expected non-negative integer")  # as numpy says
-        self.drawn = 0
-        self.generator = None
+        self.state, self.inc = _seed(entropy)
+        self.drew_array = False
 
-    def random(self, *args, **kwargs):
-        if args or kwargs or self.drawn or self.generator is not None:
-            return self.numpy().random(*args, **kwargs)
-        self.drawn = 1
-        return first_uniform(self.entropy)
-
-    def numpy(self) -> np.random.Generator:
-        """numpy's Generator of this stream, past the draws already made."""
-        if self.generator is None:
-            self.generator = np.random.default_rng(list(self.entropy))
-            for _ in range(self.drawn):
-                self.generator.random()
-        return self.generator
-
-    def __getattr__(self, name):
-        return getattr(self.numpy(), name)
+    def random(self, size=None):
+        """The next double in [0, 1), or the next `size` as a float64 array;
+        each is the top 53 bits of a PCG64 step's XSL-RR output."""
+        state, inc, outs = self.state, self.inc, []
+        for _ in range(1 if size is None else size):
+            state = (state * _PCG_MULT + inc) & _M128
+            rot, low = state >> 122, (state >> 64 ^ state) & _M64
+            outs.append((low >> rot | low << (64 - rot)) & _M64)
+        self.state = state
+        if size is None:
+            return (outs[0] >> 11) * 2.0**-53
+        self.drew_array = True
+        return (np.array(outs, np.uint64) >> 11) * 2.0**-53
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+# SeedSequence's hash constants (bit_generator.pyx) and PCG64's 128-bit
+# multiplier (src/pcg64/pcg64.h), both in numpy's random package.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -100,11 +95,10 @@ def _hasher(h: int, mult: int):
     return hashmix
 
 
-def first_uniform(entropy) -> float:
-    """The first `random()` of `np.random.default_rng(list(entropy))` for
+def _seed(entropy) -> tuple[int, int]:
+    """The PCG64 (state, inc) of numpy's `default_rng(list(entropy))` for
     non-negative ints, in numpy's steps: SeedSequence's pool of 4 uint32
-    words and `generate_state(4, uint64)`, PCG64's `set_seed`, one step and
-    the XSL-RR output, whose top 53 bits make the double."""
+    words and `generate_state(4, uint64)`, then PCG64's `set_seed`."""
     words = []
     for n in entropy:  # each int as its uint32 words, low first; 0 as [0]
         words.append(n & _M32)
@@ -131,13 +125,8 @@ def first_uniform(entropy) -> float:
     initstate, initseq = s[0] << 64 | s[1], s[2] << 64 | s[3]
 
     inc = (initseq << 1 | 1) & _M128
-    # set_seed: state 0, a step (to inc), adding initstate, a step; then
-    # the draw's own step.
-    x = ((inc + initstate) * _PCG_MULT + inc) & _M128
-    x = (x * _PCG_MULT + inc) & _M128
-    rot, low = x >> 122, (x >> 64 ^ x) & _M64
-    out = (low >> rot | low << (64 - rot)) & _M64
-    return (out >> 11) * 2.0**-53
+    # set_seed: state 0, a step (to inc), adding initstate, a step.
+    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc
 
 
 @dataclass(frozen=True)
@@ -311,6 +300,13 @@ def _systematic_pick(frac: np.ndarray, d: int, rng) -> np.ndarray:
     return inc
 
 
+def _pick(p, u):
+    """The indices `Generator.choice(len(p), p=p)` picks with uniforms u."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
 def trs_zone(weights, target_total: int, rng) -> np.ndarray:
     """Integerize one zone's weights so the counts sum to target_total.
 
@@ -320,6 +316,10 @@ def trs_zone(weights, target_total: int, rng) -> np.ndarray:
     drawn with replacement proportional to the original weights. A negative
     deficit (inconsistent inputs) is resolved by symmetric downward draws,
     never taking a count below 0.
+
+    `rng` needs `random()` and `random(size)` only. Systematic PPS draws one
+    bare `random()`, and each other path one array: an array marks a
+    zone that left systematic PPS.
     """
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -336,23 +336,20 @@ def trs_zone(weights, target_total: int, rng) -> np.ndarray:
 
     if d > 0:
         n_frac = int(np.count_nonzero(frac > 0))
-        if n_frac >= d > 0:
+        if n_frac >= d:
             counts += _systematic_pick(frac, d, rng)
         else:
             counts[frac > 0] += 1
-            remaining = d - n_frac
-            if remaining > 0:
-                p = w / w.sum()
-                draws = rng.choice(w.size, size=remaining, replace=True, p=p)
-                np.add.at(counts, draws, 1)
+            draws = _pick(w / w.sum(), rng.random(d - n_frac))
+            np.add.at(counts, draws, 1)
     elif d < 0:
-        for _ in range(-d):
+        # The -d uniforms drawn at once are those drawn one at a time.
+        for u in rng.random(-d):
             cand = np.flatnonzero(counts > 0)
             p = frac[cand]
             if p.sum() == 0:
                 p = counts[cand].astype(float)
-            p = p / p.sum()
-            counts[rng.choice(cand, p=p)] -= 1
+            counts[cand[_pick(p / p.sum(), u)]] -= 1
 
     return counts
 
@@ -367,7 +364,7 @@ def synthesize(
     totals rounded half-up). Deterministic for a fixed seed, independent of
     zone execution order. A list given as `fallbacks` collects, in zone
     order, the ids of the zones where trs_zone left systematic PPS: the
-    zones whose stream built numpy's Generator."""
+    zones whose stream was asked for an array."""
     spec = RngSpec(seed)
     targets = np.asarray(zone_populations, dtype=np.int64)
     n = len(weight_matrix.record_ids)
@@ -380,7 +377,7 @@ def synthesize(
                 counts = trs_zone(weights, int(targets[zi]), stream)
             except ValueError as exc:
                 raise ValueError(f"zone {zone!r}: {exc}") from exc
-            if fallbacks is not None and stream.generator is not None:
+            if fallbacks is not None and stream.drew_array:
                 fallbacks.append(zone)
             yield counts
 

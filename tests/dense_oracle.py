@@ -1,11 +1,12 @@
 """Dense records x zones reference code: the weight expansion, `synthesize`
 and population reader that each held a full records x zones matrix, kept as
 oracles for the compressed representations, and conversions between the two
-layouts. Also the sorted byte-key id lookup that the hashed
-`csvbytes.id_finder` replaced, the line-by-line field scanner that the
-one-pass `csvbytes.scan_fields` replaced, and the population reader that
-appended each block's columns and joined them, which the reader of columns
-allocated once replaced."""
+layouts. Also TRS with its fallback picks drawn by numpy's Generator, which
+the Python PCG64 stream and its inverse-CDF picks replaced, the sorted
+byte-key id lookup that the hashed `csvbytes.id_finder` replaced, the
+line-by-line field scanner that the one-pass `csvbytes.scan_fields`
+replaced, and the population reader that appended each block's columns and
+joined them, which the reader of columns allocated once replaced."""
 
 from itertools import islice
 from pathlib import Path
@@ -27,9 +28,9 @@ from smallarea.csvbytes import (
 )
 from smallarea.integerize import (
     SyntheticPopulation,
+    _systematic_pick,
     count_dtype,
     record_dtype,
-    trs_zone,
 )
 from smallarea.ipf import WeightMatrix
 
@@ -69,19 +70,68 @@ def dense_weights(matrix: WeightMatrix) -> np.ndarray:
 
 def dense_synthesize(matrix: WeightMatrix, zone_populations, seed) -> np.ndarray:
     """`synthesize` into a column-major records x zones count matrix, each
-    zone drawn from numpy's own `default_rng([seed, zone_index])`."""
+    zone drawn by `numpy_trs_zone` from numpy's own
+    `default_rng([seed, zone_index])`."""
     weights = dense_weights(matrix)
     n, n_zones = weights.shape
     counts = np.zeros((n, n_zones), dtype=np.int64, order="F")
     for zi in range(n_zones):
         try:
-            counts[:, zi] = trs_zone(
+            counts[:, zi] = numpy_trs_zone(
                 weights[:, zi],
                 int(zone_populations[zi]),
                 np.random.default_rng([seed, zi]),
             )
         except ValueError as exc:
             raise ValueError(f"zone {matrix.zone_ids[zi]!r}: {exc}") from exc
+    return counts
+
+
+def numpy_trs_zone(weights, target_total: int, rng) -> np.ndarray:
+    """`integerize.trs_zone` as it drew its fallback picks with numpy's
+    `Generator.choice`, with `rng` a numpy Generator: integerize one zone's
+    weights so the counts sum to target_total.
+
+    counts = floor(weights); the deficit d = target - sum(counts) is filled
+    by systematic PPS draws on the fractional parts. If fewer records carry
+    fractional mass than d, each of them gets one slot and the remainder is
+    drawn with replacement proportional to the original weights. A negative
+    deficit (inconsistent inputs) is resolved by symmetric downward draws,
+    never taking a count below 0.
+    """
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and >= 0")
+    target_total = int(target_total)
+    if target_total < 0:
+        raise ValueError("target_total must be >= 0")
+    if target_total > 0 and w.sum() == 0:
+        raise ValueError("no support to sample: target > 0 with all-zero weights")
+
+    counts = np.floor(w).astype(np.int64)
+    frac = w - counts
+    d = target_total - int(counts.sum())
+
+    if d > 0:
+        n_frac = int(np.count_nonzero(frac > 0))
+        if n_frac >= d > 0:
+            counts += _systematic_pick(frac, d, rng)
+        else:
+            counts[frac > 0] += 1
+            remaining = d - n_frac
+            if remaining > 0:
+                p = w / w.sum()
+                draws = rng.choice(w.size, size=remaining, replace=True, p=p)
+                np.add.at(counts, draws, 1)
+    elif d < 0:
+        for _ in range(-d):
+            cand = np.flatnonzero(counts > 0)
+            p = frac[cand]
+            if p.sum() == 0:
+                p = counts[cand].astype(float)
+            p = p / p.sum()
+            counts[rng.choice(cand, p=p)] -= 1
+
     return counts
 
 

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smallarea.integerize import (
     RngSpec,
     SyntheticPopulation,
-    first_uniform,
+    _pick,
     round_half_up,
     synthesize,
     trs_zone,
 )
 from smallarea.ipf import WeightMatrix
 
-from dense_oracle import dense_counts, dense_synthesize, sparse, weight_matrix
+from dense_oracle import (
+    dense_counts,
+    dense_synthesize,
+    numpy_trs_zone,
+    sparse,
+    weight_matrix,
+)
 
 
 def rng_for(seed=0, zone=0):
@@ -125,6 +131,39 @@ class TestTrsZone:
         counts = trs_zone([0.5, 0.5], 4, rng_for())
         assert counts.sum() == 4
 
+    def test_pick_takes_the_record_after_a_tie(self):
+        # As numpy's choice: a uniform on a step of the CDF picks the record
+        # after it, so u = 0 never picks a record of probability 0.
+        p = np.array([0.0, 0.25, 0.0, 0.75])
+        assert _pick(p, np.array([0.0, 0.25, 0.5])).tolist() == [1, 3, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 3).map(float), st.floats(0, 4)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 40),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**32),
+    )
+    # The zones of test_fallback_zones_collected: floor (no deficit),
+    # systematic PPS, fill (a deficit beyond the records with fractional
+    # mass) and decrement (a negative deficit).
+    @example([1.0, 2.0, 0.0], 3, 3, 3)
+    @example([0.5, 0.5, 1.0], 2, 3, 2)
+    @example([0.5, 0.5, 2.0], 6, 3, 0)
+    @example([1.5, 1.5, 1.0], 2, 3, 1)
+    def test_matches_numpy_generator(self, weights, target, seed, zone):
+        # The fallback picks of numpy's Generator.choice, drawn from the
+        # Python stream: the same counts, bit for bit.
+        assume(target == 0 or sum(weights) > 0)
+        got = trs_zone(weights, target, RngSpec(seed).stream(zone))
+        rng = np.random.default_rng([seed, zone])
+        expected = numpy_trs_zone(weights, target, rng)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestSynthesize:
     def matrix(self, weights, zones):
@@ -199,6 +238,30 @@ class TestSynthesize:
         assert dense_counts(pop).tobytes() == dense_synthesize(m, targets, 3).tobytes()
         assert pop == synthesize(m, targets, seed=3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 2**32))
+    def test_fallbacks_are_the_zones_past_systematic_pps(self, data, seed):
+        # The rule that perfbench/tracer.py mirrors: a zone leaves systematic
+        # PPS when its deficit is negative or exceeds the records with
+        # fractional mass.
+        n, n_zones = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        weight = st.one_of(st.integers(0, 3).map(float), st.floats(0, 3))
+        row = st.lists(weight, min_size=n_zones, max_size=n_zones)
+        w = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+        targets = st.lists(st.integers(0, 20), min_size=n_zones, max_size=n_zones)
+        targets = np.where(w.sum(axis=0) > 0, data.draw(targets), 0)
+        zones = [f"Z{i}" for i in range(n_zones)]
+        m = self.matrix(w, zones)
+        fallbacks = []
+        pop = synthesize(m, targets, seed=seed, fallbacks=fallbacks)
+        floor = np.floor(w)
+        deficit = targets - floor.sum(axis=0)
+        n_frac = np.count_nonzero(w > floor, axis=0)
+        past = [z for z, d, k in zip(zones, deficit, n_frac) if d < 0 or d > k]
+        assert fallbacks == past
+        expected = dense_synthesize(m, targets, seed)
+        assert dense_counts(pop).tobytes() == expected.tobytes()
+
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, (1 << 69) + 12345)
 ZONE_INDICES = (*range(40), 999, 2**31, 2**32 + 3)
@@ -211,14 +274,28 @@ class TestZoneStream:
     def test_first_draw_grid(self, seed):
         for zone in ZONE_INDICES:
             expected = np.random.default_rng([seed, zone]).random()
-            assert first_uniform((seed, zone)) == expected, (seed, zone)
-            assert RngSpec(seed).stream(zone).random() == expected, (seed, zone)
+            got = RngSpec(seed).stream(zone).random()
+            assert got == expected and type(got) is float, (seed, zone)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**80 - 1), st.integers(0, 2**40 - 1))
     def test_first_draw_property(self, seed, zone):
         expected = np.random.default_rng([seed, zone]).random()
-        assert first_uniform((seed, zone)) == expected
+        assert RngSpec(seed).stream(zone).random() == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_grid(self, seed):
+        # Bare draws and arrays in turn, an empty array among them: numpy's
+        # values, types and dtypes.
+        sizes = (None, None, 5, None, 0)
+        for zone in ZONE_INDICES:
+            stream = RngSpec(seed).stream(zone)
+            generator = np.random.default_rng([seed, zone])
+            for size in sizes:
+                got, expected = stream.random(size), generator.random(size)
+                assert type(got) is type(expected), (seed, zone, size)
+                assert np.asarray(got).dtype == np.asarray(expected).dtype
+                np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "calls",
@@ -226,24 +303,28 @@ class TestZoneStream:
             [("random",), ("choice", 10, 4), ("random",)],
             [("choice", 10, 4), ("random",), ("random",)],
             [("random", 3), ("random",)],
-            [("random",), ("random",), ("integers", 100)],
+            [("random",), ("random",), ("choice", 100)],
         ],
         ids=["random_then_choice", "choice_first", "random_size", "second_draw"],
     )
     @pytest.mark.parametrize("seed, zone", [(0, 0), (20160802, 58), (2**64 - 1, 7)])
     def test_replay_matches_numpy(self, calls, seed, zone):
+        """Calls replayed in turn on the stream and on numpy's Generator draw
+        the same values. A weighted choice is `_pick` on the stream's
+        uniforms, as `trs_zone` picks: a sized one as on its fill path, a
+        bare one as on its decrement path."""
         stream = RngSpec(seed).stream(zone)
         generator = np.random.default_rng([seed, zone])
         for name, *args in calls:
-            got, expected = getattr(stream, name)(*args), getattr(generator, name)(*args)
+            if name == "choice":
+                n, size = (*args, None)[:2]
+                p = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+                got = _pick(p, stream.random(size))
+                expected = generator.choice(n, size, p=p)
+            else:
+                got, expected = stream.random(*args), generator.random(*args)
+                assert type(got) is type(expected)
             np.testing.assert_array_equal(got, expected)
-            assert type(got) is type(expected)
-        assert stream.generator is not None
-
-    def test_first_draw_builds_no_generator(self):
-        stream = RngSpec(5).stream(2)
-        assert isinstance(stream.random(), float)
-        assert stream.generator is None
 
     @pytest.mark.parametrize("seed, zone", [(-1, 0), (0, -1), (-(2**70), 3)])
     def test_negative_entropy_raises_as_numpy(self, seed, zone):

@@ -87,6 +87,28 @@ def test_module_layers():
     assert "ingest" not in imports["popfile"] | imports["validate"]
 
 
+def test_only_fixture_uses_numpy_random():
+    # TRS draws from its Python PCG64 stream; only the generator of the
+    # `example` command draws from numpy.random.
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [f"{node.module}.{alias.name}" for alias in node.names]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return [f"{node.value.id}.{node.attr}"]
+        return []
+
+    users = {
+        module
+        for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        for name in names(node)
+        if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])
+    }
+    assert users == {"fixture"}
+
+
 def test_import_loads_neither_ingest_nor_yaml():
     code = (
         "import sys, smallarea\n"
